@@ -8,6 +8,14 @@ paths as they stop.  Every estimator in the package runs on the same driver,
 so a path's realization depends only on its entropy tuple and the step
 policy, never on batch size, worker count, or which functional is being
 accumulated.
+
+Noise is numpy's own: each path's increments are ``default_rng(entropy)``
+normals, and each (path, barrier) bridge uniform stream is the PCG64 stream
+of ``(*entropy, BRIDGE_STREAM_TAG, level bits)``, so enabling the bridge
+never perturbs the increments.  The sweep builds one generator per path for
+the normals; the bridge uniforms are not buffered but evaluated directly at
+the step index (``_pcg64.kth_uniform``), and only where the bridge
+probability is positive.
 """
 
 from __future__ import annotations
@@ -16,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _pcg64
 from . import coefficients as cf
 from .coefficients import CoefficientField
 from .errors import InvalidInputError, NumericalBlowupError
@@ -144,18 +153,18 @@ def _float_bits(x: float) -> int:
 
 
 class _BlockStreams:
-    """Per-path generators drained in fixed blocks.
+    """Per-path normal generators drained in fixed blocks.
 
     numpy Generators yield the same values whether drawn one at a time or in
     blocks, so draw order per path is exactly "one draw per step" while the
-    Python-level generator overhead is amortized.
+    Python-level generator overhead is amortized.  ``words`` are the paths'
+    ``_pcg64.seed_words``, so each generator is ``default_rng(entropy)``.
     """
 
-    def __init__(self, entropies, shape_per_draw, block, uniform=False):
-        self._gens = [np.random.default_rng(e) for e in entropies]
+    def __init__(self, words, shape_per_draw, block):
+        self._gens = [_pcg64.generator(w) for w in words]
         self._shape = shape_per_draw
         self._block = block
-        self._uniform = uniform
         n = len(self._gens)
         self._buf = np.empty((n, block) + shape_per_draw)
         self._ptr = np.full(n, block, dtype=np.int64)
@@ -163,15 +172,33 @@ class _BlockStreams:
     def draw(self, pos: np.ndarray) -> np.ndarray:
         need = pos[self._ptr[pos] >= self._block]
         for i in need:
-            gen = self._gens[i]
-            if self._uniform:
-                self._buf[i] = gen.uniform(size=(self._block,) + self._shape)
-            else:
-                self._buf[i] = gen.standard_normal((self._block,) + self._shape)
+            self._buf[i] = self._gens[i].standard_normal(
+                (self._block,) + self._shape)
         self._ptr[need] = 0
         out = self._buf[pos, self._ptr[pos]]
         self._ptr[pos] += 1
         return out
+
+
+def bridge_cross_probability(x0, x1, sigma, h, barrier_x: float,
+                             direction: str) -> np.ndarray:
+    """Brownian-bridge probability that |x| crosses ``barrier_x`` within steps.
+
+    For each step from x0 to x1 of length h with diffusion coefficient sigma
+    at x0, this is exp(-2 gap0 gap1 / (sigma^2 h)) where gap0, gap1 are the
+    endpoints' distances from the barrier on the side the step starts
+    ('down': |x| above the barrier, 'up': below).  Steps with an endpoint on
+    or past the barrier, or with sigma = 0, get 0.
+    """
+    u0, u1, s0 = np.abs(x0), np.abs(x1), np.abs(sigma)
+    if direction == "down":
+        gap0, gap1 = u0 - barrier_x, u1 - barrier_x
+    else:
+        gap0, gap1 = barrier_x - u0, barrier_x - u1
+    ok = (gap0 > 0) & (gap1 > 0) & (s0 > 0)
+    p = np.zeros(ok.shape)
+    p[ok] = np.exp(-2.0 * gap0[ok] * gap1[ok] / (s0[ok] ** 2 * h[ok]))
+    return p
 
 
 def _em_batch(X, Sig, Bv, h, DW):
@@ -222,8 +249,11 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     along each step; with ``bridge=True`` (1-d fields with a symmetric
     monotone level only) an intra-step excursion past a still-uncrossed
     barrier is additionally triggered with the Brownian-bridge probability
-    exp(-2 a b / (sigma^2 h)), using a dedicated uniform stream per
-    (path, barrier) so results remain reproducible pathwise.
+    exp(-2 a b / (sigma^2 h)) (``bridge_cross_probability``).  The uniform
+    compared with it at step k is the k-th draw of the (path, barrier)
+    stream seeded by ``(*entropy, BRIDGE_STREAM_TAG, level bits)``, computed
+    directly from the step index, so results remain reproducible pathwise
+    and the increments are the same with the bridge on or off.
 
     Simultaneous crossings within one step resolve to the earliest
     interpolated time; exact ties resolve to the lower threshold.
@@ -262,16 +292,14 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     lev0 = cf.level(field, start)
     tol = cf.resolved_zero_tol(field, lev0) if zero_tol is None else zero_tol
 
-    streams = _BlockStreams(entropies, (m,), _NORMAL_BLOCK)
-    ustreams = None
+    streams = _BlockStreams(_pcg64.seed_words(entropies), (m,), _NORMAL_BLOCK)
+    bridge_seeds = None
     if bridge and nb:
-        ublock = max(32, 2048 // nb)
-        ustreams = [
-            _BlockStreams(
-                [(*e, BRIDGE_STREAM_TAG, _float_bits(b.level)) for e in entropies],
-                (), ublock, uniform=True)
-            for b in barriers
-        ]
+        bridge_seeds = []
+        for b in barriers:
+            tag = (BRIDGE_STREAM_TAG, _float_bits(b.level))
+            bridge_seeds.append(_pcg64.seeded_state(
+                _pcg64.seed_words([e + tag for e in entropies])))
         u_barrier_x = [field.abs_level_inverse(b.level) for b in barriers]
 
     X = np.tile(start, (n, 1))
@@ -400,29 +428,26 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     theta = (brr.level - lev0v[hit]) / (lev1[hit] - lev0v[hit])
                     tc[hit] = t0v[hit] + theta * dtv[hit]
                 is_bridge = np.zeros(pos.size, dtype=bool)
-                if ustreams is not None:
-                    assess = unc & ~hit
-                    if np.any(assess):
-                        u = ustreams[j].draw(pos[assess])
-                        ub = u_barrier_x[j]
-                        u0 = np.abs(X0[assess, 0])
-                        u1 = np.abs(X1[assess, 0])
-                        s0 = np.abs(Sig[assess, 0, 0])
-                        if brr.direction == "down":
-                            gap0, gap1 = u0 - ub, u1 - ub
-                        else:
-                            gap0, gap1 = ub - u0, ub - u1
-                        ok = (gap0 > 0) & (gap1 > 0) & (s0 > 0)
-                        p = np.zeros(u.shape)
-                        denom = s0[ok] ** 2 * dtv[assess][ok]
-                        p[ok] = np.exp(-2.0 * gap0[ok] * gap1[ok] / denom)
-                        trig = u < p
-                        if np.any(trig):
-                            where = np.flatnonzero(assess)[trig]
+                if bridge_seeds is not None:
+                    at = np.flatnonzero(unc & ~hit)
+                    p = bridge_cross_probability(
+                        X0[at, 0], X1[at, 0], Sig[at, 0, 0], dtv[at],
+                        u_barrier_x[j], brr.direction)
+                    draw = p > 0
+                    if np.any(draw):
+                        # A (path, barrier) pair is assessed at step k only if
+                        # it was assessed at every earlier step: paths start
+                        # together at step 0, advance in lockstep and never
+                        # come back once retired, and a barrier never becomes
+                        # uncrossed again.  So the uniform it would draw at
+                        # step k is the k-th output of its stream.  Pairs with
+                        # p = 0 cannot trigger, whatever they draw.
+                        at = at[draw]
+                        u = _pcg64.kth_uniform(bridge_seeds[j][pos[at]], step_idx)
+                        where = at[u < p[draw]]
+                        if where.size:
                             tc[where] = t0v[where] + 0.5 * dtv[where]
                             is_bridge[where] = True
-                            hit = hit.copy()
-                            hit[where] = True
                 new_cross = tc < np.inf
                 if np.any(new_cross):
                     rows = pos[new_cross]
@@ -436,7 +461,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                         best_j[bi] = j
                         frac = (best_time[bi] - t0v[bi]) / dtv[bi]
                         states = X0[bi] + (X1[bi] - X0[bi]) * frac[:, None]
-                        if ustreams is not None:
+                        if bridge_seeds is not None:
                             bb = is_bridge[bi]
                             if np.any(bb):
                                 sgn = np.sign(X0[bi][bb, 0])

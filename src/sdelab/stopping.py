@@ -17,8 +17,9 @@ from . import coefficients as cf
 from . import verification as vf
 from .coefficients import CoefficientField
 from .engine import (Barrier, BRIDGE_STREAM_TAG, PathRealization, StepPolicy,
-                     _float_bits, iter_chunks, map_path_chunks, path_entropy,
-                     register_kernel, sweep_paths)
+                     _float_bits, bridge_cross_probability, iter_chunks,
+                     map_path_chunks, path_entropy, register_kernel,
+                     sweep_paths)
 from .errors import InvalidInputError
 
 METHODS = ("grid", "interpolated", "bridge-corrected")
@@ -123,19 +124,11 @@ def first_hitting_time(path: PathRealization, field: CoefficientField,
             rng = np.random.default_rng(
                 (*path.seed, BRIDGE_STREAM_TAG, _float_bits(threshold)))
             u = rng.uniform(size=n_assess)
-            ub = field.abs_level_inverse(threshold)
-            x0 = np.abs(path.states[:n_assess, 0])
-            x1 = np.abs(path.states[1:n_assess + 1, 0])
             sig = cf.sigma_batch(field, path.states[:n_assess])
-            s0 = np.abs(sig[:, 0, 0])
             h = np.diff(times[:n_assess + 1])
-            if downward:
-                gap0, gap1 = x0 - ub, x1 - ub
-            else:
-                gap0, gap1 = ub - x0, ub - x1
-            ok = (gap0 > 0) & (gap1 > 0) & (s0 > 0)
-            p = np.zeros(n_assess)
-            p[ok] = np.exp(-2.0 * gap0[ok] * gap1[ok] / (s0[ok] ** 2 * h[ok]))
+            p = bridge_cross_probability(
+                path.states[:n_assess, 0], path.states[1:n_assess + 1, 0],
+                sig[:, 0, 0], h, field.abs_level_inverse(threshold), direction)
             trig = np.flatnonzero(u < p)
             if trig.size:
                 j = int(trig[0])

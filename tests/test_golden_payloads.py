@@ -1,0 +1,123 @@
+"""Golden sha256 digests of `sdelab run` payload bytes, one scenario per kind.
+
+Each digest covers the payload section of report.json, serialized as
+``write_report`` writes it, and every CSV table.  A change that moves any
+payload byte of these small runs fails here; if the move is intended, the PR
+says why and records the new digests.  Digests depend on numpy's random
+streams, so they are pinned to the numpy major.minor they were recorded with.
+
+Regenerate with ``PYTHONPATH=src python tests/test_golden_payloads.py``.
+"""
+
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from sdelab.cli import parse_scenario, run_scenario, write_report
+
+RECORDED_NUMPY = "2.4"
+
+_LINEAR = {"field": {"name": "linear-1d"}, "start": [1.0], "horizon": 1.0,
+           "master_seed": 11}
+
+SCENARIOS = {
+    "hitting": {
+        "field": {"name": "power-law-1d", "params": {"alpha": 0.5}},
+        "start": [1.0], "horizon": 0.5, "master_seed": 3, "n_paths": 200,
+        "policy": {"kind": "level-adaptive", "h_max": 1e-2, "h_min": 1e-5},
+        "experiment": "hitting", "params": {"eps_grid": [1e-1, 1e-2, 1e-3]}},
+    # the default t grid never produces a band exit on linear-1d
+    "sqrt-bound-default-grid": {
+        **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-3},
+        "experiment": "sqrt-bound", "params": {"A": 2.0, "k": 1}},
+    # coarse steps and a grid reaching 0.1: exits and bridge triggers happen
+    "sqrt-bound-bridge": {
+        **_LINEAR, "n_paths": 400, "policy": {"kind": "fixed", "h_max": 1e-2},
+        "experiment": "sqrt-bound", "bridge": "auto",
+        "params": {"A": 2.0, "k": 1, "t_grid": [0.01, 0.03, 0.1]}},
+    "displacement": {
+        **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-2},
+        "experiment": "displacement", "params": {"A": 2.0, "k": 1, "t": 0.2}},
+    "level-change": {
+        **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-2},
+        "experiment": "level-change", "params": {"A": 2.0, "k": 1, "t": 0.2}},
+    "persistence": {
+        **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-3},
+        "experiment": "persistence", "params": {"A": 2.0, "k": 1}},
+    "dyadic-escape-bridge": {
+        **_LINEAR, "n_paths": 64,
+        "policy": {"kind": "level-adaptive", "h_max": 1e-2},
+        "experiment": "dyadic-escape", "params": {"depth": 4}},
+    "dyadic-escape-2d": {
+        "field": {"name": "diag-linear", "params": {"d": 2}},
+        "start": [1.0, 1.0], "horizon": 1.0, "master_seed": 5, "n_paths": 64,
+        "policy": {"kind": "level-adaptive", "h_max": 1e-2},
+        "experiment": "dyadic-escape", "params": {"depth": 4}},
+    "integral-1d": {
+        **_LINEAR, "n_paths": 1, "experiment": "integral-1d",
+        "params": {"a": 1.0}},
+    "engine-validation": {
+        **_LINEAR, "n_paths": 64, "experiment": "engine-validation",
+        "params": {"h_exponents": [3, 4, 5]}},
+}
+
+# recorded with numpy 2.4.6
+GOLDEN = {
+    "displacement":
+        "bf74d306f13be1b7156f95d91f3a58d22b4bc9d06329eca25dd38dc9aab326fb",
+    "dyadic-escape-2d":
+        "14f6586857a98c6948b406da50a4d86e32fef7a7801e90facb020ab58fae391e",
+    "dyadic-escape-bridge":
+        "fdf2701d524418de047a0e1216d54bf0c8ad948ba22b910e34c62b5e4c0e3346",
+    "engine-validation":
+        "4c4d99b000bca2a57e531c79905e83910779a02951251afb3a96f0e8003e51f9",
+    "hitting":
+        "c8ff9e905173f4a67cdde25bd8920d97639a10f7fe05c77b6eb7bccb468b778e",
+    "integral-1d":
+        "ffad3ecbd51ac325cf200d5b90f99a7d5798d65f31e7c152e4dcaf1ce00d633e",
+    "level-change":
+        "e3cf704065c2036918cc7ae8362109ac16b42f3bc7c018f486b89ff92a29b221",
+    "persistence":
+        "71b85c3aa2e48cf7b74975c2c456bd5debb29577037b594559e2c444b3d89a4f",
+    "sqrt-bound-bridge":
+        "bd634f854acf487e81461350c504ea533a335862e5d90d5cd8e2017995cbfbee",
+    "sqrt-bound-default-grid":
+        "0521e1873de8538db1638678e93e8e4e019ed1cc483cc957e36d0009aa284ee7",
+}
+
+
+def payload_digest(config: dict, out_dir: Path) -> str:
+    """sha256 over the sha256 of the payload bytes and of each CSV table."""
+    report = run_scenario(parse_scenario(json.dumps(config)), workers=1)
+    write_report(report, out_dir)
+    doc = json.loads((out_dir / "report.json").read_text())
+    blobs = [json.dumps(doc["payload"], indent=2, sort_keys=True).encode()]
+    blobs += [(out_dir / name).read_bytes() for name in doc["tables"]]
+    digest = hashlib.sha256()
+    for blob in blobs:
+        digest.update(hashlib.sha256(blob).digest())
+    return digest.hexdigest()
+
+
+def _numpy_major_minor() -> str:
+    return ".".join(np.__version__.split(".")[:2])
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_payload_digest_is_unchanged(name, tmp_path):
+    if _numpy_major_minor() != RECORDED_NUMPY:
+        pytest.skip(f"digests recorded with numpy {RECORDED_NUMPY}")
+    assert payload_digest(SCENARIOS[name], tmp_path) == GOLDEN[name]
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        for key in sorted(SCENARIOS):
+            out = Path(tmp) / key
+            print(f'    "{key}":\n        "{payload_digest(SCENARIOS[key], out)}",')
+    print(f"numpy {np.__version__}", file=sys.stderr)
