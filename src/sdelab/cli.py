@@ -12,8 +12,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
+from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -29,15 +32,6 @@ from .engine import StepPolicy, path_entropy, simulate_path
 from .errors import InvalidInputError, NumericalBlowupError
 
 SCHEMA_VERSION = 1
-
-EXPERIMENTS = ("hitting", "sqrt-bound", "displacement", "level-change",
-               "persistence", "dyadic-escape", "integral-1d",
-               "engine-validation")
-
-# Experiments whose output is a Monte Carlo estimate with a CI; these enforce
-# the configurable path-count floor.
-CI_EXPERIMENTS = {"hitting", "sqrt-bound", "displacement", "level-change",
-                  "persistence"}
 
 _DEFAULT_POLICY = {"kind": "level-adaptive", "h_max": 1e-3, "h_min": 1e-7,
                    "level_fraction": 0.01}
@@ -102,9 +96,7 @@ class ScenarioConfig:
             "field": {"name": self.field_name, "params": self.field_params},
             "start": self.start,
             "horizon": self.horizon,
-            "policy": {"kind": self.policy.kind, "h_max": self.policy.h_max,
-                       "h_min": self.policy.h_min,
-                       "level_fraction": self.policy.level_fraction},
+            "policy": self.policy.to_dict(),
             "n_paths": self.n_paths,
             "master_seed": self.master_seed,
             "experiment": self.experiment,
@@ -113,19 +105,6 @@ class ScenarioConfig:
             "lipschitz": self.lipschitz,
             "n_paths_floor": self.n_paths_floor,
         }
-
-
-_PARAM_SPECS = {
-    "hitting": {"required": ["eps_grid"], "optional": ["ci_method"]},
-    "sqrt-bound": {"required": ["A", "k"], "optional": ["t_grid"]},
-    "displacement": {"required": ["A", "k", "t"], "optional": []},
-    "level-change": {"required": ["A", "k", "t"], "optional": []},
-    "persistence": {"required": ["A", "k"], "optional": ["t0"]},
-    "dyadic-escape": {"required": ["depth"], "optional": ["t0"]},
-    "integral-1d": {"required": ["a"],
-                    "optional": ["trend_windows", "max_windows"]},
-    "engine-validation": {"required": [], "optional": ["h_exponents"]},
-}
 
 
 def _parse_policy(raw, path: str) -> StepPolicy:
@@ -152,58 +131,66 @@ def _parse_policy(raw, path: str) -> StepPolicy:
     return StepPolicy(kind=kind, h_max=h_max, h_min=h_min, level_fraction=frac)
 
 
-def _validate_params(experiment: str, raw: dict) -> dict:
-    spec = _PARAM_SPECS[experiment]
-    raw = dict(raw)
-    out = {}
-    path = "params"
-    for key in spec["required"]:
-        out[key] = _pop(raw, key, path, required=True)
-    for key in spec["optional"]:
-        if key in raw:
-            out[key] = raw.pop(key)
-    _no_leftovers(raw, path)
+def _unit_time(val, path: str) -> float:
+    out = _positive(val, path)
+    if out > 1.0:
+        _fail(path, "must be <= 1")
+    return out
 
-    if "A" in out:
-        out["A"] = _positive(out["A"], "params.A")
-    if "k" in out:
-        out["k"] = _pos_int(out["k"], "params.k")
-    if "t" in out:
-        out["t"] = _positive(out["t"], "params.t")
-        if out["t"] > 1.0:
-            _fail("params.t", "must be <= 1")
-    if "t0" in out:
-        out["t0"] = _positive(out["t0"], "params.t0")
-    if "depth" in out:
-        out["depth"] = _pos_int(out["depth"], "params.depth")
-    if "a" in out:
-        out["a"] = _positive(out["a"], "params.a")
-    if "eps_grid" in out:
-        grid = out["eps_grid"]
-        if not isinstance(grid, list) or not grid:
-            _fail("params.eps_grid", "must be a nonempty list")
-        grid = [_positive(e, "params.eps_grid") for e in grid]
-        if any(b >= a for a, b in zip(grid, grid[1:])):
-            _fail("params.eps_grid", "must be strictly decreasing")
-        out["eps_grid"] = grid
-    if "t_grid" in out:
-        grid = out["t_grid"]
-        if not isinstance(grid, list) or not grid:
-            _fail("params.t_grid", "must be a nonempty list")
-        out["t_grid"] = [_positive(t, "params.t_grid") for t in grid]
-    if "ci_method" in out and out["ci_method"] not in ("wilson",
-                                                       "clopper-pearson"):
-        _fail("params.ci_method", f"unknown method {out['ci_method']!r}")
-    if "h_exponents" in out:
-        exps = out["h_exponents"]
-        if not isinstance(exps, list) or len(exps) < 2:
-            _fail("params.h_exponents", "must be a list of >= 2 integers")
-        out["h_exponents"] = [_pos_int(e, "params.h_exponents") for e in exps]
-    if "trend_windows" in out:
-        out["trend_windows"] = _pos_int(out["trend_windows"],
-                                        "params.trend_windows")
-    if "max_windows" in out:
-        out["max_windows"] = _pos_int(out["max_windows"], "params.max_windows")
+
+def _nonempty_list(val, path: str) -> list:
+    if not isinstance(val, list) or not val:
+        _fail(path, "must be a nonempty list")
+    return val
+
+
+def _eps_grid(val, path: str) -> list[float]:
+    grid = [_positive(e, path) for e in _nonempty_list(val, path)]
+    if any(b >= a for a, b in zip(grid, grid[1:])):
+        _fail(path, "must be strictly decreasing")
+    return grid
+
+
+def _ci_method(val, path: str) -> str:
+    if val not in ("wilson", "clopper-pearson"):
+        _fail(path, f"unknown method {val!r}")
+    return val
+
+
+def _h_exponents(val, path: str) -> list[int]:
+    if not isinstance(val, list) or len(val) < 2:
+        _fail(path, "must be a list of >= 2 integers")
+    return [_pos_int(e, path) for e in val]
+
+
+# Validator of each experiment param, applied in this order; an error names
+# the key as params.<key>.
+_PARAM_VALIDATORS = {
+    "A": _positive,
+    "k": _pos_int,
+    "t": _unit_time,
+    "t0": _positive,
+    "depth": _pos_int,
+    "a": _positive,
+    "eps_grid": _eps_grid,
+    "t_grid": lambda val, path: [_positive(t, path)
+                                 for t in _nonempty_list(val, path)],
+    "ci_method": _ci_method,
+    "h_exponents": _h_exponents,
+    "trend_windows": _pos_int,
+    "max_windows": _pos_int,
+}
+
+
+def _parse_params(exp: Experiment, raw: dict) -> dict:
+    raw = dict(raw)
+    out = {key: _pop(raw, key, "params", required=True)
+           for key in exp.required}
+    out.update({key: raw.pop(key) for key in exp.optional if key in raw})
+    _no_leftovers(raw, "params")
+    for key, check in _PARAM_VALIDATORS.items():
+        if key in out:
+            out[key] = check(out[key], f"params.{key}")
     return out
 
 
@@ -253,14 +240,15 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _fail("master_seed", f"expected a nonnegative integer, got {master_seed!r}")
 
     experiment = _pop(raw, "experiment", "", required=True)
-    if experiment not in EXPERIMENTS:
+    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
         _fail("experiment",
               f"unknown experiment {experiment!r}; valid: {list(EXPERIMENTS)}")
+    exp = EXPERIMENTS[experiment]
 
     params_raw = _pop(raw, "params", "", default={})
     if not isinstance(params_raw, dict):
         _fail("params", "must be an object")
-    params = _validate_params(experiment, params_raw)
+    params = _parse_params(exp, params_raw)
 
     bridge = _pop(raw, "bridge", "", default="auto")
     if bridge not in ("auto", True, False):
@@ -291,14 +279,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
 
     floor = _pos_int(_pop(raw, "n_paths_floor", "", default=100),
                      "n_paths_floor")
-    if experiment in CI_EXPERIMENTS and n_paths < floor:
+    if exp.ci_floor and n_paths < floor:
         _fail("n_paths", f"{experiment!r} produces confidence intervals and "
                          f"requires n_paths >= {floor}")
-
-    if experiment == "integral-1d" and field.d != 1:
-        _fail("field", "integral-1d requires a 1-d field")
-    if experiment == "engine-validation" and field_name != "linear-1d":
-        _fail("field", "engine-validation uses the linear-1d closed form")
+    if exp.field_rule is not None and not exp.field_rule[0](field):
+        _fail("field", exp.field_rule[1])
 
     _no_leftovers(raw, "")
     return ScenarioConfig(
@@ -321,6 +306,7 @@ class RunReport:
     payload: dict
     tables: dict          # table name -> list of row dicts
     checks: list          # satisfied flags of all bound checks in the run
+    debug_trajectories: list = dc_field(default_factory=list)  # (index, rows)
     output_files: list = dc_field(default_factory=list)
 
     @property
@@ -359,8 +345,14 @@ def _resolve_lipschitz(config: ScenarioConfig, field: CoefficientField,
                               np.asarray(region[1]).tolist()]}
 
 
-def _estimates_table(eps_grid, estimates):
-    return [{"eps": e, **est.to_dict()} for e, est in zip(eps_grid, estimates)]
+def _resolve_t0(config: ScenarioConfig, field: CoefficientField,
+                start: np.ndarray):
+    """params.t0 if given, else the persistence window of the Lipschitz bound."""
+    t0 = config.params.get("t0")
+    if t0 is not None:
+        return t0, None
+    k_val, k_source = _resolve_lipschitz(config, field, start)
+    return vf.persistence_t0(field.m, k_val), k_source
 
 
 def _bound_table_row(report):
@@ -378,193 +370,231 @@ def _bound_table_row(report):
     return row
 
 
+def _single_check(report, **payload):
+    return ({"report": report.to_json_dict(), **payload},
+            {"bound_checks": [_bound_table_row(report)]}, [report.satisfied])
+
+
+# Each runner takes (config, field, start, workers) and returns
+# (payload, tables, checks).  Runners look estimators up on their modules at
+# call time, so wrapping a module attribute wraps every run.
+
+def _run_hitting(config, field, start, workers):
+    p = config.params
+    ests = vf.estimate_zero_hitting(
+        field, start, config.horizon, p["eps_grid"], config.n_paths,
+        config.policy, config.master_seed, workers=workers,
+        method=p.get("ci_method", "wilson"))
+    payload = {"eps_grid": p["eps_grid"],
+               "estimates": [e.to_dict() for e in ests]}
+    rows = [{"eps": e, **est.to_dict()} for e, est in zip(p["eps_grid"], ests)]
+    return payload, {"hitting": rows}, []
+
+
+def _run_sqrt_bound(config, field, start, workers):
+    p = config.params
+    k_val, k_source = _resolve_lipschitz(config, field, start)
+    c = vf.escape_rate_constant(field.m, k_val)
+    t_grid = p.get("t_grid") or vf.default_escape_time_grid(c)
+    reports = vf.check_escape_probability_bound(
+        field, start, p["A"], p["k"], t_grid, config.n_paths, config.policy,
+        config.master_seed, lipschitz_k=k_val, bridge=config.bridge,
+        workers=workers)
+    slope = vf.fitted_escape_exponent(reports)
+    payload = {"constant": c, "t0": vf.persistence_window(c),
+               "t_grid": t_grid, "k_source": k_source,
+               "fitted_exponent": slope,
+               "reports": [r.to_json_dict() for r in reports]}
+    return (payload, {"sqrt_bound": [_bound_table_row(r) for r in reports]},
+            [r.satisfied for r in reports])
+
+
+def _run_displacement(config, field, start, workers):
+    p = config.params
+    return _single_check(vf.check_displacement_bound(
+        field, start, p["A"], p["k"], p["t"], config.n_paths, config.policy,
+        config.master_seed, bridge=config.bridge, workers=workers))
+
+
+def _run_level_change(config, field, start, workers):
+    p = config.params
+    k_val, k_source = _resolve_lipschitz(config, field, start)
+    return _single_check(vf.check_level_change_bound(
+        field, start, p["A"], p["k"], p["t"], config.n_paths, config.policy,
+        config.master_seed, lipschitz_k=k_val, bridge=config.bridge,
+        workers=workers), k_source=k_source)
+
+
+def _run_persistence(config, field, start, workers):
+    p = config.params
+    t0, k_source = _resolve_t0(config, field, start)
+    return _single_check(vf.check_halving_persistence(
+        field, [start], p["A"], p["k"], config.n_paths, config.policy,
+        config.master_seed, t0=t0, bridge=config.bridge, workers=workers),
+        t0=t0, k_source=k_source)
+
+
+def _run_dyadic_escape(config, field, start, workers):
+    depth = config.params["depth"]
+    t0, k_source = _resolve_t0(config, field, start)
+    records = stopping.dyadic_escape_batch(
+        field, start, depth, config.horizon, config.policy,
+        config.master_seed, config.n_paths, t0=t0,
+        bridge=vf._resolve_bridge(field, config.bridge), workers=workers)
+    inc = np.array([r.increments for r in records])
+    cen = np.array([r.censored for r in records])
+    per_k = []
+    for k in range(depth):
+        live = ~cen[:, k]
+        per_k.append({
+            "k": k,
+            "n_censored": int(cen[:, k].sum()),
+            "mean_increment": (float(np.mean(inc[live, k]))
+                               if live.any() else None),
+            "count_ge_t0": int(np.sum(inc[live, k] >= t0)),
+        })
+    payload = {"depth": depth, "t0": t0, "n_paths": config.n_paths,
+               "start_level": records[0].start_level,
+               "count_ge_t0_total": int(sum(r.count_ge_t0 for r in records)),
+               "per_band": per_k, "k_source": k_source}
+    return payload, {"dyadic_escape": stopping.escape_csv_rows(records)}, []
+
+
+def _run_integral_1d(config, field, start, workers):
+    p = config.params
+    sigma_1d = lambda y: float(np.asarray(field.sigma(np.array([y])))[0, 0])
+    verdict = vf.accessibility_integral_1d(
+        sigma_1d, p["a"], **{key: p[key] for key in
+                             ("trend_windows", "max_windows") if key in p})
+    payload = {"verdict": verdict.kind, "value": verdict.value,
+               "error": verdict.error, "windows": verdict.windows}
+    return payload, {"integral": [payload.copy()]}, []
+
+
+def _run_engine_validation(config, field, start, workers):
+    res = vf.strong_order_study(
+        config.n_paths, config.params.get("h_exponents", list(range(4, 11))),
+        config.horizon, start_x=float(start[0]),
+        master_seed=config.master_seed, workers=workers)
+    rows = [{"h": h, "strong_error": e, "n": config.n_paths}
+            for h, e in zip(res["h_grid"], res["strong_errors"])]
+    return res, {"strong_order": rows}, [res["satisfied"]]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind: its params, its config constraints, its runner."""
+
+    run: Callable
+    required: tuple = ()
+    optional: tuple = ()
+    # the output is a Monte Carlo estimate with a CI, so n_paths must reach
+    # the configurable n_paths_floor
+    ci_floor: bool = False
+    field_rule: tuple | None = None  # (predicate on the field, error message)
+
+
+EXPERIMENTS = {
+    "hitting": Experiment(_run_hitting, ("eps_grid",), ("ci_method",),
+                          ci_floor=True),
+    "sqrt-bound": Experiment(_run_sqrt_bound, ("A", "k"), ("t_grid",),
+                             ci_floor=True),
+    "displacement": Experiment(_run_displacement, ("A", "k", "t"),
+                               ci_floor=True),
+    "level-change": Experiment(_run_level_change, ("A", "k", "t"),
+                               ci_floor=True),
+    "persistence": Experiment(_run_persistence, ("A", "k"), ("t0",),
+                              ci_floor=True),
+    "dyadic-escape": Experiment(_run_dyadic_escape, ("depth",), ("t0",)),
+    "integral-1d": Experiment(
+        _run_integral_1d, ("a",), ("trend_windows", "max_windows"),
+        field_rule=(lambda f: f.d == 1, "integral-1d requires a 1-d field")),
+    "engine-validation": Experiment(
+        _run_engine_validation, (), ("h_exponents",),
+        field_rule=(lambda f: f.name == "linear-1d",
+                    "engine-validation uses the linear-1d closed form")),
+}
+
+
 def run_scenario(config: ScenarioConfig, workers: int = 1,
                  debug_paths: bool = False) -> RunReport:
     """Execute the configured experiment and assemble the in-memory report."""
     t_start = time.perf_counter()
     field = config.build_field()
     start = np.asarray(config.start, dtype=float)
-    policy = config.policy
-    seed = config.master_seed
-    exp = config.experiment
-    p = config.params
-    payload: dict = {}
-    tables: dict = {}
-    checks: list = []
-
-    if exp == "hitting":
-        method = p.get("ci_method", "wilson")
-        ests = vf.estimate_zero_hitting(field, start, config.horizon,
-                                        p["eps_grid"], config.n_paths, policy,
-                                        seed, workers=workers, method=method)
-        payload = {"eps_grid": p["eps_grid"],
-                   "estimates": [e.to_dict() for e in ests]}
-        tables["hitting"] = _estimates_table(p["eps_grid"], ests)
-
-    elif exp == "sqrt-bound":
-        k_val, k_source = _resolve_lipschitz(config, field, start)
-        c = vf.escape_rate_constant(field.m, k_val)
-        t_grid = p.get("t_grid") or vf.default_escape_time_grid(c)
-        reports = vf.check_escape_probability_bound(
-            field, start, p["A"], p["k"], t_grid, config.n_paths, policy,
-            seed, lipschitz_k=k_val, bridge=config.bridge, workers=workers)
-        slope = vf.fitted_escape_exponent(reports)
-        payload = {"constant": c, "t0": vf.persistence_window(c),
-                   "t_grid": t_grid, "k_source": k_source,
-                   "fitted_exponent": slope,
-                   "reports": [r.to_json_dict() for r in reports]}
-        tables["sqrt_bound"] = [_bound_table_row(r) for r in reports]
-        checks += [r.satisfied for r in reports]
-
-    elif exp == "displacement":
-        report = vf.check_displacement_bound(
-            field, start, p["A"], p["k"], p["t"], config.n_paths, policy,
-            seed, bridge=config.bridge, workers=workers)
-        payload = {"report": report.to_json_dict()}
-        tables["bound_checks"] = [_bound_table_row(report)]
-        checks.append(report.satisfied)
-
-    elif exp == "level-change":
-        k_val, k_source = _resolve_lipschitz(config, field, start)
-        report = vf.check_level_change_bound(
-            field, start, p["A"], p["k"], p["t"], config.n_paths, policy,
-            seed, lipschitz_k=k_val, bridge=config.bridge, workers=workers)
-        payload = {"report": report.to_json_dict(), "k_source": k_source}
-        tables["bound_checks"] = [_bound_table_row(report)]
-        checks.append(report.satisfied)
-
-    elif exp == "persistence":
-        t0 = p.get("t0")
-        k_source = None
-        if t0 is None:
-            k_val, k_source = _resolve_lipschitz(config, field, start)
-            t0 = vf.persistence_window(vf.escape_rate_constant(field.m, k_val))
-        report = vf.check_halving_persistence(
-            field, [start], p["A"], p["k"], config.n_paths, policy, seed,
-            t0=t0, bridge=config.bridge, workers=workers)
-        payload = {"report": report.to_json_dict(), "t0": t0,
-                   "k_source": k_source}
-        tables["bound_checks"] = [_bound_table_row(report)]
-        checks.append(report.satisfied)
-
-    elif exp == "dyadic-escape":
-        t0 = p.get("t0")
-        k_source = None
-        if t0 is None:
-            k_val, k_source = _resolve_lipschitz(config, field, start)
-            t0 = vf.persistence_window(vf.escape_rate_constant(field.m, k_val))
-        bridge = vf._resolve_bridge(field, config.bridge)
-        records = stopping.dyadic_escape_batch(
-            field, start, p["depth"], config.horizon, policy, seed,
-            config.n_paths, t0=t0, bridge=bridge, workers=workers)
-        depth = p["depth"]
-        inc = np.array([r.increments for r in records])
-        cen = np.array([r.censored for r in records])
-        per_k = []
-        for k in range(depth):
-            live = ~cen[:, k]
-            per_k.append({
-                "k": k,
-                "n_censored": int(cen[:, k].sum()),
-                "mean_increment": (float(np.mean(inc[live, k]))
-                                   if live.any() else None),
-                "count_ge_t0": int(np.sum(inc[live, k] >= t0)),
-            })
-        payload = {"depth": depth, "t0": t0, "n_paths": config.n_paths,
-                   "start_level": records[0].start_level,
-                   "count_ge_t0_total": int(sum(r.count_ge_t0 for r in records)),
-                   "per_band": per_k, "k_source": k_source}
-        tables["dyadic_escape"] = stopping.escape_csv_rows(records)
-
-    elif exp == "integral-1d":
-        sigma_1d = lambda y: float(np.asarray(
-            field.sigma(np.array([y])))[0, 0])
-        kwargs = {}
-        if "trend_windows" in p:
-            kwargs["trend_windows"] = p["trend_windows"]
-        if "max_windows" in p:
-            kwargs["max_windows"] = p["max_windows"]
-        verdict = vf.accessibility_integral_1d(sigma_1d, p["a"], **kwargs)
-        payload = {"verdict": verdict.kind, "value": verdict.value,
-                   "error": verdict.error, "windows": verdict.windows}
-        tables["integral"] = [payload.copy()]
-
-    elif exp == "engine-validation":
-        exps = p.get("h_exponents", list(range(4, 11)))
-        res = vf.strong_order_study(config.n_paths, exps, config.horizon,
-                                    start_x=float(start[0]),
-                                    master_seed=seed, workers=workers)
-        payload = res
-        tables["strong_order"] = [
-            {"h": h, "strong_error": e, "n": config.n_paths}
-            for h, e in zip(res["h_grid"], res["strong_errors"])]
-        checks.append(res["satisfied"])
-
-    report = RunReport(
+    payload, tables, checks = EXPERIMENTS[config.experiment].run(
+        config, field, start, workers)
+    return RunReport(
         config=config.to_dict(), version=__version__,
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
         wall_clock_s=time.perf_counter() - t_start,
-        payload=payload, tables=tables, checks=checks)
+        payload=payload, tables=tables, checks=checks,
+        debug_trajectories=(_debug_trajectories(config, field)
+                            if debug_paths else []))
 
-    if debug_paths:
-        report.debug_trajectories = _debug_trajectories(config, field)
-    return report
+
+def _path_rows(field: CoefficientField, path) -> list[dict]:
+    """One row per grid time of a path: t, x_1..x_d and the level."""
+    levels = cf.level_batch(field, path.states)
+    return [{"t": float(t), **{f"x_{k + 1}": float(v) for k, v in enumerate(x)},
+             "level": float(lev)}
+            for t, x, lev in zip(path.times, path.states, levels)]
 
 
 def _debug_trajectories(config: ScenarioConfig, field: CoefficientField,
                         count: int = 10):
-    out = []
-    for i in range(min(count, config.n_paths)):
-        path = simulate_path(field, config.start, config.horizon,
-                             config.policy,
-                             path_entropy(config.master_seed, i))
-        levels = cf.level_batch(field, path.states)
-        rows = []
-        for j in range(path.times.size):
-            row = {"t": float(path.times[j])}
-            row.update({f"x_{kk + 1}": float(path.states[j, kk])
-                        for kk in range(field.d)})
-            row["level"] = float(levels[j])
-            rows.append(row)
-        out.append((i, rows))
-    return out
+    return [(i, _path_rows(field, simulate_path(
+                field, config.start, config.horizon, config.policy,
+                path_entropy(config.master_seed, i))))
+            for i in range(min(count, config.n_paths))]
+
+
+def _write_csv(fh, rows):
+    if rows:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+@contextmanager
+def _replacing(path: Path):
+    """Text handle on a temporary file beside ``path``, renamed onto it on
+    success and deleted on failure."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_report(report: RunReport, out_dir) -> list[str]:
-    """Write report.json and one CSV per table; returns the file names."""
+    """Write report.json, one CSV per table and the debug path dumps.
+
+    Returns the file names, report.json first.  report.json is the index of
+    the tables, so it is removed first and written last: a write that fails
+    leaves no report.json, and no file is ever left half-written.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    written = []
+    report_path = out / "report.json"
+    report_path.unlink(missing_ok=True)
+    files = {f"table_{name}.csv": rows
+             for name, rows in sorted(report.tables.items())}
+    files.update({f"path_{i:03d}.csv": rows
+                  for i, rows in report.debug_trajectories})
+    for name, rows in files.items():
+        with _replacing(out / name) as fh:
+            _write_csv(fh, rows)
 
     doc = {"header": report.header_dict(str(out.resolve())),
            "payload": report.payload,
            "tables": sorted(f"table_{name}.csv" for name in report.tables)}
-    report_path = out / "report.json"
-    report_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    written.append(str(report_path))
-
-    for name, rows in sorted(report.tables.items()):
-        path = out / f"table_{name}.csv"
-        if rows:
-            fields = list(rows[0].keys())
-            with open(path, "w", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=fields)
-                writer.writeheader()
-                writer.writerows(rows)
-        else:
-            path.write_text("")
-        written.append(str(path))
-
-    for i, rows in getattr(report, "debug_trajectories", []):
-        path = out / f"path_{i:03d}.csv"
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=list(rows[0].keys()))
-            writer.writeheader()
-            writer.writerows(rows)
-        written.append(str(path))
-
-    report.output_files = written
-    return written
+    with _replacing(report_path) as fh:
+        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    report.output_files = [str(report_path)] + [str(out / n) for n in files]
+    return report.output_files
 
 
 # ---------------------------------------------------------------------------
@@ -605,13 +635,10 @@ def _cmd_replay(args) -> int:
     field = config.build_field()
     path = simulate_path(field, config.start, config.horizon, config.policy,
                          path_entropy(master, args.path))
-    levels = cf.level_batch(field, path.states)
-    writer = csv.writer(args.out_file or sys.stdout)
-    writer.writerow(["t"] + [f"x_{i + 1}" for i in range(field.d)] + ["level"])
-    for j in range(path.times.size):
-        writer.writerow([path.times[j], *path.states[j], levels[j]])
-    print(f"# path {args.path} seed={master} steps={path.times.size - 1} "
-          f"absorbed={path.absorbed} final_level={levels[-1]:g}",
+    rows = _path_rows(field, path)
+    _write_csv(args.out_file or sys.stdout, rows)
+    print(f"# path {args.path} seed={master} steps={len(rows) - 1} "
+          f"absorbed={path.absorbed} final_level={rows[-1]['level']:g}",
           file=sys.stderr)
     return 0
 

@@ -20,7 +20,7 @@ probability is positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -70,6 +70,9 @@ class StepPolicy:
                  level_fraction: float = 0.01) -> "StepPolicy":
         return StepPolicy(kind="level-adaptive", h_max=h_max, h_min=h_min,
                           level_fraction=level_fraction)
+
+    def to_dict(self) -> dict:
+        return asdict(self)
 
     def step_sizes(self, levels: np.ndarray) -> np.ndarray:
         if self.kind == "fixed":
@@ -235,8 +238,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 bridge: bool = False,
                 on_blowup: str = "raise",
                 track_noise_sum: bool = False,
-                record: bool = False,
-                zero_tol: float | None = None) -> SweepResult:
+                record: bool = False) -> SweepResult:
     """Advance a block of paths from a common start until they stop.
 
     Paths stop at the horizon, on absorption into the zero set, on numerical
@@ -290,7 +292,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     nb = len(barriers)
 
     lev0 = cf.level(field, start)
-    tol = cf.resolved_zero_tol(field, lev0) if zero_tol is None else zero_tol
+    tol = cf.resolved_zero_tol(field, lev0)
 
     streams = _BlockStreams(_pcg64.seed_words(entropies), (m,), _NORMAL_BLOCK)
     bridge_seeds = None
@@ -565,41 +567,33 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 # ---------------------------------------------------------------------------
 #
 # Estimators express their Monte Carlo work as a kernel over a block of path
-# indices.  Chunk boundaries are a fixed function of n_paths alone and each
-# path's noise depends only on (master seed, path index), so results are
-# identical for any worker count; workers rebuild catalog fields from their
+# indices: a module-level function ``kernel(field, indices, params)``, which
+# pickles by reference, so pool workers import it by its qualified name.
+# Chunk boundaries are a fixed function of n_paths alone and each path's
+# noise depends only on (master seed, path index), so results are identical
+# for any worker count; workers rebuild catalog fields from their
 # (name, params) reference instead of pickling closures.
 
-_PARALLEL_KERNELS: dict = {}
-
-
-def register_kernel(name: str, fn) -> None:
-    _PARALLEL_KERNELS[name] = fn
-
-
 def _parallel_entry(packed):
-    from . import stopping, verification  # noqa: F401  (registers kernels)
-    name, field_ref, indices, params = packed
-    field = cf.make_field(field_ref[0], **field_ref[1])
-    return _PARALLEL_KERNELS[name](field, indices, params)
+    kernel, field_ref, indices, params = packed
+    return kernel(cf.make_field(field_ref[0], **field_ref[1]), indices, params)
 
 
-def map_path_chunks(kernel_name: str, field: CoefficientField,
-                    index_chunks, params: dict, workers: int = 1):
-    """Run a registered kernel over index chunks, serially or in a pool.
+def map_path_chunks(kernel, field: CoefficientField, index_chunks,
+                    params: dict, workers: int = 1):
+    """Run a module-level kernel over index chunks, serially or in a pool.
 
     Returns per-chunk partial results in chunk order; callers combine them
     sequentially so the reduction is byte-identical for any worker count.
     """
-    kern = _PARALLEL_KERNELS[kernel_name]
     index_chunks = list(index_chunks)
     if workers <= 1:
-        return [kern(field, c, params) for c in index_chunks]
+        return [kernel(field, c, params) for c in index_chunks]
     if field.catalog_ref is None:
         raise InvalidInputError(
             "parallel execution requires a catalog field (picklable reference)")
     from concurrent.futures import ProcessPoolExecutor
-    packed = [(kernel_name, field.catalog_ref, c, params) for c in index_chunks]
+    packed = [(kernel, field.catalog_ref, c, params) for c in index_chunks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(_parallel_entry, packed))
 

@@ -18,8 +18,7 @@ from . import verification as vf
 from .coefficients import CoefficientField
 from .engine import (Barrier, BRIDGE_STREAM_TAG, PathRealization, StepPolicy,
                      _float_bits, bridge_cross_probability, iter_chunks,
-                     map_path_chunks, path_entropy, register_kernel,
-                     sweep_paths)
+                     map_path_chunks, path_entropy, sweep_paths)
 from .errors import InvalidInputError
 
 METHODS = ("grid", "interpolated", "bridge-corrected")
@@ -152,15 +151,7 @@ def sandwich_time(path: PathRealization, field: CoefficientField,
     to the lower threshold.  The path must start at the band's center level
     within 5% relative tolerance.
     """
-    if band_index < 1:
-        raise InvalidInputError("band_index must be >= 1")
-    if base_level <= 0:
-        raise InvalidInputError("base_level must be positive")
-    target = base_level / 2.0 ** band_index
-    lev0 = cf.level(field, path.states[0])
-    if abs(lev0 - target) > 0.05 * target:
-        raise InvalidInputError(
-            f"path starts at level {lev0:g}, expected {target:g} within 5%")
+    vf._check_band_start(field, path.states[0], base_level, band_index)
     down = first_hitting_time(path, field, base_level / 2.0 ** (band_index + 1),
                               method)
     up = first_hitting_time(path, field, base_level / 2.0 ** (band_index - 1),
@@ -211,9 +202,6 @@ def _kernel_dyadic(field: CoefficientField, indices, p):
     return res.cross_times, res.crossed
 
 
-register_kernel("dyadic", _kernel_dyadic)
-
-
 def dyadic_escape_batch(field: CoefficientField, start, depth: int,
                         horizon: float, policy: StepPolicy, master_seed,
                         n_paths: int, t0: float | None = None,
@@ -230,13 +218,12 @@ def dyadic_escape_batch(field: CoefficientField, start, depth: int,
         if field.lipschitz_k is None:
             raise InvalidInputError(
                 "field has no declared Lipschitz bound; pass t0 explicitly")
-        t0 = vf.persistence_window(
-            vf.escape_rate_constant(field.m, field.lipschitz_k))
+        t0 = vf.persistence_t0(field.m, field.lipschitz_k)
     levels = [lev0 / 2.0 ** (j + 1) for j in range(depth)]
     params = {"start": start, "horizon": horizon, "policy": policy,
               "master": master_seed, "levels": levels, "bridge": bridge}
-    partials = map_path_chunks("dyadic", field, iter_chunks(n_paths), params,
-                               workers)
+    partials = map_path_chunks(_kernel_dyadic, field, iter_chunks(n_paths),
+                               params, workers)
     records = []
     for cross_times, crossed in partials:
         for row_t, row_c in zip(cross_times, crossed):

@@ -17,9 +17,8 @@ from scipy import integrate, stats
 
 from . import coefficients as cf
 from .coefficients import CoefficientField
-from .engine import (Barrier, DEFAULT_CHUNK, StepPolicy, entropy_tuple,
-                     iter_chunks, map_path_chunks, path_entropy,
-                     register_kernel, sweep_paths)
+from .engine import (Barrier, StepPolicy, entropy_tuple, iter_chunks,
+                     map_path_chunks, path_entropy, sweep_paths)
 from .errors import InvalidInputError
 
 # Fitted strong-convergence exponent the engine is expected to reproduce.
@@ -72,6 +71,11 @@ def persistence_window(c: float) -> float:
     while c * math.sqrt(t0) > 0.5:
         t0 = math.nextafter(t0, 0.0)
     return t0
+
+
+def persistence_t0(noise_dim: int, lipschitz_bound: float) -> float:
+    """Persistence window t0 of a field with noise dimension m and bound K."""
+    return persistence_window(escape_rate_constant(noise_dim, lipschitz_bound))
 
 
 def default_escape_time_grid(c: float) -> list[float]:
@@ -229,11 +233,6 @@ def _check_band_start(field: CoefficientField, x, band_level: float,
     return lev
 
 
-def _policy_dict(policy: StepPolicy) -> dict:
-    return {"kind": policy.kind, "h_max": policy.h_max, "h_min": policy.h_min,
-            "level_fraction": policy.level_fraction}
-
-
 # ---------------------------------------------------------------------------
 # Parallel kernels
 # ---------------------------------------------------------------------------
@@ -312,13 +311,6 @@ def _kernel_strong_error(field, indices, p):
     return float(np.sum(err)), len(indices)
 
 
-register_kernel("escape_times", _kernel_escape_times)
-register_kernel("band_functionals", _kernel_band_functionals)
-register_kernel("persistence", _kernel_persistence)
-register_kernel("hitting_min", _kernel_hitting_min)
-register_kernel("strong_error", _kernel_strong_error)
-
-
 # ---------------------------------------------------------------------------
 # Bound checkers
 # ---------------------------------------------------------------------------
@@ -333,7 +325,7 @@ def _band_moments(field, x, band_level, band_index, t, n_paths, policy, seed,
     params = {"start": np.asarray(x, dtype=float), "A": band_level,
               "k": band_index, "t": t, "policy": policy, "master": seed,
               "bridge": _resolve_bridge(field, bridge)}
-    partials = map_path_chunks("band_functionals", field,
+    partials = map_path_chunks(_kernel_band_functionals, field,
                                iter_chunks(n_paths), params, workers)
     sv = sv2 = sw = sw2 = 0.0
     cens = n = 0
@@ -366,7 +358,7 @@ def check_displacement_bound(field: CoefficientField, x, band_level: float,
     params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
               "d": field.d, "field": field.name, "n_paths": n,
               "seed": list(entropy_tuple(seed)),
-              "policy": _policy_dict(policy), "bridge": used_bridge}
+              "policy": policy.to_dict(), "bridge": used_bridge}
     return BoundCheckReport("displacement", lhs, rhs, "upper", params)
 
 
@@ -393,7 +385,7 @@ def check_level_change_bound(field: CoefficientField, x, band_level: float,
            * k_bound * math.sqrt(max(disp.ci_high, 0.0)))
     params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
               "K": k_bound, "field": field.name, "n_paths": n,
-              "policy": _policy_dict(policy), "bridge": used_bridge,
+              "policy": policy.to_dict(), "bridge": used_bridge,
               "displacement": disp.to_dict()}
     return BoundCheckReport("level-change", lhs, rhs, "upper", params)
 
@@ -421,8 +413,8 @@ def check_escape_probability_bound(field: CoefficientField, x,
     params = {"start": np.asarray(x, dtype=float), "A": band_level,
               "k": band_index, "horizon": max(t_grid), "policy": policy,
               "master": seed, "bridge": _resolve_bridge(field, bridge)}
-    partials = map_path_chunks("escape_times", field, iter_chunks(n_paths),
-                               params, workers)
+    partials = map_path_chunks(_kernel_escape_times, field,
+                               iter_chunks(n_paths), params, workers)
     reports = []
     for t in t_grid:
         successes = 0
@@ -439,7 +431,7 @@ def check_escape_probability_bound(field: CoefficientField, x,
         rep_params = {"A": band_level, "k": band_index, "t": t,
                       "m": field.m, "K": k_bound, "C": c,
                       "informative": rhs < 1.0, "field": field.name,
-                      "n_paths": n, "policy": _policy_dict(policy),
+                      "n_paths": n, "policy": policy.to_dict(),
                       "bridge": params["bridge"]}
         reports.append(BoundCheckReport("escape-probability", est, rhs,
                                         "upper", rep_params))
@@ -488,8 +480,7 @@ def check_halving_persistence(field: CoefficientField, starts,
     if not valid:
         raise InvalidInputError("no start points with level >= A/2^k")
     if t0 is None:
-        t0 = persistence_window(
-            escape_rate_constant(field.m, _require_k(field, lipschitz_k)))
+        t0 = persistence_t0(field.m, _require_k(field, lipschitz_k))
     if not (0.0 < t0 < 1.0):
         raise InvalidInputError("t0 must lie in (0, 1)")
     use_bridge = _resolve_bridge(field, bridge)
@@ -497,21 +488,18 @@ def check_halving_persistence(field: CoefficientField, starts,
     n = 0
     for s_idx, start in enumerate(valid):
         idx = np.arange(s_idx, n_paths, len(valid))
-        if idx.size == 0:
-            continue
-        chunks = [idx[lo:lo + DEFAULT_CHUNK]
-                  for lo in range(0, idx.size, DEFAULT_CHUNK)]
+        chunks = [idx[c] for c in iter_chunks(idx.size)]
         params = {"start": start, "t0": t0, "barrier": barrier,
                   "policy": policy, "master": seed, "bridge": use_bridge}
         for part_survived, part_n in map_path_chunks(
-                "persistence", field, chunks, params, workers):
+                _kernel_persistence, field, chunks, params, workers):
             survived += part_survived
             n += part_n
     est = estimate_with_ci(survived, n, "wilson", confidence,
                            censored_n=survived)
     params = {"A": band_level, "k": band_index, "t0": t0, "m": field.m,
               "field": field.name, "n_paths": n, "n_starts": len(valid),
-              "dropped_starts": dropped, "policy": _policy_dict(policy),
+              "dropped_starts": dropped, "policy": policy.to_dict(),
               "bridge": use_bridge}
     return BoundCheckReport("halving-persistence", est, 0.5, "lower", params)
 
@@ -543,8 +531,8 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
         raise InvalidInputError("start point lies in the zero set")
     params = {"start": start, "horizon": horizon, "policy": policy,
               "master": seed, "eps_grid": eps_grid}
-    partials = map_path_chunks("hitting_min", field, iter_chunks(n_paths),
-                               params, workers)
+    partials = map_path_chunks(_kernel_hitting_min, field,
+                               iter_chunks(n_paths), params, workers)
     counts = np.zeros(len(eps_grid), dtype=np.int64)
     blown = 0
     n = 0
@@ -658,7 +646,7 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
                   "master": (*entropy_tuple(master_seed), e)}
         total = 0.0
         n = 0
-        for ps, pn in map_path_chunks("strong_error", field,
+        for ps, pn in map_path_chunks(_kernel_strong_error, field,
                                       iter_chunks(n_paths), params, workers):
             total += ps
             n += pn

@@ -90,9 +90,9 @@ GOLDEN = {
 }
 
 
-def payload_digest(config: dict, out_dir: Path) -> str:
+def payload_digest(config: dict, out_dir: Path, workers: int) -> str:
     """sha256 over the sha256 of the payload bytes and of each CSV table."""
-    report = run_scenario(parse_scenario(json.dumps(config)), workers=1)
+    report = run_scenario(parse_scenario(json.dumps(config)), workers=workers)
     write_report(report, out_dir)
     doc = json.loads((out_dir / "report.json").read_text())
     blobs = [json.dumps(doc["payload"], indent=2, sort_keys=True).encode()]
@@ -107,11 +107,15 @@ def _numpy_major_minor() -> str:
     return ".".join(np.__version__.split(".")[:2])
 
 
-@pytest.mark.parametrize("name", sorted(SCENARIOS))
-def test_payload_digest_is_unchanged(name, tmp_path):
+# workers=2 sends every kernel through the process pool as a pickled
+# module-level function; the digests must not depend on it.
+@pytest.mark.parametrize("name, workers", [
+    pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers2")
+    for name in sorted(SCENARIOS) for workers in (1, 2)])
+def test_payload_digest_is_unchanged(name, workers, tmp_path):
     if _numpy_major_minor() != RECORDED_NUMPY:
         pytest.skip(f"digests recorded with numpy {RECORDED_NUMPY}")
-    assert payload_digest(SCENARIOS[name], tmp_path) == GOLDEN[name]
+    assert payload_digest(SCENARIOS[name], tmp_path, workers) == GOLDEN[name]
 
 
 if __name__ == "__main__":
@@ -119,5 +123,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for key in sorted(SCENARIOS):
             out = Path(tmp) / key
-            print(f'    "{key}":\n        "{payload_digest(SCENARIOS[key], out)}",')
+            print(f'    "{key}":\n        "{payload_digest(SCENARIOS[key], out, 1)}",')
     print(f"numpy {np.__version__}", file=sys.stderr)

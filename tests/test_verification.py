@@ -276,6 +276,22 @@ def test_escape_bound_gbm_informative_grid():
     assert all(b >= a for a, b in zip(pts, pts[1:]))
 
 
+def test_escape_bound_negative_control_can_fail():
+    # an understated K = 1e-3 puts C sqrt(t) far below the band-exit rate of
+    # linear-1d (about half the paths by t = 0.1); with the declared K = 1
+    # the same paths satisfy the bound at every t
+    grid = [0.01, 0.03, 0.1]
+    pol = StepPolicy.fixed(1e-3)
+    bad = sl.check_escape_probability_bound(LINEAR, [1.0], 2.0, 1, grid, 1000,
+                                            pol, 1, lipschitz_k=1e-3)
+    assert bad[-1].parameters["t"] == 0.1
+    assert not bad[-1].satisfied
+    assert bad[-1].lhs_estimate.ci_low > bad[-1].rhs_value
+    good = sl.check_escape_probability_bound(LINEAR, [1.0], 2.0, 1, grid,
+                                             1000, pol, 1)
+    assert all(r.satisfied for r in good)
+
+
 def test_fitted_escape_exponent_on_observable_grid():
     reps = sl.check_escape_probability_bound(LINEAR, [1.0], 2.0, 1,
                                              [0.05, 0.1, 0.2, 0.4], 8000,
