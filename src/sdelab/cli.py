@@ -70,6 +70,12 @@ def _pos_int(val, path: str) -> int:
     return val
 
 
+def _seed(val, path: str) -> int:
+    if not isinstance(val, int) or isinstance(val, bool) or val < 0:
+        _fail(path, f"expected a nonnegative integer, got {val!r}")
+    return val
+
+
 @dataclass
 class ScenarioConfig:
     """Fully validated experiment description with defaults recorded."""
@@ -213,6 +219,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _fail("field", "must be an object {name, params}")
     field_spec = dict(field_spec)
     field_name = _pop(field_spec, "name", "field", required=True)
+    if not isinstance(field_name, str):
+        _fail("field.name", f"must be a string, got {field_name!r}")
     field_params = _pop(field_spec, "params", "field", default={})
     _no_leftovers(field_spec, "field")
     if not isinstance(field_params, dict):
@@ -234,10 +242,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     horizon = _positive(_pop(raw, "horizon", "", required=True), "horizon")
     policy = _parse_policy(_pop(raw, "policy", "", default=None), "policy")
     n_paths = _pos_int(_pop(raw, "n_paths", "", required=True), "n_paths")
-    master_seed = _pop(raw, "master_seed", "", required=True)
-    if not isinstance(master_seed, int) or isinstance(master_seed, bool) \
-            or master_seed < 0:
-        _fail("master_seed", f"expected a nonnegative integer, got {master_seed!r}")
+    master_seed = _seed(_pop(raw, "master_seed", "", required=True), "master_seed")
 
     experiment = _pop(raw, "experiment", "", required=True)
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
@@ -266,7 +271,8 @@ def parse_scenario(text: str) -> ScenarioConfig:
         lip_out["samples"] = _pos_int(
             _pop(lipschitz, "samples", "lipschitz", default=4000),
             "lipschitz.samples")
-        lip_out["seed"] = _pop(lipschitz, "seed", "lipschitz", default=0)
+        lip_out["seed"] = _seed(_pop(lipschitz, "seed", "lipschitz", default=0),
+                                "lipschitz.seed")
         lip_out["safety"] = _positive(
             _pop(lipschitz, "safety", "lipschitz", default=1.25),
             "lipschitz.safety")
@@ -274,6 +280,12 @@ def parse_scenario(text: str) -> ScenarioConfig:
         if region is not None:
             if (not isinstance(region, list) or len(region) != 2):
                 _fail("lipschitz.region", "must be [lo, hi]")
+            try:
+                for bound in region:
+                    np.asarray(bound, dtype=float).reshape(field.d)
+            except (TypeError, ValueError):
+                _fail("lipschitz.region", "lo and hi must each be a number or a "
+                                          f"list of {field.d} numbers, got {region!r}")
         lip_out["region"] = region
     _no_leftovers(lipschitz, "lipschitz")
 

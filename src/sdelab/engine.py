@@ -13,13 +13,17 @@ Noise is numpy's own: each path's increments are ``default_rng(entropy)``
 normals, and each (path, barrier) bridge uniform stream is the PCG64 stream
 of ``(*entropy, BRIDGE_STREAM_TAG, level bits)``, so enabling the bridge
 never perturbs the increments.  The sweep builds one generator per path for
-the normals; the bridge uniforms are not buffered but evaluated directly at
-the step index (``_pcg64.kth_uniform``), and only where the bridge
-probability is positive.
+the normals; live paths advance in lockstep, so one step counter locates
+every path in its stream.  The bridge uniforms are not buffered but
+evaluated directly at the step index (``_pcg64.kth_uniform``), and only
+where the bridge probability is positive.  Each sweep step is one pass over
+compact live-path arrays, with all barriers tested at once as a (barrier,
+live path) matrix.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -111,7 +115,6 @@ class Barrier:
 class SweepResult:
     """Per-path functionals accumulated by :func:`sweep_paths`."""
 
-    indices: np.ndarray
     end_times: np.ndarray
     end_states: np.ndarray
     min_levels: np.ndarray
@@ -156,51 +159,49 @@ def _float_bits(x: float) -> int:
 
 
 class _BlockStreams:
-    """Per-path normal generators drained in fixed blocks.
+    """Per-path normal generators drained in lockstep blocks.
 
     numpy Generators yield the same values whether drawn one at a time or in
-    blocks, so draw order per path is exactly "one draw per step" while the
-    Python-level generator overhead is amortized.  ``words`` are the paths'
-    ``_pcg64.seed_words``, so each generator is ``default_rng(entropy)``.
+    blocks, so each path's draws are exactly "one draw per step".  Paths start
+    together and every live path takes every step, so all of them sit at the
+    same buffer position: one step counter serves them all.  At each multiple
+    of ``block`` the live rows refill a step-major ``(block, n, m)`` buffer.
+    ``words`` are the paths' ``_pcg64.seed_words``, so each generator is
+    ``default_rng(entropy)``.
     """
 
     def __init__(self, words, shape_per_draw, block):
         self._gens = [_pcg64.generator(w) for w in words]
-        self._shape = shape_per_draw
-        self._block = block
-        n = len(self._gens)
-        self._buf = np.empty((n, block) + shape_per_draw)
-        self._ptr = np.full(n, block, dtype=np.int64)
+        self._draw_shape = (block,) + shape_per_draw
+        self._buf = np.empty((block, len(self._gens)) + shape_per_draw)
 
-    def draw(self, pos: np.ndarray) -> np.ndarray:
-        need = pos[self._ptr[pos] >= self._block]
-        for i in need:
-            self._buf[i] = self._gens[i].standard_normal(
-                (self._block,) + self._shape)
-        self._ptr[need] = 0
-        out = self._buf[pos, self._ptr[pos]]
-        self._ptr[pos] += 1
-        return out
+    def draw(self, rows: np.ndarray, step: int) -> np.ndarray:
+        k = step % len(self._buf)
+        if k == 0:
+            for i in rows:
+                self._buf[:, i] = self._gens[i].standard_normal(self._draw_shape)
+        return self._buf[k, rows]
 
 
-def bridge_cross_probability(x0, x1, sigma, h, barrier_x: float,
-                             direction: str) -> np.ndarray:
+def bridge_cross_probability(x0, x1, sigma, h, barrier_x, down) -> np.ndarray:
     """Brownian-bridge probability that |x| crosses ``barrier_x`` within steps.
 
     For each step from x0 to x1 of length h with diffusion coefficient sigma
     at x0, this is exp(-2 gap0 gap1 / (sigma^2 h)) where gap0, gap1 are the
     endpoints' distances from the barrier on the side the step starts
-    ('down': |x| above the barrier, 'up': below).  Steps with an endpoint on
-    or past the barrier, or with sigma = 0, get 0.
+    (``down``: |x| above the barrier, else below).  Steps with an endpoint on
+    or past the barrier, or with sigma = 0, get 0.  The step arguments are
+    1-d; ``barrier_x`` and ``down`` broadcast against them, so a column of
+    barriers gives one row of probabilities per barrier.
     """
-    u0, u1, s0 = np.abs(x0), np.abs(x1), np.abs(sigma)
-    if direction == "down":
-        gap0, gap1 = u0 - barrier_x, u1 - barrier_x
-    else:
-        gap0, gap1 = barrier_x - u0, barrier_x - u1
+    side = np.where(down, 1.0, -1.0)
+    gap0 = (np.abs(x0) - barrier_x) * side
+    gap1 = (np.abs(x1) - barrier_x) * side
+    s0 = np.abs(sigma)
     ok = (gap0 > 0) & (gap1 > 0) & (s0 > 0)
+    scale = np.broadcast_to(s0 ** 2 * h, ok.shape)
     p = np.zeros(ok.shape)
-    p[ok] = np.exp(-2.0 * gap0[ok] * gap1[ok] / (s0[ok] ** 2 * h[ok]))
+    p[ok] = np.exp(-2.0 * gap0[ok] * gap1[ok] / scale[ok])
     return p
 
 
@@ -259,6 +260,14 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
     Simultaneous crossings within one step resolve to the earliest
     interpolated time; exact ties resolve to the lower threshold.
+
+    Each step is one pass.  The live paths' state sits in arrays of live
+    rows, compressed only on steps where some path retires; a retiring
+    path's end time, end state and minimum level are written once.  The
+    barriers are one vector in ascending level order, so crossing tests,
+    times and bridge probabilities are (barrier, live path) matrices whose
+    first column minimum is the lower threshold.  Normals come in lockstep
+    blocks of at most ``ceil(horizon / h_min)`` steps (``_BlockStreams``).
     """
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
@@ -285,33 +294,35 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         raise InvalidInputError("trajectory recording supports one path at a time")
 
     d, m = field.d, field.m
-    # barriers are processed in increasing level order so that exact time
-    # ties resolve to the lower threshold
+    # Barrier columns in ascending level order; column j is barriers[order[j]].
+    # A down barrier is crossed when side * level <= side * barrier level.
     order = np.argsort([b.level for b in barriers], kind="stable")
-    barriers = tuple(barriers)
-    nb = len(barriers)
+    nb = order.size
+    ladder = [barriers[j] for j in order]
+    side = np.array([1.0 if b.direction == "down" else -1.0
+                     for b in ladder]).reshape(nb, 1)
+    levels = np.array([b.level for b in ladder]).reshape(nb, 1)
+    side_levels = side * levels
 
     lev0 = cf.level(field, start)
     tol = cf.resolved_zero_tol(field, lev0)
+    retire_level = -np.inf if min_level_retire is None else min_level_retire
+    horizon_eps = 1e-12 * max(1.0, horizon)
+    capture_at_end = capture_time is not None and capture_time >= horizon - horizon_eps
 
-    streams = _BlockStreams(_pcg64.seed_words(entropies), (m,), _NORMAL_BLOCK)
+    streams = _BlockStreams(_pcg64.seed_words(entropies), (m,),
+                            math.ceil(min(_NORMAL_BLOCK, horizon / policy.h_min)))
     bridge_seeds = None
     if bridge and nb:
-        bridge_seeds = []
-        for b in barriers:
-            tag = (BRIDGE_STREAM_TAG, _float_bits(b.level))
-            bridge_seeds.append(_pcg64.seeded_state(
-                _pcg64.seed_words([e + tag for e in entropies])))
-        u_barrier_x = [field.abs_level_inverse(b.level) for b in barriers]
-
-    X = np.tile(start, (n, 1))
-    t = np.zeros(n)
-    lev = np.full(n, lev0)
+        bridge_seeds = np.stack([_pcg64.seeded_state(_pcg64.seed_words(
+            [e + tag for e in entropies]))
+            for tag in [(BRIDGE_STREAM_TAG, _float_bits(b.level)) for b in ladder]])
+        barrier_x = np.array([field.abs_level_inverse(b.level)
+                              for b in ladder]).reshape(nb, 1)
 
     end_times = np.zeros(n)
     end_states = np.tile(start, (n, 1))
     min_levels = np.full(n, lev0)
-    crossed = np.zeros((n, nb), dtype=bool)
     cross_times = np.full((n, nb), np.nan)
     cross_bridge = np.zeros((n, nb), dtype=bool)
     first_barrier = np.full(n, -1, dtype=np.int64)
@@ -325,221 +336,179 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
     rec_times, rec_states, rec_incs = [0.0], [start.copy()], []
 
-    act = np.arange(n)
-    horizon_eps = 1e-12 * max(1.0, horizon)
-
-    # Degenerate starts: already absorbed, already at/through a barrier, or
-    # already below the min-level retirement threshold.
+    # Degenerate starts stop every path at time 0: already absorbed, already
+    # at or through a barrier, already below the min-level retirement
+    # threshold, or a horizon too short to step.
+    crossed0 = (side * lev0 <= side_levels)[:, 0]
     if lev0 <= tol:
         absorbed[:] = True
-        act = act[:0]
+        stop0 = True
     else:
-        stop0 = np.zeros(n, dtype=bool)
-        for j in order:
-            brr = barriers[j]
-            hit0 = lev0 <= brr.level if brr.direction == "down" else lev0 >= brr.level
-            if hit0:
-                crossed[:, j] = True
-                cross_times[:, j] = 0.0
-                new = first_barrier == -1
-                first_barrier[new] = j
-                first_time[new] = 0.0
-                if stop_mode == "first":
-                    stop0[:] = True
-        if stop_mode == "all" and nb and crossed.all(axis=1).any():
-            stop0 |= crossed.all(axis=1)
+        if crossed0.any():
+            cross_times[:, crossed0] = 0.0
+            first_barrier[:] = order[np.argmax(crossed0)]
+            first_time[:] = 0.0
+        stop0 = crossed0.any() if stop_mode == "first" else nb and crossed0.all()
         if capture_time == 0.0:
             captured[:] = True
             capture_state[:] = start
-        if min_level_retire is not None and lev0 <= min_level_retire:
-            stop0[:] = True
-        if np.any(stop0):
-            act = act[:0] if stop0.all() else act[~stop0]
+        stop0 = stop0 or lev0 <= retire_level
+        if not stop0 and horizon <= horizon_eps:
+            stop0 = True
+            if capture_at_end:
+                captured[:] = True
+                capture_state[:] = start
 
-    step_idx = 0
-    while act.size:
-        pos = act
-        rem = horizon - t[pos]
-        at_end = rem <= horizon_eps
-        if np.any(at_end):
-            fin = pos[at_end]
-            end_times[fin] = t[fin]
-            end_states[fin] = X[fin]
-            if capture_time is not None and capture_time >= horizon - horizon_eps:
-                captured[fin] = True
-                capture_state[fin] = X[fin]
-            pos = pos[~at_end]
-            act = pos
-            if not pos.size:
-                break
+    # live state, one entry (or column of ``uncrossed``) per live path;
+    # dW_sum has no columns unless noise sums are tracked
+    idx = np.arange(0 if stop0 else n)
+    X = np.tile(start, (idx.size, 1))
+    t = np.zeros(idx.size)
+    lev = np.full(idx.size, lev0)
+    lo = lev.copy()
+    uncrossed = np.repeat(~crossed0[:, None], idx.size, axis=1)
+    dW_sum = np.zeros((idx.size, m if track_noise_sum else 0))
 
-        h = policy.step_sizes(lev[pos])
-        h = np.minimum(h, horizon - t[pos])
-        Z = streams.draw(pos)
-        dW = Z * np.sqrt(h)[:, None]
-        X0 = X[pos]
-        Sig = cf.sigma_batch(field, X0)
-        Bv = cf.b_batch(field, X0)
-        X1 = _em_batch(X0, Sig, Bv, h, dW)
+    def retire(gone, t_end, x_end, lo_end):
+        # write the retiring paths' results once; return the live state
+        # without them
+        rows = idx[gone]
+        end_times[rows] = t_end[gone]
+        end_states[rows] = x_end[gone]
+        min_levels[rows] = lo_end[gone]
+        if track_noise_sum:
+            noise_sum[rows] = dW_sum[gone]
+        keep = ~gone
+        return (idx[keep], X[keep], t[keep], lev[keep], lo[keep],
+                uncrossed[:, keep], dW_sum[keep])
+
+    step = 0
+    while idx.size:
+        h = np.minimum(policy.step_sizes(lev), horizon - t)
+        dW = streams.draw(idx, step) * np.sqrt(h)[:, None]
+        Sig = cf.sigma_batch(field, X)
+        X1 = _em_batch(X, Sig, cf.b_batch(field, X), h, dW)
 
         bad = ~np.isfinite(X1).all(axis=1) | (np.abs(X1) > BLOWUP_LIMIT).any(axis=1)
         if np.any(bad):
             if on_blowup == "raise":
-                i = int(np.flatnonzero(bad)[0])
+                i = idx[np.argmax(bad)]
                 raise NumericalBlowupError(
-                    f"state left trusted range at step {step_idx} "
-                    f"(path {int(indices[pos[i]])})",
-                    step_index=step_idx,
-                    path_index=int(indices[pos[i]]),
-                    seed=entropies[pos[i]])
-            dead = pos[bad]
-            blown_up[dead] = True
-            end_times[dead] = t[dead]
-            end_states[dead] = X[dead]
+                    f"state left trusted range at step {step} "
+                    f"(path {int(indices[i])})",
+                    step_index=step, path_index=int(indices[i]),
+                    seed=entropies[i])
+            blown_up[idx[bad]] = True
+            idx, X, t, lev, lo, uncrossed, dW_sum = retire(bad, t, X, lo)
             keep = ~bad
-            pos, h, Z, dW, X0, Sig, X1 = (
-                pos[keep], h[keep], Z[keep], dW[keep], X0[keep], Sig[keep], X1[keep])
-            if not pos.size:
-                act = pos
-                step_idx += 1
-                continue
+            h, dW, Sig, X1 = h[keep], dW[keep], Sig[keep], X1[keep]
+            if not idx.size:
+                break
 
         lev1 = cf.level_batch(field, X1)
-        t0v = t[pos]
-        t1v = t0v + h
+        t1 = t + h
         # realized step duration; used for every within-step time
         # interpolation so crossing times recomputed from a recorded grid
         # (whose spacing is diff of cumulative times) match bit for bit
-        dtv = t1v - t0v
-        lev0v = lev[pos]
+        dt = t1 - t
 
-        best_time = np.full(pos.size, np.inf)
-        best_j = np.full(pos.size, -1, dtype=np.int64)
-        best_state = None
+        t_end, x_end, stop = t1, X1, None
+        best_time = None
         if nb:
-            best_state = np.empty((pos.size, d))
-            for j in order:
-                brr = barriers[j]
-                unc = ~crossed[pos, j]
-                if brr.direction == "down":
-                    hit = unc & (lev0v > brr.level) & (lev1 <= brr.level)
-                else:
-                    hit = unc & (lev0v < brr.level) & (lev1 >= brr.level)
-                tc = np.full(pos.size, np.inf)
-                if np.any(hit):
-                    theta = (brr.level - lev0v[hit]) / (lev1[hit] - lev0v[hit])
-                    tc[hit] = t0v[hit] + theta * dtv[hit]
-                is_bridge = np.zeros(pos.size, dtype=bool)
+            hit = (uncrossed & (side * lev > side_levels)
+                   & (side * lev1 <= side_levels))
+            tc = np.full(hit.shape, np.inf)
+            jj, ii = np.nonzero(hit)
+            tc[jj, ii] = t[ii] + (levels[jj, 0] - lev[ii]) / (lev1[ii] - lev[ii]) * dt[ii]
+            if bridge_seeds is not None:
+                p = bridge_cross_probability(X[:, 0], X1[:, 0], Sig[:, 0, 0], dt,
+                                             barrier_x, side > 0)
+                jj, ii = np.nonzero(uncrossed & ~hit & (p > 0))
+                if jj.size:
+                    # A (path, barrier) pair is assessed at step k only if it
+                    # was assessed at every earlier step: paths start together
+                    # at step 0, advance in lockstep and never come back once
+                    # retired, and a barrier never becomes uncrossed again.
+                    # So the uniform it would draw at step k is the k-th
+                    # output of its stream.  Pairs with p = 0 cannot trigger,
+                    # whatever they draw.
+                    u = _pcg64.kth_uniform(bridge_seeds[jj, idx[ii]], step)
+                    trig = u < p[jj, ii]
+                    jj, ii = jj[trig], ii[trig]
+                    tc[jj, ii] = t[ii] + 0.5 * dt[ii]
+                    cross_bridge[idx[ii], jj] = True
+            new = tc < np.inf
+            c = np.flatnonzero(new.any(axis=0))
+            if c.size:
+                rows = idx[c]
+                tcc = np.where(new[:, c], tc[:, c], np.inf)
+                jb = tcc.argmin(axis=0)
+                best_time = tcc[jb, np.arange(c.size)]
+                frac = (best_time - t[c]) / dt[c]
+                best_state = X[c] + (X1[c] - X[c]) * frac[:, None]
                 if bridge_seeds is not None:
-                    at = np.flatnonzero(unc & ~hit)
-                    p = bridge_cross_probability(
-                        X0[at, 0], X1[at, 0], Sig[at, 0, 0], dtv[at],
-                        u_barrier_x[j], brr.direction)
-                    draw = p > 0
-                    if np.any(draw):
-                        # A (path, barrier) pair is assessed at step k only if
-                        # it was assessed at every earlier step: paths start
-                        # together at step 0, advance in lockstep and never
-                        # come back once retired, and a barrier never becomes
-                        # uncrossed again.  So the uniform it would draw at
-                        # step k is the k-th output of its stream.  Pairs with
-                        # p = 0 cannot trigger, whatever they draw.
-                        at = at[draw]
-                        u = _pcg64.kth_uniform(bridge_seeds[j][pos[at]], step_idx)
-                        where = at[u < p[draw]]
-                        if where.size:
-                            tc[where] = t0v[where] + 0.5 * dtv[where]
-                            is_bridge[where] = True
-                new_cross = tc < np.inf
-                if np.any(new_cross):
-                    rows = pos[new_cross]
-                    crossed[rows, j] = True
-                    cross_times[rows, j] = tc[new_cross]
-                    cross_bridge[rows, j] = is_bridge[new_cross]
-                    better = new_cross & (tc < best_time)
-                    if np.any(better):
-                        bi = np.flatnonzero(better)
-                        best_time[bi] = tc[bi]
-                        best_j[bi] = j
-                        frac = (best_time[bi] - t0v[bi]) / dtv[bi]
-                        states = X0[bi] + (X1[bi] - X0[bi]) * frac[:, None]
-                        if bridge_seeds is not None:
-                            bb = is_bridge[bi]
-                            if np.any(bb):
-                                sgn = np.sign(X0[bi][bb, 0])
-                                sgn[sgn == 0] = 1.0
-                                states[bb, 0] = sgn * u_barrier_x[j]
-                        best_state[bi] = states
+                    bb = cross_bridge[rows, jb]
+                    sgn = np.sign(X[c[bb], 0])
+                    sgn[sgn == 0] = 1.0
+                    best_state[bb, 0] = sgn * barrier_x[jb[bb], 0]
+                jn, cn = np.nonzero(new[:, c])
+                cross_times[rows[cn], jn] = tcc[jn, cn]
+                uncrossed[:, c] &= ~new[:, c]
+                first = first_barrier[rows] == -1
+                first_barrier[rows[first]] = order[jb[first]]
+                first_time[rows[first]] = best_time[first]
+                first_state[rows[first]] = best_state[first]
+                if stop_mode == "first":
+                    stop = np.zeros(idx.size, dtype=bool)
+                    stop[c] = True
+                    t_end, x_end = t1.copy(), X1.copy()
+                    t_end[c], x_end[c] = best_time, best_state
+                else:
+                    done = ~uncrossed[:, c].any(axis=0)
+                    if done.any():
+                        stop = np.zeros(idx.size, dtype=bool)
+                        stop[c[done]] = True
+                        t_end = t1.copy()
+                        t_end[c[done]] = cross_times[rows[done]].max(axis=1)
 
         if capture_time is not None:
-            cap = (~captured[pos]) & (t0v <= capture_time) & (capture_time < t1v)
-            cap &= capture_time < best_time
-            if np.any(cap):
-                frac = (capture_time - t0v[cap]) / dtv[cap]
-                rows = pos[cap]
-                captured[rows] = True
-                capture_state[rows] = X0[cap] + (X1[cap] - X0[cap]) * frac[:, None]
+            cap = (t <= capture_time) & (capture_time < t1)
+            if best_time is not None:
+                cap[c] &= capture_time < best_time
+            k = np.flatnonzero(cap)
+            k = k[~captured[idx[k]]]
+            if k.size:
+                frac = (capture_time - t[k]) / dt[k]
+                captured[idx[k]] = True
+                capture_state[idx[k]] = X[k] + (X1[k] - X[k]) * frac[:, None]
 
-        fresh = best_j >= 0
-        if np.any(fresh):
-            rows = pos[fresh]
-            new = first_barrier[rows] == -1
-            if np.any(new):
-                rn = rows[new]
-                sel = np.flatnonzero(fresh)[new]
-                first_barrier[rn] = best_j[sel]
-                first_time[rn] = best_time[sel]
-                first_state[rn] = best_state[sel]
-
-        retire = np.zeros(pos.size, dtype=bool)
-        if nb and stop_mode == "first":
-            stop_now = fresh
-            if np.any(stop_now):
-                rows = pos[stop_now]
-                end_times[rows] = first_time[rows]
-                end_states[rows] = first_state[rows]
-                retire |= stop_now
-        elif nb and stop_mode == "all":
-            done_all = crossed[pos].all(axis=1) & ~retire
-            if np.any(done_all):
-                rows = pos[done_all]
-                end_times[rows] = np.nanmax(cross_times[rows], axis=1)
-                end_states[rows] = X1[done_all]
-                retire |= done_all
-
-        live = ~retire
-        if np.any(live):
-            rows = pos[live]
-            min_levels[rows] = np.minimum(min_levels[rows], lev1[live])
-            absorb = lev1[live] <= tol
-            if np.any(absorb):
-                ra = rows[absorb]
-                absorbed[ra] = True
-                end_times[ra] = t1v[live][absorb]
-                end_states[ra] = X1[live][absorb]
-            stop_low = np.zeros(rows.size, dtype=bool)
-            if min_level_retire is not None:
-                stop_low = min_levels[rows] <= min_level_retire
-                sl = stop_low & ~absorb
-                if np.any(sl):
-                    rl = rows[sl]
-                    end_times[rl] = t1v[live][sl]
-                    end_states[rl] = X1[live][sl]
-            gone = absorb | stop_low
-            retire[np.flatnonzero(live)[gone]] = True
-
-        X[pos] = X1
-        lev[pos] = lev1
-        t[pos] = t1v
-        if noise_sum is not None:
-            noise_sum[pos] += dW
+        # retirement after the step; a crossing retirement takes precedence
+        # and keeps the minimum level of the steps before it
+        lo1 = np.minimum(lo, lev1)
+        absorb = lev1 <= tol
+        low = lo1 <= retire_level
+        gone = absorb | low | (horizon - t1 <= horizon_eps)
+        if stop is not None:
+            absorb &= ~stop
+            gone |= stop
+            lo1[stop] = lo[stop]
+        if track_noise_sum:
+            dW_sum += dW
         if record:
-            rec_times.append(float(t1v[0]))
+            rec_times.append(float(t1[0]))
             rec_states.append(X1[0].copy())
             rec_incs.append(dW[0].copy())
-
-        act = pos[~retire]
-        step_idx += 1
+        X, t, lev, lo = X1, t1, lev1, lo1
+        if gone.any():
+            absorbed[idx[absorb]] = True
+            if capture_at_end:
+                hz = gone & ~absorb & ~low
+                if stop is not None:
+                    hz &= ~stop
+                captured[idx[hz]] = True
+                capture_state[idx[hz]] = X1[hz]
+            idx, X, t, lev, lo, uncrossed, dW_sum = retire(gone, t_end, x_end, lo)
+        step += 1
 
     trajectory = None
     if record:
@@ -553,10 +522,13 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             absorbed=bool(absorbed[0]),
         )
 
+    # back to the caller's barrier order
+    unsort = np.argsort(order)
+    cross_times = cross_times[:, unsort]
     return SweepResult(
-        indices=indices, end_times=end_times, end_states=end_states,
-        min_levels=min_levels, crossed=crossed, cross_times=cross_times,
-        cross_bridge=cross_bridge, first_barrier=first_barrier,
+        end_times=end_times, end_states=end_states, min_levels=min_levels,
+        crossed=~np.isnan(cross_times), cross_times=cross_times,
+        cross_bridge=cross_bridge[:, unsort], first_barrier=first_barrier,
         first_time=first_time, first_state=first_state, captured=captured,
         capture_state=capture_state, absorbed=absorbed, blown_up=blown_up,
         noise_sum=noise_sum, trajectory=trajectory)

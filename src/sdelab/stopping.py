@@ -127,7 +127,7 @@ def first_hitting_time(path: PathRealization, field: CoefficientField,
             h = np.diff(times[:n_assess + 1])
             p = bridge_cross_probability(
                 path.states[:n_assess, 0], path.states[1:n_assess + 1, 0],
-                sig[:, 0, 0], h, field.abs_level_inverse(threshold), direction)
+                sig[:, 0, 0], h, field.abs_level_inverse(threshold), downward)
             trig = np.flatnonzero(u < p)
             if trig.size:
                 j = int(trig[0])

@@ -107,6 +107,24 @@ def test_not_json_and_bad_seed():
         sl.parse_scenario(_hitting_config(master_seed=-3))
 
 
+@pytest.mark.parametrize("key, override", [
+    ("field.name", {"field": {"name": ["linear-1d"]}}),
+    ("lipschitz.seed", {"lipschitz": {"mode": "estimated", "seed": "abc"}}),
+    # null would seed from OS entropy, so reruns would differ
+    ("lipschitz.seed", {"lipschitz": {"mode": "estimated", "seed": None}}),
+    ("lipschitz.region", {"lipschitz": {"mode": "estimated",
+                                        "region": ["a", "b"]}}),
+])
+def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
+    cfg = _hitting_config(**override)
+    with pytest.raises(InvalidInputError, match=key):
+        sl.parse_scenario(cfg)
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(cfg)
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert key in capsys.readouterr().err
+
+
 def test_integral_requires_1d_field():
     cfg = json.loads(_hitting_config())
     cfg["field"] = {"name": "diag-linear", "params": {"d": 2}}

@@ -1,10 +1,16 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 import sdelab as sl
 from sdelab import InvalidInputError, NumericalBlowupError, StepPolicy
-from sdelab.engine import Barrier, path_entropy, sweep_paths
+from sdelab import coefficients as cf
+from sdelab.engine import Barrier, SweepResult, path_entropy, sweep_paths
+from sdelab.stopping import first_hitting_time
 
 
 def test_em_step_examples():
@@ -142,6 +148,93 @@ def test_sweep_split_invariance():
                           np.concatenate([left.min_levels, right.min_levels]))
 
 
+# (field, start, policy, bridge) of the sweep properties below
+_SWEEP_CASES = {
+    "linear-1d": ("linear-1d", [1.0], StepPolicy.fixed(1e-2), False),
+    "linear-1d-bridge": ("linear-1d", [1.0], StepPolicy.fixed(1e-2), True),
+    "diag-linear-adaptive": ("diag-linear", [1.0, 1.0],
+                             StepPolicy.adaptive(h_max=1e-2, h_min=1e-4,
+                                                 level_fraction=0.05), False),
+}
+
+# barrier levels as multiples of the start level, each strictly on the side
+# its direction needs: below the start for down, above it for up
+_barrier_multiples = st.lists(
+    st.floats(0.1, 3.0).filter(lambda f: abs(f - 1.0) > 0.02),
+    min_size=1, max_size=8, unique=True)
+
+
+def _sweep_case(case, multiples):
+    name, start, pol, bridge = _SWEEP_CASES[case]
+    field = sl.make_field(name)
+    lev0 = cf.level(field, np.asarray(start, dtype=float))
+    barriers = tuple(Barrier(lev0 * f, "down" if f < 1 else "up")
+                     for f in multiples)
+    return field, start, pol, bridge, barriers
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=st.sampled_from(sorted(_SWEEP_CASES)), multiples=_barrier_multiples,
+       mode=st.sampled_from(["first", "all"]), master=st.integers(0, 2**32 - 1))
+def test_sweep_equals_path_scan_property(case, multiples, mode, master):
+    # every barrier's sweep crossing is the post-hoc scan of the recorded
+    # path, bit for bit; the first crossing is the earliest, ties to the
+    # lower threshold
+    field, start, pol, bridge, barriers = _sweep_case(case, multiples)
+    method = "bridge-corrected" if bridge else "interpolated"
+    ent = [path_entropy(master, i) for i in range(3)]
+    res = sweep_paths(field, start, 1.0, pol, ent, barriers=barriers,
+                      stop_mode=mode, bridge=bridge)
+    for i, e in enumerate(ent):
+        path = sl.simulate_path(field, start, 1.0, pol, e)
+        ref = [first_hitting_time(path, field, b.level, method)
+               for b in barriers]
+        if mode == "all":
+            for j, r in enumerate(ref):
+                assert res.crossed[i, j] == (not r.censored)
+                if not r.censored:
+                    assert res.cross_times[i, j] == r.time
+        else:
+            hits = sorted((r.time, b.level, j) for j, (r, b)
+                          in enumerate(zip(ref, barriers)) if not r.censored)
+            if hits:
+                assert res.first_time[i] == hits[0][0]
+                assert res.first_barrier[i] == hits[0][2]
+            else:
+                assert res.first_barrier[i] == -1
+                assert np.isnan(res.first_time[i])
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=st.sampled_from(sorted(_SWEEP_CASES)), multiples=_barrier_multiples,
+       mode=st.sampled_from(["first", "all"]), master=st.integers(0, 2**32 - 1),
+       split=st.integers(0, 6),
+       retire=st.none() | st.floats(0.05, 0.5))
+def test_sweep_rows_do_not_depend_on_path_order(case, multiples, mode, master,
+                                                split, retire):
+    # a path's row is the same whatever batch it is swept in and wherever
+    # it sits in that batch
+    field, start, pol, bridge, barriers = _sweep_case(case, multiples)
+    lev0 = cf.level(field, np.asarray(start, dtype=float))
+    ent = [path_entropy(master, i) for i in range(6)]
+
+    def sweep(entropies):
+        return sweep_paths(field, start, 1.0, pol, entropies, barriers=barriers,
+                           stop_mode=mode, bridge=bridge, capture_time=0.3,
+                           min_level_retire=None if retire is None else retire * lev0,
+                           track_noise_sum=True)
+
+    whole, left, right, rev = (sweep(ent), sweep(ent[:split]),
+                               sweep(ent[split:]), sweep(ent[::-1]))
+    for f in fields(SweepResult):
+        if f.name == "trajectory":
+            continue
+        a = getattr(whole, f.name)
+        joined = np.concatenate([getattr(left, f.name), getattr(right, f.name)])
+        assert np.array_equal(a, joined, equal_nan=True), f.name
+        assert np.array_equal(a, getattr(rev, f.name)[::-1], equal_nan=True), f.name
+
+
 def test_single_path_matches_batch_row():
     field = sl.make_field("linear-1d")
     pol = StepPolicy.adaptive(h_max=1e-2, h_min=1e-4, level_fraction=0.05)
@@ -169,6 +262,15 @@ def test_sweep_barrier_at_start_and_validation():
     res = sweep_paths(field, [1.0], 1.0, pol, [path_entropy(1, 0)],
                       barriers=(Barrier(1.0, "down"),), stop_mode="first")
     assert res.first_time[0] == 0.0
+    # a start at or through two down barriers, passed in descending level
+    # order: the time-0 tie resolves to the lower threshold
+    for start in ([1.0], [0.5]):
+        res = sweep_paths(field, start, 1.0, pol, [path_entropy(1, 0)],
+                          barriers=(Barrier(2.0, "down"), Barrier(1.0, "down")),
+                          stop_mode="first")
+        assert res.first_barrier[0] == 1
+        assert res.first_time[0] == 0.0
+        assert res.crossed[0].all()
     with pytest.raises(InvalidInputError):
         sweep_paths(field, [1.0], -1.0, pol, [(1, 0)])
     with pytest.raises(InvalidInputError):
