@@ -209,9 +209,9 @@ def _power_law_1d(alpha: float = 0.5,
 
 
 def _diag_linear(d: int = 2) -> CoefficientField:
+    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
+        raise InvalidInputError(f"d must be an integer >= 1, got {d!r}")
     d = int(d)
-    if d < 1:
-        raise InvalidInputError("d must be >= 1")
     idx = np.arange(d)
 
     def sig_one(x):
@@ -306,7 +306,9 @@ def make_field(name: str, **params) -> CoefficientField:
             f"unknown field {name!r}; catalog: {sorted(_BUILDERS)}") from None
     try:
         return builder(**params)
-    except TypeError as exc:
+    except InvalidInputError:
+        raise
+    except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad parameters for field {name!r}: {exc}") from None
 
 

@@ -4,7 +4,10 @@ Every checker estimates the left-hand side of one inequality by Monte Carlo
 and compares a confidence bound against the analytic right-hand side, so
 sampling noise cannot produce spurious failures: upper bounds are violated
 only when the CI-lower of the estimate exceeds the bound, lower bounds only
-when the CI-upper falls short.
+when the CI-upper falls short.  Every interval is two-sided at 95 %.
+
+scipy is imported only where it is used: by Clopper-Pearson intervals and by
+the accessibility integral.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
-from scipy import integrate, stats
 
 from . import coefficients as cf
 from .coefficients import CoefficientField
@@ -23,6 +25,10 @@ from .errors import InvalidInputError
 
 # Fitted strong-convergence exponent the engine is expected to reproduce.
 STRONG_ORDER_WINDOW = (0.35, 0.65)
+
+# Two-sided 95 % normal quantile, bit-equal to scipy.stats.norm.ppf(0.5 +
+# 0.95 / 2.0); statistics.NormalDist().inv_cdf(0.975) is two ulps lower.
+Z_95 = 1.959963984540054
 
 
 # ---------------------------------------------------------------------------
@@ -113,10 +119,9 @@ class EstimateWithCI:
                 "censored_n": self.censored_n, "method": self.method}
 
 
-def estimate_with_ci(successes: int, n: int, method: str = "wilson",
-                     confidence: float = 0.95,
+def estimate_with_ci(successes: int, n: int, method: str = "wilson", *,
                      censored_n: int = 0) -> EstimateWithCI:
-    """Binomial proportion estimate with a two-sided confidence interval.
+    """Binomial proportion estimate with a two-sided 95 % confidence interval.
 
     Wilson by default; Clopper-Pearson on request; the normal approximation
     is refused unless n * p * (1-p) >= 10.
@@ -124,7 +129,7 @@ def estimate_with_ci(successes: int, n: int, method: str = "wilson",
     if n < 1 or successes < 0 or successes > n:
         raise InvalidInputError(f"invalid counts: {successes}/{n}")
     p_hat = successes / n
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
+    z = Z_95
     if method == "wilson":
         denom = 1.0 + z * z / n
         center = (p_hat + z * z / (2.0 * n)) / denom
@@ -132,11 +137,12 @@ def estimate_with_ci(successes: int, n: int, method: str = "wilson",
                                        + z * z / (4.0 * n * n))
         low, high = center - half, center + half
     elif method == "clopper-pearson":
-        alpha = 1.0 - confidence
+        from scipy import stats
+        tail = (1.0 - 0.95) / 2.0   # six ulps above 0.025; payloads use this
         low = 0.0 if successes == 0 else float(
-            stats.beta.ppf(alpha / 2.0, successes, n - successes + 1))
+            stats.beta.ppf(tail, successes, n - successes + 1))
         high = 1.0 if successes == n else float(
-            stats.beta.ppf(1.0 - alpha / 2.0, successes + 1, n - successes))
+            stats.beta.ppf(1.0 - tail, successes + 1, n - successes))
     elif method == "normal":
         if n * p_hat * (1.0 - p_hat) < 10.0:
             raise InvalidInputError(
@@ -150,15 +156,14 @@ def estimate_with_ci(successes: int, n: int, method: str = "wilson",
     return EstimateWithCI(p_hat, low, high, n, method, censored_n)
 
 
-def _mean_with_ci(total: float, total_sq: float, n: int, censored_n: int,
-                  confidence: float) -> EstimateWithCI:
-    """Normal-theory CI for a sample mean from accumulated moments."""
+def _mean_with_ci(total: float, total_sq: float, n: int,
+                  censored_n: int) -> EstimateWithCI:
+    """Normal-theory 95 % CI for a sample mean from accumulated moments."""
     if n < 2:
         raise InvalidInputError("need at least 2 samples for a mean CI")
     mean = total / n
     var = max(total_sq - n * mean * mean, 0.0) / (n - 1)
-    z = stats.norm.ppf(0.5 + confidence / 2.0)
-    half = z * math.sqrt(var / n)
+    half = Z_95 * math.sqrt(var / n)
     return EstimateWithCI(mean, mean - half, mean + half, n, "normal",
                           censored_n)
 
@@ -233,6 +238,21 @@ def _check_band_start(field: CoefficientField, x, band_level: float,
     return lev
 
 
+def _sum_chunks(partials) -> list:
+    """Elementwise sum of the kernels' fixed-size partials, in chunk order.
+
+    Each partial is a tuple of numbers or count arrays.  The sum starts from
+    the first partial; a running float total that started at 0.0 would get
+    the same bits, since 0.0 + x == x.
+    """
+    if not partials:
+        raise InvalidInputError("need at least one path")
+    total = list(partials[0])
+    for part in partials[1:]:
+        total = [a + b for a, b in zip(total, part)]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Parallel kernels
 # ---------------------------------------------------------------------------
@@ -248,7 +268,9 @@ def _kernel_escape_times(field, indices, p):
                       indices=indices,
                       barriers=_band_barriers(p["A"], p["k"]),
                       stop_mode="first", bridge=p["bridge"])
-    return res.first_time
+    t_grid = np.asarray(p["t_grid"])[:, None]
+    exits = np.count_nonzero(res.first_time <= t_grid, axis=1)
+    return exits, int(np.count_nonzero(np.isnan(res.first_time))), len(indices)
 
 
 def _kernel_band_functionals(field, indices, p):
@@ -327,23 +349,14 @@ def _band_moments(field, x, band_level, band_index, t, n_paths, policy, seed,
               "bridge": _resolve_bridge(field, bridge)}
     partials = map_path_chunks(_kernel_band_functionals, field,
                                iter_chunks(n_paths), params, workers)
-    sv = sv2 = sw = sw2 = 0.0
-    cens = n = 0
-    for pv, pv2, pw, pw2, pc, pn in partials:
-        sv += pv
-        sv2 += pv2
-        sw += pw
-        sw2 += pw2
-        cens += pc
-        n += pn
-    return sv, sv2, sw, sw2, cens, n, params["bridge"]
+    return (*_sum_chunks(partials), params["bridge"])
 
 
 def check_displacement_bound(field: CoefficientField, x, band_level: float,
                              band_index: int, t: float, n_paths: int,
                              policy: StepPolicy, seed, *,
-                             bridge="auto", workers: int = 1,
-                             confidence: float = 0.95) -> BoundCheckReport:
+                             bridge="auto", workers: int = 1
+                             ) -> BoundCheckReport:
     """Second moment of the stopped displacement against (m+1) (A/2^(k-1)) t.
 
     Estimates E[|x - X(t ^ S)|^2 ; S <= 1] where S is the band exit time;
@@ -353,7 +366,7 @@ def check_displacement_bound(field: CoefficientField, x, band_level: float,
     sv, sv2, _, _, cens, n, used_bridge = _band_moments(
         field, x, band_level, band_index, t, n_paths, policy, seed, bridge,
         workers)
-    lhs = _mean_with_ci(sv, sv2, n, cens, confidence)
+    lhs = _mean_with_ci(sv, sv2, n, cens)
     rhs = (field.m + 1.0) * (band_level / 2.0 ** (band_index - 1)) * t
     params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
               "d": field.d, "field": field.name, "n_paths": n,
@@ -366,8 +379,8 @@ def check_level_change_bound(field: CoefficientField, x, band_level: float,
                              band_index: int, t: float, n_paths: int,
                              policy: StepPolicy, seed, *,
                              lipschitz_k: float | None = None,
-                             bridge="auto", workers: int = 1,
-                             confidence: float = 0.95) -> BoundCheckReport:
+                             bridge="auto", workers: int = 1
+                             ) -> BoundCheckReport:
     """Mean absolute level change against the Lipschitz chain bound.
 
     Estimates E[|level(x) - level(X(t ^ S))| ; S <= 1] and compares it with
@@ -379,8 +392,8 @@ def check_level_change_bound(field: CoefficientField, x, band_level: float,
     sv, sv2, sw, sw2, cens, n, used_bridge = _band_moments(
         field, x, band_level, band_index, t, n_paths, policy, seed, bridge,
         workers)
-    lhs = _mean_with_ci(sw, sw2, n, cens, confidence)
-    disp = _mean_with_ci(sv, sv2, n, cens, confidence)
+    lhs = _mean_with_ci(sw, sw2, n, cens)
+    disp = _mean_with_ci(sv, sv2, n, cens)
     rhs = (2.0 * math.sqrt(3.0 * band_level / 2.0 ** band_index)
            * k_bound * math.sqrt(max(disp.ci_high, 0.0)))
     params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
@@ -394,8 +407,7 @@ def check_escape_probability_bound(field: CoefficientField, x,
                                    band_level: float, band_index: int,
                                    t_grid, n_paths: int, policy: StepPolicy,
                                    seed, *, lipschitz_k: float | None = None,
-                                   bridge="auto", workers: int = 1,
-                                   confidence: float = 0.95
+                                   bridge="auto", workers: int = 1
                                    ) -> list[BoundCheckReport]:
     """P[band exit by t] against C sqrt(t) for each t in the grid.
 
@@ -411,21 +423,14 @@ def check_escape_probability_bound(field: CoefficientField, x,
     k_bound = _require_k(field, lipschitz_k)
     c = escape_rate_constant(field.m, k_bound)
     params = {"start": np.asarray(x, dtype=float), "A": band_level,
-              "k": band_index, "horizon": max(t_grid), "policy": policy,
-              "master": seed, "bridge": _resolve_bridge(field, bridge)}
-    partials = map_path_chunks(_kernel_escape_times, field,
-                               iter_chunks(n_paths), params, workers)
+              "k": band_index, "t_grid": t_grid, "horizon": max(t_grid),
+              "policy": policy, "master": seed,
+              "bridge": _resolve_bridge(field, bridge)}
+    exits, censored, n = _sum_chunks(map_path_chunks(
+        _kernel_escape_times, field, iter_chunks(n_paths), params, workers))
     reports = []
-    for t in t_grid:
-        successes = 0
-        censored = 0
-        n = 0
-        for first_time in partials:
-            ok = ~np.isnan(first_time)
-            successes += int(np.sum(first_time[ok] <= t))
-            censored += int(np.sum(~ok))
-            n += first_time.size
-        est = estimate_with_ci(successes, n, "wilson", confidence,
+    for t, successes in zip(t_grid, exits):
+        est = estimate_with_ci(int(successes), n, "wilson",
                                censored_n=censored)
         rhs = c * math.sqrt(t)
         rep_params = {"A": band_level, "k": band_index, "t": t,
@@ -462,8 +467,8 @@ def check_halving_persistence(field: CoefficientField, starts,
                               n_paths: int, policy: StepPolicy, seed, *,
                               t0: float | None = None,
                               lipschitz_k: float | None = None,
-                              bridge="auto", workers: int = 1,
-                              confidence: float = 0.95) -> BoundCheckReport:
+                              bridge="auto", workers: int = 1
+                              ) -> BoundCheckReport:
     """P[level does not halve within t0] against the 1/2 lower bound.
 
     Start points must have level >= band_level / 2**band_index; paths are
@@ -484,19 +489,16 @@ def check_halving_persistence(field: CoefficientField, starts,
     if not (0.0 < t0 < 1.0):
         raise InvalidInputError("t0 must lie in (0, 1)")
     use_bridge = _resolve_bridge(field, bridge)
-    survived = 0
-    n = 0
+    partials = []
     for s_idx, start in enumerate(valid):
         idx = np.arange(s_idx, n_paths, len(valid))
         chunks = [idx[c] for c in iter_chunks(idx.size)]
         params = {"start": start, "t0": t0, "barrier": barrier,
                   "policy": policy, "master": seed, "bridge": use_bridge}
-        for part_survived, part_n in map_path_chunks(
-                _kernel_persistence, field, chunks, params, workers):
-            survived += part_survived
-            n += part_n
-    est = estimate_with_ci(survived, n, "wilson", confidence,
-                           censored_n=survived)
+        partials += map_path_chunks(_kernel_persistence, field, chunks,
+                                    params, workers)
+    survived, n = _sum_chunks(partials)
+    est = estimate_with_ci(survived, n, "wilson", censored_n=survived)
     params = {"A": band_level, "k": band_index, "t0": t0, "m": field.m,
               "field": field.name, "n_paths": n, "n_starts": len(valid),
               "dropped_starts": dropped, "policy": policy.to_dict(),
@@ -510,7 +512,7 @@ def check_halving_persistence(field: CoefficientField, starts,
 
 def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
                           eps_grid, n_paths: int, policy: StepPolicy, seed, *,
-                          workers: int = 1, confidence: float = 0.95,
+                          workers: int = 1,
                           method: str = "wilson") -> list[EstimateWithCI]:
     """P[grid-minimum of the level drops to eps within the horizon], per eps.
 
@@ -518,7 +520,9 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
     nonincreasing by construction.  Paths whose state leaves the trusted
     numeric range are retired with their minimum so far (the instability of
     explicit stepping for superlinear coefficients cannot push the recorded
-    minimum down).
+    minimum down).  Such blown-up paths stay in ``n``, and in ``censored_n``
+    unless their minimum had already reached eps.  Their number is summed
+    but not reported yet.
     """
     eps_grid = [float(e) for e in eps_grid]
     if not eps_grid or any(e <= 0 for e in eps_grid):
@@ -531,17 +535,9 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
         raise InvalidInputError("start point lies in the zero set")
     params = {"start": start, "horizon": horizon, "policy": policy,
               "master": seed, "eps_grid": eps_grid}
-    partials = map_path_chunks(_kernel_hitting_min, field,
-                               iter_chunks(n_paths), params, workers)
-    counts = np.zeros(len(eps_grid), dtype=np.int64)
-    blown = 0
-    n = 0
-    for pc, pb, pn in partials:
-        counts += pc
-        blown += pb
-        n += pn
-    return [estimate_with_ci(int(c), n, method, confidence,
-                             censored_n=int(n - c))
+    counts, _blown, n = _sum_chunks(map_path_chunks(
+        _kernel_hitting_min, field, iter_chunks(n_paths), params, workers))
+    return [estimate_with_ci(int(c), n, method, censored_n=int(n - c))
             for c in counts]
 
 
@@ -576,6 +572,7 @@ def accessibility_integral_1d(sigma_1d, a: float, *,
         raise InvalidInputError("a must be positive")
     if trend_windows < 2:
         raise InvalidInputError("trend_windows must be >= 2")
+    from scipy import integrate
 
     def integrand(y):
         s = sigma_1d(y)
@@ -644,12 +641,9 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
         h = 2.0 ** (-e)
         params = {"start": start, "horizon": horizon, "h": h,
                   "master": (*entropy_tuple(master_seed), e)}
-        total = 0.0
-        n = 0
-        for ps, pn in map_path_chunks(_kernel_strong_error, field,
-                                      iter_chunks(n_paths), params, workers):
-            total += ps
-            n += pn
+        total, n = _sum_chunks(map_path_chunks(
+            _kernel_strong_error, field, iter_chunks(n_paths), params,
+            workers))
         hs.append(h)
         errs.append(total / n)
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +117,10 @@ def test_not_json_and_bad_seed():
     ("lipschitz.seed", {"lipschitz": {"mode": "estimated", "seed": None}}),
     ("lipschitz.region", {"lipschitz": {"mode": "estimated",
                                         "region": ["a", "b"]}}),
+    # a builder's ValueError, and a non-integer dimension
+    ("field", {"field": {"name": "constant", "params": {"sigma0": "a"}}}),
+    ("field", {"field": {"name": "diag-linear", "params": {"d": 2.5}}}),
+    ("field", {"field": {"name": "diag-linear", "params": {"d": "2"}}}),
 ])
 def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
     cfg = _hitting_config(**override)
@@ -220,6 +227,41 @@ def test_main_validate_and_catalog(tmp_path, capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out
     assert "linear-1d" in out and "power-law-1d" in out
+
+
+def test_scipy_stays_unloaded(tmp_path):
+    # Only Clopper-Pearson intervals and integral-1d import scipy.  All steps
+    # run in one fresh interpreter, which records the scipy modules loaded
+    # after each.
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_hitting_config(
+        n_paths=100, horizon=0.1, policy={"kind": "fixed", "h_max": 1e-2}))
+    script = f"""
+import json, sys
+loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+steps = {{}}
+import sdelab
+from sdelab import cli
+steps["import"] = loaded()
+assert cli.main(["catalog"]) == 0
+steps["catalog"] = loaded()
+assert cli.main(["validate", {str(cfg_path)!r}]) == 0
+steps["validate"] = loaded()
+with open({str(cfg_path)!r}) as fh:
+    report = cli.run_scenario(cli.parse_scenario(fh.read()))
+assert report.payload["estimates"][0]["method"] == "wilson"
+steps["hitting"] = loaded()
+print(json.dumps(steps))
+"""
+    src = str(Path(sl.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert steps == {"import": [], "catalog": [], "validate": [],
+                     "hitting": []}
 
 
 def test_main_replay(tmp_path, capsys):

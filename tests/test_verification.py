@@ -8,7 +8,8 @@ from scipy import stats
 
 import sdelab as sl
 from sdelab import InvalidInputError, StepPolicy
-from sdelab.verification import BoundCheckReport, EstimateWithCI, _mean_with_ci
+from sdelab.verification import (Z_95, BoundCheckReport, EstimateWithCI,
+                                  _mean_with_ci)
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +130,11 @@ def test_wilson_coverage_bernoulli():
     assert 0.93 <= covered / 1000 <= 0.97
 
 
+def test_z95_is_the_scipy_quantile_bit_for_bit():
+    z = float(stats.norm.ppf(0.5 + 0.95 / 2.0))
+    assert np.float64(Z_95).view(np.uint64) == np.float64(z).view(np.uint64)
+
+
 def test_estimate_invariant_enforced():
     with pytest.raises(InvalidInputError):
         EstimateWithCI(point=0.5, ci_low=0.6, ci_high=0.7, n=10,
@@ -137,11 +143,11 @@ def test_estimate_invariant_enforced():
 
 def test_mean_ci_from_moments():
     vals = np.array([1.0, 2.0, 3.0, 4.0])
-    e = _mean_with_ci(vals.sum(), (vals ** 2).sum(), 4, 0, 0.95)
+    e = _mean_with_ci(vals.sum(), (vals ** 2).sum(), 4, 0)
     assert e.point == pytest.approx(2.5)
     half = 1.959963984540054 * vals.std(ddof=1) / 2.0
     assert e.ci_high - e.point == pytest.approx(half, rel=1e-9)
-    zero = _mean_with_ci(0.0, 0.0, 5, 5, 0.95)
+    zero = _mean_with_ci(0.0, 0.0, 5, 5)
     assert zero.point == zero.ci_low == zero.ci_high == 0.0
 
 
