@@ -7,7 +7,7 @@ from .coefficients import (CoefficientField, FieldCatalogEntry, catalog,
                            level, make_field)
 from .engine import (Barrier, PathRealization, StepPolicy, em_step,
                      path_entropy, simulate_path, sweep_paths)
-from .errors import InvalidInputError, NumericalBlowupError
+from .errors import InvalidInputError, InvariantError, NumericalBlowupError
 from .stopping import (DyadicEscapeRecord, LevelCrossing, dyadic_escape,
                        dyadic_escape_batch, first_hitting_time, sandwich_time)
 from .verification import (BoundCheckReport, EstimateWithCI, IntegralVerdict,
@@ -25,7 +25,8 @@ from .cli import ScenarioConfig, RunReport, parse_scenario, run_scenario
 __all__ = [
     "Barrier", "BoundCheckReport", "CoefficientField", "DyadicEscapeRecord",
     "EstimateWithCI", "FieldCatalogEntry", "IntegralVerdict",
-    "InvalidInputError", "LevelCrossing", "NumericalBlowupError",
+    "InvalidInputError", "InvariantError", "LevelCrossing",
+    "NumericalBlowupError",
     "PathRealization", "RunReport", "ScenarioConfig", "StepPolicy",
     "accessibility_integral_1d", "catalog", "check_displacement_bound",
     "check_escape_probability_bound", "check_halving_persistence",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 import time
@@ -29,7 +30,7 @@ from . import stopping
 from . import verification as vf
 from .coefficients import CoefficientField
 from .engine import StepPolicy, path_entropy, simulate_path
-from .errors import InvalidInputError, NumericalBlowupError
+from .errors import InvalidInputError, InvariantError, NumericalBlowupError
 
 SCHEMA_VERSION = 1
 
@@ -57,8 +58,8 @@ def _no_leftovers(obj: dict, path: str):
 def _positive(val, path: str) -> float:
     try:
         out = float(val)
-    except (TypeError, ValueError):
-        _fail(path, f"expected a number, got {val!r}")
+    except (TypeError, ValueError, OverflowError):
+        _fail(path, f"expected a finite number, got {val!r}")
     if not out > 0:
         _fail(path, f"must be positive, got {out}")
     return out
@@ -200,10 +201,21 @@ def _parse_params(exp: Experiment, raw: dict) -> dict:
     return out
 
 
+def _finite_number(text: str) -> float:
+    # json.loads hook for number literals: bare NaN and +-Infinity are not
+    # JSON, and a literal such as 1e999 would overflow to inf
+    val = float(text)
+    if not math.isfinite(val):
+        raise InvalidInputError(
+            f"config is not strict JSON: {text} is not a finite number")
+    return val
+
+
 def parse_scenario(text: str) -> ScenarioConfig:
     """Parse and fully validate a JSON scenario document."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, parse_float=_finite_number,
+                         parse_constant=_finite_number)
     except json.JSONDecodeError as exc:
         raise InvalidInputError(f"config is not well-formed JSON: {exc}") from None
     if not isinstance(raw, dict):
@@ -687,6 +699,9 @@ def main(argv=None) -> int:
         return args.fn(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except InvariantError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
         return 1
     except NumericalBlowupError as exc:
         print(f"numerical blowup: {exc} (step {exc.step_index}, "

@@ -297,6 +297,17 @@ _NOTES = {
 }
 
 
+def _finite(val) -> bool:
+    # False for NaN, inf and ints too large for a float; a value that is not
+    # numeric at all passes here, and its builder names the problem
+    try:
+        return bool(np.isfinite(np.asarray(val, dtype=float)).all())
+    except OverflowError:
+        return False
+    except (TypeError, ValueError):
+        return True
+
+
 def make_field(name: str, **params) -> CoefficientField:
     """Build a catalog field by name with numeric parameters."""
     try:
@@ -304,6 +315,10 @@ def make_field(name: str, **params) -> CoefficientField:
     except KeyError:
         raise InvalidInputError(
             f"unknown field {name!r}; catalog: {sorted(_BUILDERS)}") from None
+    for key, val in params.items():
+        if val is not None and not _finite(val):
+            raise InvalidInputError(
+                f"bad parameters for field {name!r}: {key} must be finite, got {val!r}")
     try:
         return builder(**params)
     except InvalidInputError:

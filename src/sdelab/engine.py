@@ -18,7 +18,7 @@ every path in its stream.  The bridge uniforms are not buffered but
 evaluated directly at the step index (``_pcg64.kth_uniform``), and only
 where the bridge probability is positive.  Each sweep step is one pass over
 compact live-path arrays, with all barriers tested at once as a (barrier,
-live path) matrix.
+live path) matrix over the paths that can have crossed one.
 """
 
 from __future__ import annotations
@@ -162,25 +162,33 @@ class _BlockStreams:
     """Per-path normal generators drained in lockstep blocks.
 
     numpy Generators yield the same values whether drawn one at a time or in
-    blocks, so each path's draws are exactly "one draw per step".  Paths start
-    together and every live path takes every step, so all of them sit at the
-    same buffer position: one step counter serves them all.  At each multiple
-    of ``block`` the live rows refill a step-major ``(block, n, m)`` buffer.
-    ``words`` are the paths' ``_pcg64.seed_words``, so each generator is
-    ``default_rng(entropy)``.
+    blocks, and whether or not they are drawn into ``out``, so each path's
+    draws are exactly "one draw per step".  Paths start together and every
+    live path takes every step, so all of them sit at the same buffer
+    position: one step counter serves them all.  At each multiple of
+    ``block`` each live path draws straight into its own contiguous row of a
+    path-major ``(n, block, m)`` buffer, and step k reads column k of the
+    live rows.  ``words`` are the paths' ``_pcg64.seed_words``, so each
+    generator is ``default_rng(entropy)``.
     """
 
     def __init__(self, words, shape_per_draw, block):
         self._gens = [_pcg64.generator(w) for w in words]
         self._draw_shape = (block,) + shape_per_draw
-        self._buf = np.empty((block, len(self._gens)) + shape_per_draw)
+        self._buf = np.empty((len(self._gens),) + self._draw_shape)
+        # the same memory as one opaque record per (path, step): a step then
+        # gathers whole draws, not m floats at a time per row, which is
+        # several times faster for m = 2
+        record = np.dtype((np.void, self._buf.itemsize * math.prod(shape_per_draw)))
+        self._records = self._buf.view(record).reshape(self._buf.shape[:2])
 
     def draw(self, rows: np.ndarray, step: int) -> np.ndarray:
-        k = step % len(self._buf)
+        k = step % self._buf.shape[1]
         if k == 0:
             for i in rows:
-                self._buf[:, i] = self._gens[i].standard_normal(self._draw_shape)
-        return self._buf[k, rows]
+                self._gens[i].standard_normal(self._draw_shape, out=self._buf[i])
+        return self._records[:, k][rows].view(np.float64).reshape(
+            (rows.size,) + self._draw_shape[1:])
 
 
 def bridge_cross_probability(x0, x1, sigma, h, barrier_x, down) -> np.ndarray:
@@ -266,8 +274,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     path's end time, end state and minimum level are written once.  The
     barriers are one vector in ascending level order, so crossing tests,
     times and bridge probabilities are (barrier, live path) matrices whose
-    first column minimum is the lower threshold.  Normals come in lockstep
-    blocks of at most ``ceil(horizon / h_min)`` steps (``_BlockStreams``).
+    first column minimum is the lower threshold.  Without the bridge only
+    the paths whose new level reaches their highest uncrossed down level or
+    their lowest uncrossed up level enter those matrices, and a step where
+    none does skips them.  Normals come in lockstep blocks of at most
+    ``ceil(horizon / h_min)`` steps, drawn into one contiguous row per path
+    (``_BlockStreams``).
     """
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
@@ -360,13 +372,21 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 capture_state[:] = start
 
     # live state, one entry (or column of ``uncrossed``) per live path;
-    # dW_sum has no columns unless noise sums are tracked
+    # dW_sum has no columns unless noise sums are tracked.  dn and up are the
+    # highest uncrossed down level and the lowest uncrossed up level of each
+    # path.  An uncrossed down barrier always lies strictly below the current
+    # level and an uncrossed up barrier strictly above it, so without the
+    # bridge a path crosses on the interpolant exactly when lev1 <= dn or
+    # lev1 >= up.
     idx = np.arange(0 if stop0 else n)
     X = np.tile(start, (idx.size, 1))
     t = np.zeros(idx.size)
     lev = np.full(idx.size, lev0)
     lo = lev.copy()
     uncrossed = np.repeat(~crossed0[:, None], idx.size, axis=1)
+    is_down = side > 0
+    dn = np.full(idx.size, levels[~crossed0[:, None] & is_down].max(initial=-np.inf))
+    up = np.full(idx.size, levels[~crossed0[:, None] & ~is_down].min(initial=np.inf))
     dW_sum = np.zeros((idx.size, m if track_noise_sum else 0))
 
     def retire(gone, t_end, x_end, lo_end):
@@ -380,7 +400,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             noise_sum[rows] = dW_sum[gone]
         keep = ~gone
         return (idx[keep], X[keep], t[keep], lev[keep], lo[keep],
-                uncrossed[:, keep], dW_sum[keep])
+                uncrossed[:, keep], dn[keep], up[keep], dW_sum[keep])
 
     step = 0
     while idx.size:
@@ -389,8 +409,10 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         Sig = cf.sigma_batch(field, X)
         X1 = _em_batch(X, Sig, cf.b_batch(field, X), h, dW)
 
-        bad = ~np.isfinite(X1).all(axis=1) | (np.abs(X1) > BLOWUP_LIMIT).any(axis=1)
-        if np.any(bad):
+        # NaN and inf fail the comparison too
+        ok = np.abs(X1) <= BLOWUP_LIMIT
+        if not ok.all():
+            bad = ~ok.all(axis=1)
             if on_blowup == "raise":
                 i = idx[np.argmax(bad)]
                 raise NumericalBlowupError(
@@ -399,7 +421,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     step_index=step, path_index=int(indices[i]),
                     seed=entropies[i])
             blown_up[idx[bad]] = True
-            idx, X, t, lev, lo, uncrossed, dW_sum = retire(bad, t, X, lo)
+            idx, X, t, lev, lo, uncrossed, dn, up, dW_sum = retire(bad, t, X, lo)
             keep = ~bad
             h, dW, Sig, X1 = h[keep], dW[keep], Sig[keep], X1[keep]
             if not idx.size:
@@ -414,15 +436,24 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
         t_end, x_end, stop = t1, X1, None
         best_time = None
-        if nb:
-            hit = (uncrossed & (side * lev > side_levels)
-                   & (side * lev1 <= side_levels))
+        # candidate columns: all of them (as views) with the bridge, else
+        # only those whose new level reaches an uncrossed barrier
+        cand = None
+        if bridge_seeds is not None:
+            cand = slice(None)
+        elif nb:
+            cand = np.flatnonzero((lev1 <= dn) | (lev1 >= up))
+            if not cand.size:
+                cand = None
+        if cand is not None:
+            lv, lv1, tt, ddt = lev[cand], lev1[cand], t[cand], dt[cand]
+            hit = uncrossed[:, cand] & (side * lv1 <= side_levels)
             tc = np.full(hit.shape, np.inf)
             jj, ii = np.nonzero(hit)
-            tc[jj, ii] = t[ii] + (levels[jj, 0] - lev[ii]) / (lev1[ii] - lev[ii]) * dt[ii]
+            tc[jj, ii] = tt[ii] + (levels[jj, 0] - lv[ii]) / (lv1[ii] - lv[ii]) * ddt[ii]
             if bridge_seeds is not None:
                 p = bridge_cross_probability(X[:, 0], X1[:, 0], Sig[:, 0, 0], dt,
-                                             barrier_x, side > 0)
+                                             barrier_x, is_down)
                 jj, ii = np.nonzero(uncrossed & ~hit & (p > 0))
                 if jj.size:
                     # A (path, barrier) pair is assessed at step k only if it
@@ -438,10 +469,13 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     tc[jj, ii] = t[ii] + 0.5 * dt[ii]
                     cross_bridge[idx[ii], jj] = True
             new = tc < np.inf
-            c = np.flatnonzero(new.any(axis=0))
+            # cc: the crossing columns of the candidate matrices; c: the
+            # same columns of the live state
+            cc = np.flatnonzero(new.any(axis=0))
+            c = cc if bridge_seeds is not None else cand[cc]
             if c.size:
                 rows = idx[c]
-                tcc = np.where(new[:, c], tc[:, c], np.inf)
+                tcc = np.where(new[:, cc], tc[:, cc], np.inf)
                 jb = tcc.argmin(axis=0)
                 best_time = tcc[jb, np.arange(c.size)]
                 frac = (best_time - t[c]) / dt[c]
@@ -451,9 +485,8 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     sgn = np.sign(X[c[bb], 0])
                     sgn[sgn == 0] = 1.0
                     best_state[bb, 0] = sgn * barrier_x[jb[bb], 0]
-                jn, cn = np.nonzero(new[:, c])
+                jn, cn = np.nonzero(new[:, cc])
                 cross_times[rows[cn], jn] = tcc[jn, cn]
-                uncrossed[:, c] &= ~new[:, c]
                 first = first_barrier[rows] == -1
                 first_barrier[rows[first]] = order[jb[first]]
                 first_time[rows[first]] = best_time[first]
@@ -464,7 +497,11 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     t_end, x_end = t1.copy(), X1.copy()
                     t_end[c], x_end[c] = best_time, best_state
                 else:
-                    done = ~uncrossed[:, c].any(axis=0)
+                    left = uncrossed[:, c] & ~new[:, cc]
+                    uncrossed[:, c] = left
+                    dn[c] = np.where(left & is_down, levels, -np.inf).max(axis=0)
+                    up[c] = np.where(left & ~is_down, levels, np.inf).min(axis=0)
+                    done = ~left.any(axis=0)
                     if done.any():
                         stop = np.zeros(idx.size, dtype=bool)
                         stop[c[done]] = True
@@ -507,7 +544,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     hz &= ~stop
                 captured[idx[hz]] = True
                 capture_state[idx[hz]] = X1[hz]
-            idx, X, t, lev, lo, uncrossed, dW_sum = retire(gone, t_end, x_end, lo)
+            idx, X, t, lev, lo, uncrossed, dn, up, dW_sum = retire(gone, t_end, x_end, lo)
         step += 1
 
     trajectory = None

@@ -17,3 +17,11 @@ class NumericalBlowupError(RuntimeError):
         self.step_index = step_index
         self.path_index = path_index
         self.seed = seed
+
+
+class InvariantError(RuntimeError):
+    """Raised when simulated results break an invariant the package relies on.
+
+    This is a defect in the package, not bad input; the message names the
+    invariant.
+    """

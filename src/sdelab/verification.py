@@ -21,7 +21,7 @@ from . import coefficients as cf
 from .coefficients import CoefficientField
 from .engine import (Barrier, StepPolicy, entropy_tuple, iter_chunks,
                      map_path_chunks, path_entropy, sweep_paths)
-from .errors import InvalidInputError
+from .errors import InvalidInputError, InvariantError
 
 # Fitted strong-convergence exponent the engine is expected to reproduce.
 STRONG_ORDER_WINDOW = (0.35, 0.65)
@@ -294,7 +294,7 @@ def _kernel_band_functionals(field, indices, p):
         v[exited] = np.einsum("ij,ij->i", diff, diff)
         w[exited] = np.abs(lev_x - cf.level_batch(field, states[exited]))
     if np.any(after_t) and not res.captured[after_t].all():
-        raise RuntimeError("band exit after capture time without captured state")
+        raise InvariantError("band exit after capture time without captured state")
     return (float(np.sum(v)), float(np.sum(v * v)),
             float(np.sum(w)), float(np.sum(w * w)),
             int(np.sum(~exited)), n)

@@ -108,6 +108,10 @@ def test_not_json_and_bad_seed():
         sl.parse_scenario("{nope")
     with pytest.raises(InvalidInputError, match="master_seed"):
         sl.parse_scenario(_hitting_config(master_seed=-3))
+    # a number literal that overflows to inf
+    with pytest.raises(InvalidInputError, match="1e999"):
+        sl.parse_scenario(_hitting_config().replace('"horizon": 1.0',
+                                                    '"horizon": 1e999'))
 
 
 @pytest.mark.parametrize("key, override", [
@@ -121,6 +125,13 @@ def test_not_json_and_bad_seed():
     ("field", {"field": {"name": "constant", "params": {"sigma0": "a"}}}),
     ("field", {"field": {"name": "diag-linear", "params": {"d": 2.5}}}),
     ("field", {"field": {"name": "diag-linear", "params": {"d": "2"}}}),
+    # bare NaN and Infinity literals are not JSON; an int past the float
+    # range is no finite number either
+    ("NaN", {"field": {"name": "power-law-1d",
+                       "params": {"alpha": float("nan")}}}),
+    ("Infinity", {"horizon": float("inf")}),
+    ("-Infinity", {"start": [-float("inf")]}),
+    ("horizon", {"horizon": 10 ** 400}),
 ])
 def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
     cfg = _hitting_config(**override)
@@ -130,6 +141,28 @@ def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
     cfg_path.write_text(cfg)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
+
+
+def test_broken_sweep_invariant_exits_1(tmp_path, capsys, monkeypatch):
+    # band exits after t without a captured state would be a sweep defect;
+    # main reports it as a typed error and returns 1, not a traceback
+    from sdelab import verification
+    real = verification.sweep_paths
+
+    def sweep_without_capture(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.captured[:] = False
+        return res
+
+    monkeypatch.setattr(verification, "sweep_paths", sweep_without_capture)
+    cfg = json.loads(_hitting_config(n_paths=200,
+                                     policy={"kind": "fixed", "h_max": 1e-2}))
+    cfg["experiment"] = "displacement"
+    cfg["params"] = {"A": 2.0, "k": 1, "t": 0.2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
+    assert "captured state" in capsys.readouterr().err
 
 
 def test_integral_requires_1d_field():

@@ -182,6 +182,21 @@ def test_make_field_errors():
         sl.make_field("linear-1d", bogus=3)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("power-law-1d", {"alpha": float("nan")}),
+    ("power-law-1d", {"alpha": 0.5, "lipschitz_k": float("inf")}),
+    ("decay-1d", {"rate": float("inf")}),
+    ("decay-1d", {"rate": 10 ** 400}),
+    ("constant", {"sigma0": float("nan")}),
+    ("constant", {"sigma0": "nan"}),
+    ("constant", {"sigma0": [[1.0, 0.0], [0.0, 1.0]], "b0": [0.0, -float("inf")]}),
+])
+def test_make_field_rejects_non_finite_params(name, params):
+    key = list(params)[-1]
+    with pytest.raises(InvalidInputError, match=f"{key} must be finite"):
+        sl.make_field(name, **params)
+
+
 def test_power_law_extends_by_zero_at_origin():
     f = sl.make_field("power-law-1d", alpha=0.5)
     assert f.sigma(np.array([0.0]))[0, 0] == 0.0

@@ -8,8 +8,10 @@ from scipy import stats
 
 import sdelab as sl
 from sdelab import InvalidInputError, NumericalBlowupError, StepPolicy
+from sdelab import _pcg64
 from sdelab import coefficients as cf
-from sdelab.engine import Barrier, SweepResult, path_entropy, sweep_paths
+from sdelab.engine import (Barrier, SweepResult, _BlockStreams, path_entropy,
+                           sweep_paths)
 from sdelab.stopping import first_hitting_time
 
 
@@ -247,13 +249,72 @@ def test_single_path_matches_batch_row():
 
 
 def test_generator_block_split_assumption():
-    # block draws must equal step-by-step draws from the same stream; the
-    # whole per-path buffering scheme rests on this
+    # block draws must equal step-by-step draws from the same stream, drawn
+    # into an output row or not; the whole per-path buffering scheme rests
+    # on this
     g1 = np.random.default_rng((5, 2))
     a = g1.standard_normal(64)
     g2 = np.random.default_rng((5, 2))
     b = np.concatenate([g2.standard_normal(13), g2.standard_normal(51)])
     assert np.array_equal(a, b)
+    g3 = np.random.default_rng((5, 2))
+    buf = np.full((3, 16, 2), np.nan)
+    g3.standard_normal((16, 2), out=buf[1])
+    g3.standard_normal((16, 2), out=buf[2])
+    assert np.array_equal(buf[1:].reshape(-1), a)
+    assert np.isnan(buf[0]).all()
+
+
+def test_block_streams_follow_each_path_stream():
+    # rows retire as the steps go on, across refills; a live row's draw at
+    # step k is the k-th normal of its path's default_rng(entropy)
+    ent = [path_entropy(3, i) for i in range(6)]
+    ref = [np.random.default_rng(e).standard_normal((11, 2)) for e in ent]
+    streams = _BlockStreams(_pcg64.seed_words(ent), (2,), 4)
+    rows = np.arange(6)
+    retire_at = {2: 1, 4: 0, 7: 2}   # step -> position of the row that goes
+    for step in range(11):
+        if step in retire_at:
+            rows = np.delete(rows, retire_at[step])
+        got = streams.draw(rows, step)
+        assert np.array_equal(got, np.stack([ref[i][step] for i in rows]))
+
+
+@pytest.mark.parametrize("mode", ["first", "all"])
+@pytest.mark.parametrize("h, barriers, first, all_", [
+    # x -> -2x, the level 1, 4, 16, 64, 256 at times 0, 3, 6, 9, 12; up
+    # barriers on grid levels, passed out of order
+    (3.0, (Barrier(256.0, "up"), Barrier(16.0, "up")),
+     # first barrier, first time, end state, min level
+     (1, 6.0, 4.0, 1.0), (12.0, 16.0, 1.0)),
+    # x -> x/2, the level 1, 1/4, 1/16, 1/64, 1/256 at times 0, 1/2, 1, 3/2, 2
+    (0.5, (Barrier(0.0625, "down"), Barrier(0.00390625, "down")),
+     (0, 1.0, 0.25, 0.25), (2.0, 0.0625, 0.015625)),
+])
+def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
+    # a barrier equal to a grid level is crossed at that grid point, by the
+    # sweep as by the scan of the recorded path (<=, not <), and the path
+    # stops at that step, not at the next
+    field = sl.make_field("decay-1d")
+    pol = StepPolicy.fixed(h)
+    ent = [path_entropy(1, 0)]
+    res = sweep_paths(field, [1.0], 10 * h, pol, ent, barriers=barriers,
+                      stop_mode=mode)
+    path = sl.simulate_path(field, [1.0], 10 * h, pol, ent[0])
+    ref = [first_hitting_time(path, field, b.level) for b in barriers]
+    assert not any(r.censored for r in ref)
+    if mode == "first":
+        jb, t_first, x_end, lo = first
+        assert res.first_barrier[0] == jb
+        assert res.first_time[0] == ref[jb].time == t_first
+        assert res.end_times[0] == t_first
+    else:
+        t_last, x_end, lo = all_
+        assert res.crossed[0].all()
+        assert res.cross_times[0].tolist() == [r.time for r in ref]
+        assert res.end_times[0] == t_last
+    assert res.end_states[0, 0] == x_end
+    assert res.min_levels[0] == lo
 
 
 def test_sweep_barrier_at_start_and_validation():

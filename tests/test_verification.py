@@ -363,6 +363,24 @@ def test_zero_hitting_monotone_in_eps():
     assert all(a >= b for a, b in zip(pts, pts[1:]))
 
 
+@settings(max_examples=50, deadline=None)
+@given(alpha=st.sampled_from([0.25, 0.5, 1.0, 1.5]),
+       eps=st.lists(st.floats(1e-4, 0.9), min_size=1, max_size=5, unique=True),
+       seed=st.integers(0, 2**32 - 1))
+def test_zero_hitting_never_increases_as_eps_shrinks(alpha, eps, seed):
+    # alpha = 1.5 blows some paths up; they stay in n with their minimum
+    field = sl.make_field("power-law-1d", alpha=alpha)
+    grid = sorted(eps, reverse=True)
+    ests = sl.estimate_zero_hitting(
+        field, [1.0], 1.0, grid, 40,
+        StepPolicy.adaptive(h_max=1e-2, h_min=1e-4, level_fraction=0.05), seed)
+    assert [e.n for e in ests] == [40] * len(grid)
+    for wide, narrow in zip(ests, ests[1:]):
+        assert narrow.point <= wide.point
+        assert narrow.ci_low <= wide.ci_low and narrow.ci_high <= wide.ci_high
+        assert narrow.censored_n >= wide.censored_n
+
+
 def test_zero_hitting_unreachable_plateau():
     # sigma = b = 0 on x <= 0, but the drift pushes right from x=1: the zero
     # region is never approached
