@@ -8,8 +8,8 @@ from .coefficients import (CoefficientField, FieldCatalogEntry, catalog,
 from .engine import (Barrier, PathRealization, StepPolicy, em_step,
                      path_entropy, simulate_path, sweep_paths)
 from .errors import InvalidInputError, InvariantError, NumericalBlowupError
-from .stopping import (DyadicEscapeRecord, LevelCrossing, dyadic_escape,
-                       dyadic_escape_batch, first_hitting_time, sandwich_time)
+from .stopping import (LevelCrossing, dyadic_escape_batch, first_hitting_time,
+                       sandwich_time)
 from .verification import (BoundCheckReport, EstimateWithCI, IntegralVerdict,
                            accessibility_integral_1d,
                            check_displacement_bound,
@@ -23,14 +23,13 @@ from .verification import (BoundCheckReport, EstimateWithCI, IntegralVerdict,
 from .cli import ScenarioConfig, RunReport, parse_scenario, run_scenario
 
 __all__ = [
-    "Barrier", "BoundCheckReport", "CoefficientField", "DyadicEscapeRecord",
-    "EstimateWithCI", "FieldCatalogEntry", "IntegralVerdict",
-    "InvalidInputError", "InvariantError", "LevelCrossing",
-    "NumericalBlowupError",
+    "Barrier", "BoundCheckReport", "CoefficientField", "EstimateWithCI",
+    "FieldCatalogEntry", "IntegralVerdict", "InvalidInputError",
+    "InvariantError", "LevelCrossing", "NumericalBlowupError",
     "PathRealization", "RunReport", "ScenarioConfig", "StepPolicy",
     "accessibility_integral_1d", "catalog", "check_displacement_bound",
     "check_escape_probability_bound", "check_halving_persistence",
-    "check_level_change_bound", "default_escape_time_grid", "dyadic_escape",
+    "check_level_change_bound", "default_escape_time_grid",
     "dyadic_escape_batch", "em_step", "escape_rate_constant",
     "escape_rate_product", "estimate_lipschitz", "estimate_with_ci",
     "estimate_zero_hitting", "first_hitting_time", "fitted_escape_exponent",

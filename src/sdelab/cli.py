@@ -34,9 +34,6 @@ from .errors import InvalidInputError, InvariantError, NumericalBlowupError
 
 SCHEMA_VERSION = 1
 
-_DEFAULT_POLICY = {"kind": "level-adaptive", "h_max": 1e-3, "h_min": 1e-7,
-                   "level_fraction": 0.01}
-
 
 def _fail(path: str, msg: str):
     raise InvalidInputError(f"{path}: {msg}")
@@ -120,17 +117,17 @@ def _parse_policy(raw, path: str) -> StepPolicy:
     if not isinstance(raw, dict):
         _fail(path, "policy must be an object")
     raw = dict(raw)
-    kind = _pop(raw, "kind", path, default=_DEFAULT_POLICY["kind"])
+    default = StepPolicy()
+    kind = _pop(raw, "kind", path, default=default.kind)
     if kind not in ("fixed", "level-adaptive"):
         _fail(f"{path}.kind", f"must be 'fixed' or 'level-adaptive', got {kind!r}")
-    h_max = _positive(_pop(raw, "h_max", path, default=_DEFAULT_POLICY["h_max"]),
+    h_max = _positive(_pop(raw, "h_max", path, default=default.h_max),
                       f"{path}.h_max")
-    default_h_min = h_max if kind == "fixed" else min(
-        h_max, _DEFAULT_POLICY["h_min"])
+    default_h_min = h_max if kind == "fixed" else min(h_max, default.h_min)
     h_min = _positive(_pop(raw, "h_min", path, default=default_h_min),
                       f"{path}.h_min")
     frac = _positive(_pop(raw, "level_fraction", path,
-                          default=_DEFAULT_POLICY["level_fraction"]),
+                          default=default.level_fraction),
                      f"{path}.level_fraction")
     _no_leftovers(raw, path)
     if h_min > h_max:
@@ -245,8 +242,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     start = _pop(raw, "start", "", required=True)
     if not isinstance(start, list) or not all(
             isinstance(v, (int, float)) and not isinstance(v, bool)
-            for v in start):
-        _fail("start", "must be a list of numbers")
+            and abs(v) <= sys.float_info.max for v in start):
+        # an int too large for a float would overflow in np.asarray
+        _fail("start", "must be a list of finite numbers")
     if len(start) != field.d:
         _fail("start", f"dimension {len(start)} does not match field "
                        f"dimension {field.d}")
@@ -461,12 +459,11 @@ def _run_persistence(config, field, start, workers):
 def _run_dyadic_escape(config, field, start, workers):
     depth = config.params["depth"]
     t0, k_source = _resolve_t0(config, field, start)
-    records = stopping.dyadic_escape_batch(
+    inc = stopping.dyadic_escape_batch(
         field, start, depth, config.horizon, config.policy,
-        config.master_seed, config.n_paths, t0=t0,
+        config.master_seed, config.n_paths,
         bridge=vf._resolve_bridge(field, config.bridge), workers=workers)
-    inc = np.array([r.increments for r in records])
-    cen = np.array([r.censored for r in records])
+    cen = np.isnan(inc)
     per_k = []
     for k in range(depth):
         live = ~cen[:, k]
@@ -475,13 +472,13 @@ def _run_dyadic_escape(config, field, start, workers):
             "n_censored": int(cen[:, k].sum()),
             "mean_increment": (float(np.mean(inc[live, k]))
                                if live.any() else None),
-            "count_ge_t0": int(np.sum(inc[live, k] >= t0)),
+            "count_ge_t0": int(np.sum(inc[:, k] >= t0)),
         })
     payload = {"depth": depth, "t0": t0, "n_paths": config.n_paths,
-               "start_level": records[0].start_level,
-               "count_ge_t0_total": int(sum(r.count_ge_t0 for r in records)),
+               "start_level": cf.level(field, start),
+               "count_ge_t0_total": int(np.sum(inc >= t0)),
                "per_band": per_k, "k_source": k_source}
-    return payload, {"dyadic_escape": stopping.escape_csv_rows(records)}, []
+    return payload, {"dyadic_escape": stopping.escape_csv_rows(inc, t0)}, []
 
 
 def _run_integral_1d(config, field, start, workers):

@@ -9,6 +9,7 @@ plain interpolation misses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,22 +40,6 @@ class LevelCrossing:
     censored: bool
     direction: str
     method: str
-
-
-@dataclass
-class DyadicEscapeRecord:
-    """Transit times between successive halved levels, starting from the
-    initial level ``start_level`` (whose passage time is 0 by convention)."""
-
-    start_level: float
-    increments: np.ndarray  # (depth,), nan where censored
-    censored: np.ndarray    # (depth,) bool
-    t0: float
-
-    @property
-    def count_ge_t0(self) -> int:
-        live = ~self.censored
-        return int(np.sum(self.increments[live] >= self.t0))
 
 
 def _path_levels(field: CoefficientField, path: PathRealization) -> np.ndarray:
@@ -165,32 +150,24 @@ def sandwich_time(path: PathRealization, field: CoefficientField,
     return down if down.time <= up.time else up
 
 
-def _monotone_crossings(cross_times: np.ndarray,
-                        crossed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Clean one path's nested down-crossing records into a censored,
-    nondecreasing time series.
+def _escape_increments(cross_times: np.ndarray) -> np.ndarray:
+    """Band transit times of a chunk's nested down-crossing times.
 
-    A bridge trigger can mark a deeper threshold without the shallower one;
-    continuity of the underlying level then implies the shallower passage, so
-    it is backfilled at the same time.
+    ``cross_times`` is ``(n, depth)``, nan where a level was not crossed.  A
+    bridge trigger can mark a deeper level without a shallower one;
+    continuity of the underlying level then implies the shallower passage,
+    so it is backfilled with the time of the next deeper crossing.  The
+    passage times are then made nondecreasing from 0.  The result is
+    ``(n, depth)`` with nan from the first uncrossed level on: after the
+    backfill the uncrossed levels are a suffix of each row, and the running
+    maximum carries nan forward.
     """
     times = cross_times.copy()
-    hit = crossed.copy()
-    depth = hit.size
-    for j in range(depth - 1, 0, -1):
-        if hit[j] and not hit[j - 1]:
-            hit[j - 1] = True
-            times[j - 1] = times[j]
-    prev = 0.0
-    censored = np.zeros(depth, dtype=bool)
-    for j in range(depth):
-        if not hit[j]:
-            censored[j:] = True
-            times[j:] = np.nan
-            break
-        times[j] = max(times[j], prev)
-        prev = times[j]
-    return times, censored
+    for j in range(times.shape[1] - 2, -1, -1):
+        gap = np.isnan(times[:, j])
+        times[gap, j] = times[gap, j + 1]
+    times = np.maximum.accumulate(np.maximum(times, 0.0), axis=1)
+    return np.diff(times, axis=1, prepend=0.0)
 
 
 def _kernel_dyadic(field: CoefficientField, indices, p):
@@ -199,65 +176,40 @@ def _kernel_dyadic(field: CoefficientField, indices, p):
                       [path_entropy(p["master"], i) for i in indices],
                       indices=indices, barriers=barriers, stop_mode="all",
                       bridge=p["bridge"])
-    return res.cross_times, res.crossed
+    return _escape_increments(res.cross_times)
 
 
 def dyadic_escape_batch(field: CoefficientField, start, depth: int,
                         horizon: float, policy: StepPolicy, master_seed,
-                        n_paths: int, t0: float | None = None,
-                        bridge: bool = False,
-                        workers: int = 1) -> list[DyadicEscapeRecord]:
-    """Dyadic escape decompositions of n_paths independent paths."""
+                        n_paths: int, bridge: bool = False,
+                        workers: int = 1) -> np.ndarray:
+    """Dyadic escape decompositions of n_paths independent paths.
+
+    Row i holds path i's transit times between the successive levels
+    ``L0 / 2**(k+1)``, where ``L0`` is the start level (passed at time 0).
+    Once a halved level is not reached within the horizon, that increment
+    and every deeper one are censored and hold nan.
+    """
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
     start = np.asarray(start, dtype=float)
     lev0 = cf.level(field, start)
     if lev0 <= cf.resolved_zero_tol(field, lev0):
         raise InvalidInputError("start point lies in the zero set")
-    if t0 is None:
-        if field.lipschitz_k is None:
-            raise InvalidInputError(
-                "field has no declared Lipschitz bound; pass t0 explicitly")
-        t0 = vf.persistence_t0(field.m, field.lipschitz_k)
     levels = [lev0 / 2.0 ** (j + 1) for j in range(depth)]
     params = {"start": start, "horizon": horizon, "policy": policy,
               "master": master_seed, "levels": levels, "bridge": bridge}
-    partials = map_path_chunks(_kernel_dyadic, field, iter_chunks(n_paths),
-                               params, workers)
-    records = []
-    for cross_times, crossed in partials:
-        for row_t, row_c in zip(cross_times, crossed):
-            times, censored = _monotone_crossings(row_t, row_c)
-            series = np.concatenate([[0.0], times])
-            incs = np.diff(series)
-            incs[censored] = np.nan
-            records.append(DyadicEscapeRecord(
-                start_level=lev0, increments=incs, censored=censored, t0=t0))
-    return records
+    return np.concatenate(map_path_chunks(
+        _kernel_dyadic, field, iter_chunks(n_paths), params, workers))
 
 
-def dyadic_escape(field: CoefficientField, start, depth: int, horizon: float,
-                  policy: StepPolicy, seed, t0: float | None = None,
-                  bridge: bool = False) -> DyadicEscapeRecord:
-    """Dyadic escape decomposition of a single path.
-
-    The start level defines the top of the ladder; its own passage time is 0.
-    Once a halved level is not reached within the horizon, that increment and
-    every deeper one are censored.
-    """
-    return dyadic_escape_batch(field, start, depth, horizon, policy,
-                               master_seed=seed, n_paths=1, t0=t0,
-                               bridge=bridge)[0]
-
-
-def escape_csv_rows(records: list[DyadicEscapeRecord]) -> list[dict]:
+def escape_csv_rows(increments: np.ndarray, t0: float) -> list[dict]:
     """One row per (path, band): path_id, k, increment, censored, ge_t0."""
     rows = []
-    for pid, rec in enumerate(records):
-        for k in range(rec.increments.size):
-            cen = bool(rec.censored[k])
-            inc = "" if cen else float(rec.increments[k])
-            ge = (not cen) and rec.increments[k] >= rec.t0
-            rows.append({"path_id": pid, "k": k, "increment": inc,
-                         "censored": cen, "ge_t0": bool(ge)})
+    for pid, row in enumerate(increments):
+        for k, inc in enumerate(row.tolist()):
+            cen = math.isnan(inc)
+            rows.append({"path_id": pid, "k": k,
+                         "increment": "" if cen else inc,
+                         "censored": cen, "ge_t0": inc >= t0})
     return rows

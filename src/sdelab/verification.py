@@ -323,14 +323,17 @@ def _kernel_hitting_min(field, indices, p):
 
 
 def _kernel_strong_error(field, indices, p):
-    res = sweep_paths(field, p["start"], p["horizon"],
-                      StepPolicy.fixed(p["h"]),
-                      [path_entropy(p["master"], i) for i in indices],
-                      indices=indices, track_noise_sum=True)
     x0 = p["start"][0]
-    exact = x0 * np.exp(-0.5 * p["horizon"] + res.noise_sum[:, 0])
-    err = np.abs(res.end_states[:, 0] - exact)
-    return float(np.sum(err)), len(indices)
+    sums = np.empty(len(p["h_exponents"]))
+    for j, e in enumerate(p["h_exponents"]):
+        res = sweep_paths(field, p["start"], p["horizon"],
+                          StepPolicy.fixed(2.0 ** (-e)),
+                          [path_entropy((*p["master"], e), i)
+                           for i in indices],
+                          indices=indices, track_noise_sum=True)
+        exact = x0 * np.exp(-0.5 * p["horizon"] + res.noise_sum[:, 0])
+        sums[j] = np.sum(np.abs(res.end_states[:, 0] - exact))
+    return sums, len(indices)
 
 
 # ---------------------------------------------------------------------------
@@ -635,17 +638,14 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
     log error vs log h should land in STRONG_ORDER_WINDOW.
     """
     field = cf.make_field("linear-1d")
-    start = np.array([start_x])
-    hs, errs = [], []
-    for e in h_exponents:
-        h = 2.0 ** (-e)
-        params = {"start": start, "horizon": horizon, "h": h,
-                  "master": (*entropy_tuple(master_seed), e)}
-        total, n = _sum_chunks(map_path_chunks(
-            _kernel_strong_error, field, iter_chunks(n_paths), params,
-            workers))
-        hs.append(h)
-        errs.append(total / n)
+    params = {"start": np.array([start_x]), "horizon": horizon,
+              "master": entropy_tuple(master_seed),
+              "h_exponents": list(h_exponents)}
+    # each h keeps its own master seed (*master, e); all h share one pool
+    totals, n = _sum_chunks(map_path_chunks(
+        _kernel_strong_error, field, iter_chunks(n_paths), params, workers))
+    hs = [2.0 ** (-e) for e in params["h_exponents"]]
+    errs = (totals / n).tolist()
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     low, high = STRONG_ORDER_WINDOW
     return {"h_grid": hs, "strong_errors": errs, "slope": slope,

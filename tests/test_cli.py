@@ -132,6 +132,7 @@ def test_not_json_and_bad_seed():
     ("Infinity", {"horizon": float("inf")}),
     ("-Infinity", {"start": [-float("inf")]}),
     ("horizon", {"horizon": 10 ** 400}),
+    ("start", {"start": [10 ** 400]}),
 ])
 def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
     cfg = _hitting_config(**override)

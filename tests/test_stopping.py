@@ -5,7 +5,7 @@ from scipy import stats
 import sdelab as sl
 from sdelab import InvalidInputError, StepPolicy
 from sdelab.engine import Barrier, PathRealization, path_entropy, sweep_paths
-from sdelab.stopping import escape_csv_rows
+from sdelab.stopping import _escape_increments, escape_csv_rows
 
 
 def _synthetic_path(states, times):
@@ -180,30 +180,30 @@ def test_dyadic_escape_unit_rate_field():
         sigma_batch=lambda X: np.zeros((X.shape[0], 1, 1)),
         b_batch=lambda X: -np.cbrt(1.5 * X),
         name="unit-rate-decay")
-    rec = sl.dyadic_escape(field, [1.0], 4, 5.0, StepPolicy.fixed(1e-5), 3,
-                           t0=0.01)
-    a = rec.start_level
+    inc, = sl.dyadic_escape_batch(field, [1.0], 4, 5.0,
+                                  StepPolicy.fixed(1e-5), 3, 1)
+    a = sl.level(field, np.array([1.0]))
     assert a == pytest.approx(1.5 ** (2.0 / 3.0), rel=1e-12)
     expected = [a / 2.0 ** (k + 1) for k in range(4)]
-    assert not rec.censored.any()
-    assert np.allclose(rec.increments, expected, rtol=1e-3)
-    assert rec.count_ge_t0 == sum(e >= 0.01 for e in expected)
+    assert not np.isnan(inc).any()
+    assert np.allclose(inc, expected, rtol=1e-3)
+    assert np.sum(inc >= 0.01) == sum(e >= 0.01 for e in expected)
 
 
 def test_dyadic_escape_constant_level_censors_everything():
     field = sl.make_field("constant", sigma0=[[1.0]], b0=[0.0])
-    rec = sl.dyadic_escape(field, [0.0], 3, 1.0, StepPolicy.fixed(1e-2), 1,
-                           t0=0.1)
-    assert rec.censored.all()
-    assert np.isnan(rec.increments).all()
-    assert rec.count_ge_t0 == 0
+    inc = sl.dyadic_escape_batch(field, [0.0], 3, 1.0, StepPolicy.fixed(1e-2),
+                                 1, 1)
+    assert inc.shape == (1, 3)
+    assert np.isnan(inc).all()
+    assert np.sum(inc >= 0.1) == 0
 
 
 def test_dyadic_escape_rejects_zero_set_start():
     field = sl.make_field("linear-1d")
     with pytest.raises(InvalidInputError):
-        sl.dyadic_escape(field, [0.0], 3, 1.0, StepPolicy.fixed(1e-2), 1,
-                         t0=0.1)
+        sl.dyadic_escape_batch(field, [0.0], 3, 1.0, StepPolicy.fixed(1e-2),
+                               1, 1)
 
 
 def test_dyadic_escape_gbm_increments():
@@ -211,11 +211,10 @@ def test_dyadic_escape_gbm_increments():
     # one-sided passage-time oracle mean ln 2 (log-halving distance over
     # drift 1/2) within Monte Carlo and discretization slack
     field = sl.make_field("linear-1d")
-    recs = sl.dyadic_escape_batch(field, [1.0], 4, 50.0,
-                                  StepPolicy.fixed(1e-3), 21, 400,
-                                  bridge=True)
-    inc = np.array([r.increments for r in recs])
-    cen = np.array([r.censored for r in recs])
+    inc = sl.dyadic_escape_batch(field, [1.0], 4, 50.0,
+                                 StepPolicy.fixed(1e-3), 21, 400,
+                                 bridge=True)
+    cen = np.isnan(inc)
     assert np.all(inc[~cen] >= 0.0)
     assert cen.mean() < 0.02
     for k in range(4):
@@ -223,11 +222,36 @@ def test_dyadic_escape_gbm_increments():
         assert np.mean(inc[live, k]) == pytest.approx(np.log(2.0), abs=0.2)
 
 
+def test_escape_increments_cleaning_rule():
+    nan = np.nan
+    cross_times = np.array([
+        [nan, nan, 0.5, nan],      # a deeper level only: backfilled
+        [0.5, 0.25, 0.375, 0.75],  # out of order: running maximum
+        [0.25, 0.5, nan, nan],     # censored tail
+        [0.0, 0.0, 0.125, 0.5],    # crossed at time 0
+        [nan, nan, nan, nan],      # nothing crossed
+        [0.25, nan, 0.125, nan],   # backfill below an earlier crossing
+    ])
+    inc = _escape_increments(cross_times)
+    np.testing.assert_array_equal(inc, [
+        [0.5, 0.0, 0.0, nan],
+        [0.5, 0.0, 0.0, 0.25],
+        [0.25, 0.25, nan, nan],
+        [0.0, 0.0, 0.125, 0.375],
+        [nan, nan, nan, nan],
+        [0.25, 0.0, 0.0, nan],
+    ])
+    assert np.isnan(inc).tolist() == [
+        [False, False, False, True], [False] * 4, [False, False, True, True],
+        [False] * 4, [True] * 4, [False, False, False, True]]
+    assert np.isnan(cross_times).sum() == 11  # the input is left as it was
+
+
 def test_escape_csv_rows():
     field = sl.make_field("constant", sigma0=[[1.0]], b0=[0.0])
-    recs = [sl.dyadic_escape(field, [0.0], 2, 1.0, StepPolicy.fixed(1e-2), s,
-                             t0=0.1) for s in (1, 2)]
-    rows = escape_csv_rows(recs)
+    inc = sl.dyadic_escape_batch(field, [0.0], 2, 1.0, StepPolicy.fixed(1e-2),
+                                 1, 2)
+    rows = escape_csv_rows(inc, 0.1)
     assert len(rows) == 4
     assert rows[0] == {"path_id": 0, "k": 0, "increment": "",
                        "censored": True, "ge_t0": False}
