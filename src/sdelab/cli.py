@@ -248,6 +248,10 @@ def parse_scenario(text: str) -> ScenarioConfig:
     if len(start) != field.d:
         _fail("start", f"dimension {len(start)} does not match field "
                        f"dimension {field.d}")
+    try:
+        cf.level(field, start)
+    except InvalidInputError as exc:
+        _fail("start", str(exc))
 
     horizon = _positive(_pop(raw, "horizon", "", required=True), "horizon")
     policy = _parse_policy(_pop(raw, "policy", "", default=None), "policy")
@@ -483,7 +487,7 @@ def _run_dyadic_escape(config, field, start, workers):
 
 def _run_integral_1d(config, field, start, workers):
     p = config.params
-    sigma_1d = lambda y: float(np.asarray(field.sigma(np.array([y])))[0, 0])
+    sigma_1d = lambda y: float(field.sigma(np.array([[y]]))[0, 0, 0])
     verdict = vf.accessibility_integral_1d(
         sigma_1d, p["a"], **{key: p[key] for key in
                              ("trend_windows", "max_windows") if key in p})

@@ -2,12 +2,17 @@
 
 A field packages the diffusion map sigma: R^d -> R^(d x m) and the drift map
 b: R^d -> R^d together with the metadata the estimators need: a Lipschitz
-bound, a tolerance for membership in the common zero set of (sigma, b), and
-optional vectorized evaluators used by the batch engine.
+bound and a tolerance for membership in the common zero set of (sigma, b).
+Both maps are written once, on blocks of states: ``sigma`` takes an (n, d)
+array to (n, d, m) and ``b`` takes it to (n, d).  A single state is the
+block of one row, so the level function ``level`` of one state and
+``level_batch`` of a block share one formula, and the Euler-Maruyama step of
+one state is the sweep's step on one row.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -23,10 +28,11 @@ ZERO_TOL_BASE = 1e-12
 class CoefficientField:
     """Immutable coefficient pair with evaluation helpers.
 
-    ``sigma(x)`` must return a (d, m) matrix and ``b(x)`` a d-vector for any
-    finite d-vector ``x``.  ``lipschitz_k`` is a declared bound for the
-    Lipschitz constants of both maps, or None when no honest global bound
-    exists (the estimators then fall back to an empirical estimate).
+    ``sigma(X)`` must return an (n, d, m) array and ``b(X)`` an (n, d) array
+    for any finite (n, d) block of states ``X``.  ``lipschitz_k`` is a
+    declared bound for the Lipschitz constants of both maps, or None when no
+    honest global bound exists (the estimators then fall back to an
+    empirical estimate).
     ``zero_tol`` is the absolute tolerance on the level function below which
     a state counts as being in the zero set; None means "resolve from the
     scenario start point" (see :func:`resolved_zero_tol`).
@@ -43,8 +49,6 @@ class CoefficientField:
     lipschitz_k: float | None = None
     zero_tol: float | None = None
     name: str = "custom"
-    sigma_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    b_batch: Callable[[np.ndarray], np.ndarray] | None = None
     abs_level_inverse: Callable[[float], float] | None = None
     catalog_ref: tuple[str, dict] | None = None
 
@@ -75,40 +79,48 @@ def _check_state(field: CoefficientField, x) -> np.ndarray:
     return arr
 
 
+def _level_of(sig: np.ndarray, drift: np.ndarray) -> np.ndarray:
+    # ||sigma||_F^2 + ||b||^2 of each row of an (n, d, m) and an (n, d) block
+    return (np.einsum("ijk,ijk->i", sig, sig, optimize=False)
+            + np.einsum("ij,ij->i", drift, drift, optimize=False))
+
+
+def _coefficients_at(field: CoefficientField, x):
+    """One state as a (1, d) block, with sigma (1, d, m) and b (1, d) there."""
+    row = _check_state(field, x)[None]
+    sig = np.asarray(field.sigma(row), dtype=float)
+    if sig.shape != (1, field.d, field.m):
+        raise InvalidInputError(
+            f"sigma returned shape {sig.shape}, expected (1, {field.d}, {field.m})")
+    drift = np.asarray(field.b(row), dtype=float)
+    if drift.shape != (1, field.d):
+        raise InvalidInputError(
+            f"b returned shape {drift.shape}, expected (1, {field.d})")
+    return row, sig, drift
+
+
 def level(field: CoefficientField, x) -> float:
     """Squared coefficient magnitude ||sigma(x)||_F^2 + ||b(x)||^2."""
-    arr = _check_state(field, x)
-    sig = np.asarray(field.sigma(arr), dtype=float)
-    if sig.shape != (field.d, field.m):
-        raise InvalidInputError(
-            f"sigma returned shape {sig.shape}, expected ({field.d}, {field.m})")
-    drift = np.asarray(field.b(arr), dtype=float)
-    if drift.shape != (field.d,):
-        raise InvalidInputError(
-            f"b returned shape {drift.shape}, expected ({field.d},)")
-    return float(np.sum(sig * sig) + np.sum(drift * drift))
+    row, sig, drift = _coefficients_at(field, x)
+    lev = float(_level_of(sig, drift)[0])
+    if not math.isfinite(lev):
+        raise InvalidInputError(f"level at {row[0].tolist()} is not finite")
+    return lev
 
 
 def sigma_batch(field: CoefficientField, states: np.ndarray) -> np.ndarray:
     """Evaluate sigma on an (n, d) block of states, returning (n, d, m)."""
-    if field.sigma_batch is not None:
-        return field.sigma_batch(states)
-    return np.stack([np.asarray(field.sigma(x), dtype=float) for x in states])
+    return field.sigma(states)
 
 
 def b_batch(field: CoefficientField, states: np.ndarray) -> np.ndarray:
     """Evaluate b on an (n, d) block of states, returning (n, d)."""
-    if field.b_batch is not None:
-        return field.b_batch(states)
-    return np.stack([np.asarray(field.b(x), dtype=float) for x in states])
+    return field.b(states)
 
 
 def level_batch(field: CoefficientField, states: np.ndarray) -> np.ndarray:
     """Level function on an (n, d) block of states."""
-    sig = sigma_batch(field, states)
-    drift = b_batch(field, states)
-    return (np.einsum("ijk,ijk->i", sig, sig, optimize=False)
-            + np.einsum("ij,ij->i", drift, drift, optimize=False))
+    return _level_of(sigma_batch(field, states), b_batch(field, states))
 
 
 def resolved_zero_tol(field: CoefficientField, start_level: float) -> float:
@@ -178,12 +190,10 @@ class FieldCatalogEntry:
 def _linear_1d() -> CoefficientField:
     return CoefficientField(
         d=1, m=1,
-        sigma=lambda x: x.reshape(1, 1),
-        b=lambda x: np.zeros(1),
+        sigma=lambda X: X[:, :, None],
+        b=lambda X: np.zeros_like(X),
         lipschitz_k=1.0,
         name="linear-1d",
-        sigma_batch=lambda X: X[:, :, None],
-        b_batch=lambda X: np.zeros_like(X),
         abs_level_inverse=lambda ell: float(np.sqrt(ell)),
         catalog_ref=("linear-1d", {}),
     )
@@ -197,12 +207,10 @@ def _power_law_1d(alpha: float = 0.5,
         lipschitz_k = 1.0
     return CoefficientField(
         d=1, m=1,
-        sigma=lambda x: np.abs(x).reshape(1, 1) ** alpha,
-        b=lambda x: np.zeros(1),
+        sigma=lambda X: (np.abs(X) ** alpha)[:, :, None],
+        b=lambda X: np.zeros_like(X),
         lipschitz_k=lipschitz_k,
         name=f"power-law-1d(alpha={alpha})",
-        sigma_batch=lambda X: (np.abs(X) ** alpha)[:, :, None],
-        b_batch=lambda X: np.zeros_like(X),
         abs_level_inverse=lambda ell: float(ell ** (1.0 / (2.0 * alpha))),
         catalog_ref=("power-law-1d", {"alpha": alpha, "lipschitz_k": lipschitz_k}),
     )
@@ -214,22 +222,17 @@ def _diag_linear(d: int = 2) -> CoefficientField:
     d = int(d)
     idx = np.arange(d)
 
-    def sig_one(x):
-        return np.diag(x)
-
-    def sig_many(X):
+    def sigma(X):
         out = np.zeros((X.shape[0], d, d))
         out[:, idx, idx] = X
         return out
 
     return CoefficientField(
         d=d, m=d,
-        sigma=sig_one,
-        b=lambda x: -x,
+        sigma=sigma,
+        b=lambda X: -X,
         lipschitz_k=1.0,
         name=f"diag-linear(d={d})",
-        sigma_batch=sig_many,
-        b_batch=lambda X: -X,
         catalog_ref=("diag-linear", {"d": d}),
     )
 
@@ -244,12 +247,10 @@ def _constant(sigma0=1.0, b0=0.0) -> CoefficientField:
         raise InvalidInputError(f"b0 has shape {bb0.shape}, expected ({d},)")
     return CoefficientField(
         d=d, m=m,
-        sigma=lambda x: sig0,
-        b=lambda x: bb0,
+        sigma=lambda X: np.broadcast_to(sig0, (X.shape[0], d, m)),
+        b=lambda X: np.broadcast_to(bb0, (X.shape[0], d)),
         lipschitz_k=0.0,
         name="constant",
-        sigma_batch=lambda X: np.broadcast_to(sig0, (X.shape[0], d, m)),
-        b_batch=lambda X: np.broadcast_to(bb0, (X.shape[0], d)),
         catalog_ref=("constant", {"sigma0": sig0.tolist(), "b0": bb0.tolist()}),
     )
 
@@ -259,12 +260,10 @@ def _decay_1d(rate: float = 1.0) -> CoefficientField:
         raise InvalidInputError("rate must be positive")
     return CoefficientField(
         d=1, m=1,
-        sigma=lambda x: np.zeros((1, 1)),
-        b=lambda x: -rate * x,
+        sigma=lambda X: np.zeros((X.shape[0], 1, 1)),
+        b=lambda X: -rate * X,
         lipschitz_k=rate,
         name=f"decay-1d(rate={rate})",
-        sigma_batch=lambda X: np.zeros((X.shape[0], 1, 1)),
-        b_batch=lambda X: -rate * X,
         catalog_ref=("decay-1d", {"rate": rate}),
     )
 

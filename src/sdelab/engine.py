@@ -220,7 +220,6 @@ def _em_batch(X, Sig, Bv, h, DW):
 
 def em_step(field: CoefficientField, x, h: float, dW) -> np.ndarray:
     """Single Euler-Maruyama update x + sigma(x) dW + b(x) h."""
-    x = cf._check_state(field, x)
     if not h > 0:
         raise InvalidInputError("step size must be positive")
     dw = np.asarray(dW, dtype=float)
@@ -229,12 +228,8 @@ def em_step(field: CoefficientField, x, h: float, dW) -> np.ndarray:
             f"increment has shape {dw.shape}, field expects ({field.m},)")
     if not np.all(np.isfinite(dw)):
         raise InvalidInputError("increment has non-finite entries")
-    sig = np.asarray(field.sigma(x), dtype=float)
-    if sig.shape != (field.d, field.m):
-        raise InvalidInputError(
-            f"sigma returned shape {sig.shape}, expected ({field.d}, {field.m})")
-    drift = np.asarray(field.b(x), dtype=float)
-    return x + np.einsum("jk,k->j", sig, dw, optimize=False) + drift * float(h)
+    row, sig, drift = cf._coefficients_at(field, x)
+    return _em_batch(row, sig, drift, np.array([float(h)]), dw[None])[0]
 
 
 def sweep_paths(field: CoefficientField, start, horizon: float,

@@ -193,9 +193,9 @@ def dyadic_escape_batch(field: CoefficientField, start, depth: int,
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
     start = np.asarray(start, dtype=float)
-    lev0 = cf.level(field, start)
-    if lev0 <= cf.resolved_zero_tol(field, lev0):
+    if cf.in_zero_set(field, start):
         raise InvalidInputError("start point lies in the zero set")
+    lev0 = cf.level(field, start)
     levels = [lev0 / 2.0 ** (j + 1) for j in range(depth)]
     params = {"start": start, "horizon": horizon, "policy": policy,
               "master": master_seed, "levels": levels, "bridge": bridge}

@@ -468,15 +468,14 @@ def fitted_escape_exponent(reports: list[BoundCheckReport]) -> float | None:
 def check_halving_persistence(field: CoefficientField, starts,
                               band_level: float, band_index: int,
                               n_paths: int, policy: StepPolicy, seed, *,
-                              t0: float | None = None,
-                              lipschitz_k: float | None = None,
-                              bridge="auto", workers: int = 1
+                              t0: float, bridge="auto", workers: int = 1
                               ) -> BoundCheckReport:
     """P[level does not halve within t0] against the 1/2 lower bound.
 
     Start points must have level >= band_level / 2**band_index; paths are
     assigned to starts round-robin.  The barrier is the next halved level
-    band_level / 2**(band_index+1).
+    band_level / 2**(band_index+1).  ``t0`` is given by the caller, for
+    example ``persistence_t0`` of the field's Lipschitz bound.
     """
     if band_level <= 0 or band_index < 1:
         raise InvalidInputError("need band_level > 0 and band_index >= 1")
@@ -487,8 +486,6 @@ def check_halving_persistence(field: CoefficientField, starts,
     dropped = len(starts) - len(valid)
     if not valid:
         raise InvalidInputError("no start points with level >= A/2^k")
-    if t0 is None:
-        t0 = persistence_t0(field.m, _require_k(field, lipschitz_k))
     if not (0.0 < t0 < 1.0):
         raise InvalidInputError("t0 must lie in (0, 1)")
     use_bridge = _resolve_bridge(field, bridge)
@@ -533,8 +530,7 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
     if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
         raise InvalidInputError("eps_grid must be strictly decreasing")
     start = np.asarray(start, dtype=float)
-    lev0 = cf.level(field, start)
-    if lev0 <= cf.resolved_zero_tol(field, lev0):
+    if cf.in_zero_set(field, start):
         raise InvalidInputError("start point lies in the zero set")
     params = {"start": start, "horizon": horizon, "policy": policy,
               "master": seed, "eps_grid": eps_grid}
@@ -542,6 +538,11 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
         _kernel_hitting_min, field, iter_chunks(n_paths), params, workers))
     return [estimate_with_ci(int(c), n, method, censored_n=int(n - c))
             for c in counts]
+
+
+# The accessibility integral is declared finite once the geometric tail
+# estimate falls below this share of the partial sum.
+_TAIL_REL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -560,8 +561,7 @@ class IntegralVerdict:
 
 def accessibility_integral_1d(sigma_1d, a: float, *,
                               trend_windows: int = 12,
-                              max_windows: int = 400,
-                              rel_tol: float = 1e-9) -> IntegralVerdict:
+                              max_windows: int = 400) -> IntegralVerdict:
     """Classify the integral of y / sigma(y)^2 over (0, a] near the origin.
 
     Integrates over dyadic windows [a/2^(j+1), a/2^j] by adaptive quadrature.
@@ -610,7 +610,7 @@ def accessibility_integral_1d(sigma_1d, a: float, *,
         rbar = max(ratios)
         if rbar < decay_threshold:
             tail = winsums[-1] * rbar / (1.0 - rbar)
-            if tail <= rel_tol * max(abs(total), 1e-300) + 1e-300:
+            if tail <= _TAIL_REL_TOL * max(abs(total), 1e-300) + 1e-300:
                 return IntegralVerdict("finite", total + tail,
                                        quad_err + 0.25 * tail, j + 1)
     # undecided after max_windows: fall back to the trend of the last windows

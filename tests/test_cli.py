@@ -133,6 +133,8 @@ def test_not_json_and_bad_seed():
     ("-Infinity", {"start": [-float("inf")]}),
     ("horizon", {"horizon": 10 ** 400}),
     ("start", {"start": [10 ** 400]}),
+    # finite, but its level overflows to inf
+    ("start", {"start": [1e200]}),
 ])
 def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
     cfg = _hitting_config(**override)

@@ -49,9 +49,34 @@ def test_level_matches_norm_definition():
     field = sl.make_field("diag-linear", d=3)
     rng = np.random.default_rng(0)
     for x in rng.normal(size=(20, 3)):
-        expect = sl.frobenius_norm(field.sigma(x)) ** 2 \
-            + np.linalg.norm(field.b(x)) ** 2
+        expect = sl.frobenius_norm(field.sigma(x[None])[0]) ** 2 \
+            + np.linalg.norm(field.b(x[None])[0]) ** 2
         assert sl.level(field, x) == pytest.approx(expect, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", [e.field for e in sl.catalog()]
+                         + [sl.make_field("diag-linear", d=d) for d in (3, 4, 5)],
+                         ids=lambda f: f.name)
+def test_level_equals_level_batch_bitwise(field):
+    # the level of one state is the level of the one-row block, bit for bit
+    rng = np.random.default_rng(17)
+    for x in rng.normal(size=(500, field.d)):
+        assert sl.level(field, x) == level_batch(field, x[None])[0]
+
+
+def test_wrong_batch_shapes_are_typed_errors():
+    # a sigma written for one state, (d, m), instead of a block, (n, d, m)
+    pointwise = sl.CoefficientField(
+        d=1, m=1, sigma=lambda X: X.reshape(1, 1), b=lambda X: np.zeros_like(X))
+    with pytest.raises(InvalidInputError, match="sigma returned shape"):
+        sl.level(pointwise, [1.0])
+    with pytest.raises(InvalidInputError, match="sigma returned shape"):
+        sl.em_step(pointwise, [1.0], 0.1, [0.0])
+    flat_drift = sl.CoefficientField(
+        d=2, m=1, sigma=lambda X: np.zeros((X.shape[0], 2, 1)),
+        b=lambda X: np.zeros(2))
+    with pytest.raises(InvalidInputError, match="b returned shape"):
+        sl.level(flat_drift, [1.0, 1.0])
 
 
 def test_zero_set_membership_tolerance():
@@ -75,16 +100,12 @@ def test_catalog_shapes_and_level_nonnegative():
     rng = np.random.default_rng(3)
     for entry in sl.catalog():
         f = entry.field
-        for x in rng.normal(size=(10, f.d)):
-            sig = np.asarray(f.sigma(x))
-            assert sig.shape == (f.d, f.m)
-            assert np.asarray(f.b(x)).shape == (f.d,)
+        xs = rng.normal(size=(10, f.d))
+        assert np.shape(f.sigma(xs)) == (10, f.d, f.m)
+        assert np.shape(f.b(xs)) == (10, f.d)
+        assert np.all(level_batch(f, xs) >= 0.0)
+        for x in xs:
             assert sl.level(f, x) >= 0.0
-        # batched evaluators agree with pointwise ones
-        xs = rng.normal(size=(16, f.d))
-        assert np.allclose(sigma_batch(f, xs),
-                           np.stack([f.sigma(x) for x in xs]))
-        assert np.allclose(b_batch(f, xs), np.stack([f.b(x) for x in xs]))
 
 
 def test_level_continuity_on_builtins():
@@ -199,5 +220,5 @@ def test_make_field_rejects_non_finite_params(name, params):
 
 def test_power_law_extends_by_zero_at_origin():
     f = sl.make_field("power-law-1d", alpha=0.5)
-    assert f.sigma(np.array([0.0]))[0, 0] == 0.0
+    assert f.sigma(np.array([[0.0]]))[0, 0, 0] == 0.0
     assert sl.level(f, [0.0]) == 0.0

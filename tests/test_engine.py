@@ -81,8 +81,8 @@ def test_reproducibility_bit_for_bit():
 
 def test_increments_replay_states_exactly():
     # replaying the recorded increments through em_step reproduces the states
-    for name in ("linear-1d", "diag-linear"):
-        field = sl.make_field(name)
+    for field in (sl.make_field("linear-1d"), sl.make_field("diag-linear"),
+                  sl.make_field("diag-linear", d=3)):
         start = np.full(field.d, 1.0)
         path = sl.simulate_path(field, start, 0.5, StepPolicy.fixed(2.0 ** -6),
                                 (9, 4))
@@ -126,6 +126,14 @@ def test_absorption_freezes_path():
     assert path.times[-1] < 40.0
     final_level = sl.level(field, path.states[-1])
     assert final_level <= 1e-12 * max(1.0, sl.level(field, [1.0]))
+
+
+def test_start_with_non_finite_level_is_rejected():
+    # 1e200 is finite but its level overflows; absorbing such a path at
+    # step 0 would report a zero-set hit that never happened
+    field = sl.make_field("linear-1d")
+    with pytest.raises(InvalidInputError, match="not finite"):
+        sl.simulate_path(field, [1e200], 1.0, StepPolicy.fixed(1e-2), 1)
 
 
 def test_blowup_raises_with_context():

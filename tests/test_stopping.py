@@ -175,10 +175,8 @@ def test_dyadic_escape_unit_rate_field():
     # rate, so the band transit times are the level gaps A / 2^(k+1)
     field = sl.CoefficientField(
         d=1, m=1,
-        sigma=lambda x: np.zeros((1, 1)),
-        b=lambda x: -np.cbrt(1.5 * x),
-        sigma_batch=lambda X: np.zeros((X.shape[0], 1, 1)),
-        b_batch=lambda X: -np.cbrt(1.5 * X),
+        sigma=lambda X: np.zeros((X.shape[0], 1, 1)),
+        b=lambda X: -np.cbrt(1.5 * X),
         name="unit-rate-decay")
     inc, = sl.dyadic_escape_batch(field, [1.0], 4, 5.0,
                                   StepPolicy.fixed(1e-5), 3, 1)
@@ -201,7 +199,7 @@ def test_dyadic_escape_constant_level_censors_everything():
 
 def test_dyadic_escape_rejects_zero_set_start():
     field = sl.make_field("linear-1d")
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="start point lies in the zero set"):
         sl.dyadic_escape_batch(field, [0.0], 3, 1.0, StepPolicy.fixed(1e-2),
                                1, 1)
 

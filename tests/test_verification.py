@@ -384,15 +384,10 @@ def test_zero_hitting_never_increases_as_eps_shrinks(alpha, eps, seed):
 def test_zero_hitting_unreachable_plateau():
     # sigma = b = 0 on x <= 0, but the drift pushes right from x=1: the zero
     # region is never approached
-    def drift(x):
-        return np.clip(x, 0.0, 1.0)
-
     field = sl.CoefficientField(
         d=1, m=1,
-        sigma=lambda x: np.zeros((1, 1)),
-        b=drift,
-        sigma_batch=lambda X: np.zeros((X.shape[0], 1, 1)),
-        b_batch=lambda X: np.clip(X, 0.0, 1.0),
+        sigma=lambda X: np.zeros((X.shape[0], 1, 1)),
+        b=lambda X: np.clip(X, 0.0, 1.0),
         name="plateau")
     ests = sl.estimate_zero_hitting(field, [1.0], 2.0, [1e-2, 1e-4], 200,
                                     StepPolicy.fixed(1e-2), 3)
@@ -400,7 +395,7 @@ def test_zero_hitting_unreachable_plateau():
 
 
 def test_zero_hitting_validation():
-    with pytest.raises(InvalidInputError):
+    with pytest.raises(InvalidInputError, match="start point lies in the zero set"):
         sl.estimate_zero_hitting(LINEAR, [0.0], 1.0, [1e-2], 100, POL, 1)
     with pytest.raises(InvalidInputError):
         sl.estimate_zero_hitting(LINEAR, [1.0], 1.0, [1e-4, 1e-2], 100, POL, 1)
