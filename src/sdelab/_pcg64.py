@@ -2,13 +2,16 @@
 
 ``seed_words`` computes ``SeedSequence(e).generate_state(4, np.uint64)`` for
 a whole chunk of entropy tuples in one vectorized pass over their uint32
-words.  ``seeded_state`` turns those words into PCG64's seeded 128-bit
-``(state, inc)``, and ``kth_uniform`` jumps each stream straight to its k-th
-output, so the k-th ``Generator.uniform()`` draw of a stream costs O(log k)
-without building the stream (O'Neill 2014; counter-style evaluation as in
-Salmon et al. 2011).  ``generator`` builds the ordinary numpy Generator from
-precomputed words.  Every function reproduces numpy's own results bit for
-bit; the unit tests compare them with numpy directly.
+words.  ``entropy_words`` builds that word matrix once, and ``hash_words``
+hashes it with any tag tuple appended, so the ``(*e, *tag)`` streams of
+several tags share one matrix.  ``seeded_state`` turns the words into
+PCG64's seeded 128-bit ``(state, inc)``, and ``kth_uniform`` jumps each
+stream straight to its k-th output, so the k-th ``Generator.uniform()``
+draw of a stream costs O(log k) without building the stream (O'Neill 2014;
+counter-style evaluation as in Salmon et al. 2011).  ``generator`` builds
+the ordinary numpy Generator from precomputed words.  Every function
+reproduces numpy's own results bit for bit; the unit tests compare them
+with numpy directly.
 
 128-bit values are (hi, lo) pairs of uint64 arrays; products go through
 32-bit limbs.  Only numpy is imported.
@@ -78,13 +81,15 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out ^ (out >> np.uint32(16))
 
 
-def _pool_state(words: np.ndarray) -> np.ndarray:
-    """``SeedSequence.generate_state(4, uint64)`` for rows of equally many words."""
-    n, n_words = words.shape
+def _pool_state(columns: list, n: int) -> np.ndarray:
+    """``SeedSequence.generate_state(4, uint64)`` for n rows of equally many
+    words.  ``columns[i]`` holds every row's i-th uint32 word: an (n,) array,
+    or a one-element array for a word all rows share."""
+    n_words = len(columns)
     const = _INIT_A
     pool = []
     for i in range(_POOL_SIZE):
-        src = words[:, i] if i < n_words else np.zeros(n, dtype=np.uint32)
+        src = columns[i] if i < n_words else np.zeros(1, dtype=np.uint32)
         mixed, const = _hashmix(src, const)
         pool.append(mixed)
     for i_src in range(_POOL_SIZE):
@@ -94,7 +99,7 @@ def _pool_state(words: np.ndarray) -> np.ndarray:
                 pool[i_dst] = _mix(pool[i_dst], mixed)
     for i_src in range(_POOL_SIZE, n_words):
         for i_dst in range(_POOL_SIZE):
-            mixed, const = _hashmix(words[:, i_src], const)
+            mixed, const = _hashmix(columns[i_src], const)
             pool[i_dst] = _mix(pool[i_dst], mixed)
 
     const = _INIT_B
@@ -105,40 +110,70 @@ def _pool_state(words: np.ndarray) -> np.ndarray:
         value = value * np.uint32(const)
         state.append((value ^ (value >> np.uint32(16))).astype(np.uint64))
     # little-endian pairs of uint32 words form the uint64 words
-    return np.stack([state[2 * i] | (state[2 * i + 1] << np.uint64(32))
-                     for i in range(_POOL_SIZE)], axis=1)
+    out = np.empty((n, _POOL_SIZE), dtype=np.uint64)
+    for i in range(_POOL_SIZE):
+        out[:, i] = state[2 * i] | (state[2 * i + 1] << np.uint64(32))
+    return out
+
+
+def entropy_words(entropies) -> tuple[np.ndarray, np.ndarray]:
+    """The uint32 words numpy's SeedSequence hashes for each entropy tuple.
+
+    Returns a zero-padded (n, w) uint32 matrix, one row per tuple, and each
+    row's word count.  Tuples may differ in length and in the word count of
+    their entries.  Negative entries raise ValueError, as numpy does.
+    """
+    entropies = [tuple(e) for e in entropies]
+    n = len(entropies)
+    lengths = np.fromiter(map(len, entropies), dtype=np.int64, count=n)
+    groups = []
+    counts = np.zeros(n, dtype=np.int64)
+    for length in np.unique(lengths):
+        rows = np.flatnonzero(lengths == length)
+        group = [entropies[i] for i in rows] if rows.size < n else entropies
+        cols = [_column_words(c) for c in zip(*group)]
+        for _, col_counts in cols:
+            counts[rows] += col_counts
+        groups.append((rows, cols))
+    words = np.zeros((n, int(counts.max(initial=0))), dtype=np.uint32)
+    for rows, cols in groups:
+        offset = np.zeros(rows.size, dtype=np.int64)
+        for mat, col_counts in cols:
+            for w in range(mat.shape[1]):
+                has = np.flatnonzero(col_counts > w)
+                words[rows[has], offset[has] + w] = mat[has, w]
+            offset += col_counts
+    return words, counts
+
+
+def hash_words(words: np.ndarray, counts: np.ndarray, tag=()) -> np.ndarray:
+    """``SeedSequence((*e, *tag)).generate_state(4, np.uint64)`` for each
+    ``entropy_words`` row of an entropy tuple ``e``.
+
+    Returns an (n, 4) uint64 array.  The tag's words are hashed as columns
+    shared by every row, after each row's own words, so one word matrix
+    seeds any number of tagged streams.
+    """
+    tag_cols = [np.array([w], dtype=np.uint32)
+                for v in tag for w in _int_words(int(v))]
+    n = len(counts)
+    out = np.empty((n, _POOL_SIZE), dtype=np.uint64)
+    for n_words in np.unique(counts):
+        sel = np.flatnonzero(counts == n_words)
+        block = words if sel.size == n else words[sel]
+        cols = [block[:, i] for i in range(n_words)] + tag_cols
+        out[sel] = _pool_state(cols, sel.size)
+    return out
 
 
 def seed_words(entropies) -> np.ndarray:
     """``SeedSequence(e).generate_state(4, np.uint64)`` for every entropy tuple.
 
     Returns an (n, 4) uint64 array.  Tuples may differ in length and in the
-    word count of their entries; rows are grouped by total word count.
-    Negative entries raise ValueError, as numpy does.
+    word count of their entries.  Negative entries raise ValueError, as
+    numpy does.
     """
-    entropies = [tuple(e) for e in entropies]
-    n = len(entropies)
-    out = np.empty((n, _POOL_SIZE), dtype=np.uint64)
-    if not n:
-        return out
-    lengths = np.fromiter(map(len, entropies), dtype=np.int64, count=n)
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        group = [entropies[i] for i in rows] if rows.size < n else entropies
-        cols = [_column_words(c) for c in zip(*group)]
-        total = sum((counts for _, counts in cols),
-                    np.zeros(rows.size, dtype=np.int64))
-        words = np.zeros((rows.size, int(total.max(initial=0))), dtype=np.uint32)
-        offset = np.zeros(rows.size, dtype=np.int64)
-        for mat, counts in cols:
-            for w in range(mat.shape[1]):
-                has = np.flatnonzero(counts > w)
-                words[has, offset[has] + w] = mat[has, w]
-            offset += counts
-        for n_words in np.unique(total):
-            sel = np.flatnonzero(total == n_words)
-            out[rows[sel]] = _pool_state(words[sel, :n_words])
-    return out
+    return hash_words(*entropy_words(entropies))
 
 
 class _Words(ISeedSequence):
@@ -161,18 +196,24 @@ def generator(words: np.ndarray) -> np.random.Generator:
 
 # -- 128-bit arithmetic on (hi, lo) uint64 pairs ----------------------------
 
-def _mul128(c: int, hi: np.ndarray, lo: np.ndarray):
-    """The constant ``c`` times (hi, lo), mod 2**128."""
+def _mul128(c, hi: np.ndarray, lo: np.ndarray):
+    """The constant ``c`` times (hi, lo), mod 2**128.
+
+    ``c`` is an int, or a list of ints that multiply the rows of 2-d
+    (hi, lo) one each, so several products cost one pass.
+    """
     sh = np.uint64(32)
-    c_lo, c_hi = c & _MASK64, (c >> 64) & _MASK64
-    c0, c1 = np.uint64(c_lo & _MASK32), np.uint64(c_lo >> 32)
+    cs = [c] if isinstance(c, int) else list(c)
+    shape = (len(cs),) + (1,) * (hi.ndim - 1)
+    c_lo = np.array([v & _MASK64 for v in cs], dtype=np.uint64).reshape(shape)
+    c_hi = np.array([(v >> 64) & _MASK64 for v in cs], dtype=np.uint64).reshape(shape)
+    c0, c1 = c_lo & _U32, c_lo >> sh
     # full 128-bit product c_lo * lo through 32-bit limbs
     b0, b1 = lo & _U32, lo >> sh
     p00, p01, p10 = c0 * b0, c0 * b1, c1 * b0
     mid = (p00 >> sh) + (p01 & _U32) + (p10 & _U32)
     top = c1 * b1 + (p01 >> sh) + (p10 >> sh) + (mid >> sh)
-    c_lo = np.uint64(c_lo)
-    return top + c_lo * hi + np.uint64(c_hi) * lo, c_lo * lo
+    return top + c_lo * hi + c_hi * lo, c_lo * lo
 
 
 def _add128(a_hi, a_lo, b_hi, b_lo):
@@ -211,9 +252,10 @@ def _jump(k: int) -> tuple[int, int]:
 def kth_uniform(seeded: np.ndarray, k: int) -> np.ndarray:
     """``default_rng(e).uniform(size=k+1)[k]`` for each ``seeded_state`` row."""
     a, g = _jump(int(k))
-    seeded = np.asarray(seeded, dtype=np.uint64)
-    s_hi, s_lo, inc_hi, inc_lo = seeded.T
-    hi, lo = _add128(*_mul128(a, s_hi, s_lo), *_mul128(g, inc_hi, inc_lo))
+    # rows (state, inc) of the seeded columns times (A, G) in one pass
+    cols = np.ascontiguousarray(np.asarray(seeded, dtype=np.uint64).T)
+    hi, lo = _mul128([a, g], cols[0::2], cols[1::2])
+    hi, lo = _add128(hi[0], lo[0], hi[1], lo[1])
     # XSL-RR output: rotate (hi ^ lo) right by the top 6 bits of the state
     x = hi ^ lo
     rot = hi >> np.uint64(58)

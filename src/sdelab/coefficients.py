@@ -201,8 +201,6 @@ def _linear_1d() -> CoefficientField:
 
 def _power_law_1d(alpha: float = 0.5,
                   lipschitz_k: float | None = None) -> CoefficientField:
-    if alpha <= 0:
-        raise InvalidInputError("alpha must be positive")
     if lipschitz_k is None and alpha == 1.0:
         lipschitz_k = 1.0
     return CoefficientField(
@@ -217,8 +215,8 @@ def _power_law_1d(alpha: float = 0.5,
 
 
 def _diag_linear(d: int = 2) -> CoefficientField:
-    if not isinstance(d, (int, np.integer)) or isinstance(d, bool) or d < 1:
-        raise InvalidInputError(f"d must be an integer >= 1, got {d!r}")
+    if not isinstance(d, (int, np.integer)):
+        raise InvalidInputError(f"d must be an integer, got {d!r}")
     d = int(d)
     idx = np.arange(d)
 
@@ -281,11 +279,12 @@ _NOTES = {
                   "x*exp(B_t - t/2); Lipschitz constant 1; level(x) = x^2; "
                   "zero set {0}."),
     "power-law-1d": ("sigma(y) = |y|^alpha (0 at y = 0), zero drift; "
+                     "0 < alpha <= 12; "
                      "level |y|^(2 alpha); zero set {0}. Not Lipschitz near 0 "
                      "for alpha < 1 and unbounded slope at infinity for "
                      "alpha > 1: a counterexample family. The origin is "
                      "reachable iff alpha < 1 by the 1-d integral test."),
-    "diag-linear": ("sigma(x) = diag(x), b(x) = -x; componentwise "
+    "diag-linear": ("sigma(x) = diag(x), b(x) = -x, 0 < d <= 16; componentwise "
                     "dX_i = -X_i dt + X_i dB_i; Lipschitz constant 1; "
                     "level 2*|x|^2; zero set {0}."),
     "constant": ("sigma and b constant; level constant; zero set empty "
@@ -293,6 +292,16 @@ _NOTES = {
     "decay-1d": ("Deterministic exponential decay: sigma = 0, b(x) = "
                  "-rate*x; level rate^2*x^2 halves every ln(2)/(2*rate); "
                  "Lipschitz constant rate; zero set {0}."),
+}
+
+
+# Documented parameter ranges (low, high], checked by make_field.
+# alpha <= 12 keeps the level |y|^(2 alpha) finite for every state within
+# the sweep's blowup limit of 1e12.  diag-linear's sigma is an (n, d, d)
+# block per step, 16.8 MB for a chunk of 8192 paths at d = 16.
+_PARAM_RANGES = {
+    ("power-law-1d", "alpha"): (0, 12),
+    ("diag-linear", "d"): (0, 16),
 }
 
 
@@ -318,6 +327,14 @@ def make_field(name: str, **params) -> CoefficientField:
         if val is not None and not _finite(val):
             raise InvalidInputError(
                 f"bad parameters for field {name!r}: {key} must be finite, got {val!r}")
+        if (name, key) in _PARAM_RANGES:
+            low, high = _PARAM_RANGES[name, key]
+            real = (isinstance(val, (int, float, np.integer, np.floating))
+                    and not isinstance(val, bool))
+            if not (real and low < val <= high):
+                raise InvalidInputError(
+                    f"bad parameters for field {name!r}: {key} must be finite "
+                    f"and satisfy {low} < {key} <= {high}, got {val!r}")
     try:
         return builder(**params)
     except InvalidInputError:

@@ -14,11 +14,16 @@ normals, and each (path, barrier) bridge uniform stream is the PCG64 stream
 of ``(*entropy, BRIDGE_STREAM_TAG, level bits)``, so enabling the bridge
 never perturbs the increments.  The sweep builds one generator per path for
 the normals; live paths advance in lockstep, so one step counter locates
-every path in its stream.  The bridge uniforms are not buffered but
+every path in its stream.  All of a chunk's streams are seeded from one
+matrix of its entropy words.  The bridge uniforms are not buffered but
 evaluated directly at the step index (``_pcg64.kth_uniform``), and only
-where the bridge probability is positive.  Each sweep step is one pass over
-compact live-path arrays, with all barriers tested at once as a (barrier,
-live path) matrix over the paths that can have crossed one.
+where the bridge probability exceeds 2^-53: a 53-bit uniform is a multiple
+of 2^-53, so a smaller probability could trigger only on a uniform of
+exactly 0.  Each sweep step is one pass over compact live-path arrays.  All
+barriers are tested at once as a (barrier, candidate path) matrix, where a
+candidate is a live path whose new level reaches its nearest uncrossed
+barrier or, with the bridge, whose bridge probability may exceed 2^-53 for
+one (``bridge_candidates``).
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ BRIDGE_STREAM_TAG = 0x42726467
 
 DEFAULT_CHUNK = 8192
 _NORMAL_BLOCK = 256
+
+# The bridge cutoff (see sweep_paths) and the prefilter's bound on half the
+# exponent: 53 ln 2 plus one nat, so that rounding can only add candidates.
+_BRIDGE_P_MIN = 2.0 ** -53
+_BRIDGE_HALF_EXPONENT = (53 * math.log(2) + 1) / 2
 
 
 @dataclass(frozen=True)
@@ -136,7 +146,7 @@ def entropy_tuple(seed) -> tuple[int, ...]:
     """Normalize a seed (int or sequence of ints) to an entropy tuple."""
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
-    return tuple(int(s) for s in seed)
+    return tuple(map(int, seed))
 
 
 def path_entropy(master_seed, path_index: int) -> tuple[int, ...]:
@@ -207,10 +217,34 @@ def bridge_cross_probability(x0, x1, sigma, h, barrier_x, down) -> np.ndarray:
     gap1 = (np.abs(x1) - barrier_x) * side
     s0 = np.abs(sigma)
     ok = (gap0 > 0) & (gap1 > 0) & (s0 > 0)
-    scale = np.broadcast_to(s0 ** 2 * h, ok.shape)
-    p = np.zeros(ok.shape)
-    p[ok] = np.exp(-2.0 * gap0[ok] * gap1[ok] / scale[ok])
-    return p
+    # exponent -inf, so probability 0, wherever the step cannot cross
+    z = np.divide(-2.0 * gap0 * gap1, s0 ** 2 * h,
+                  out=np.full(ok.shape, -np.inf), where=ok)
+    return np.exp(z)
+
+
+def bridge_candidates(x0, x1, sigma, h, x_dn, x_up) -> np.ndarray:
+    """Steps whose bridge probability may exceed 2^-53 for some barrier.
+
+    ``x_dn`` is, per step, the largest |x| position of an uncrossed down
+    barrier (-inf without one) and ``x_up`` the smallest of an uncrossed up
+    barrier (inf without one); the other arguments are those of
+    ``bridge_cross_probability``.  A down barrier at or below ``x_dn`` has
+    both gaps at least the gaps to ``x_dn`` (rounded subtraction is
+    monotone), so its exponent 2 gap0 gap1 / (sigma^2 h) is at least the
+    one to ``x_dn``, and likewise for up barriers.  A step is a candidate
+    when that exponent is below 53 ln 2 plus one nat, which leaves room for
+    the rounding of both computations, or when a gap to ``x_dn`` or ``x_up``
+    is not positive and sigma^2 h > 0 (where sigma^2 h is 0 no probability
+    exceeds 2^-53).  So the result is True wherever
+    ``bridge_cross_probability`` exceeds 2^-53 for an uncrossed barrier,
+    and on some steps where it does not.
+    """
+    ax0, ax1 = np.abs(x0), np.abs(x1)
+    limit = _BRIDGE_HALF_EXPONENT * (np.abs(sigma) ** 2 * h)
+    near = (ax0 - x_dn) * np.maximum(ax1 - x_dn, 0.0) < limit
+    near |= (x_up - ax0) * np.maximum(x_up - ax1, 0.0) < limit
+    return near
 
 
 def _em_batch(X, Sig, Bv, h, DW):
@@ -268,11 +302,16 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     rows, compressed only on steps where some path retires; a retiring
     path's end time, end state and minimum level are written once.  The
     barriers are one vector in ascending level order, so crossing tests,
-    times and bridge probabilities are (barrier, live path) matrices whose
-    first column minimum is the lower threshold.  Without the bridge only
-    the paths whose new level reaches their highest uncrossed down level or
-    their lowest uncrossed up level enter those matrices, and a step where
-    none does skips them.  Normals come in lockstep blocks of at most
+    times and bridge probabilities are (barrier, candidate path) matrices
+    whose first column minimum is the lower threshold.  A live path is a
+    candidate when its new level reaches its highest uncrossed down level or
+    its lowest uncrossed up level, or, with the bridge, when its bridge
+    probability for the nearest uncrossed barrier on either side may exceed
+    2^-53 (``bridge_candidates``); a step without candidates skips the
+    matrices.  Only pairs whose bridge probability exceeds 2^-53 draw a
+    uniform: a smaller one could trigger only on a uniform of exactly 0,
+    which a pair meets with probability 2^-53 per step.  Normals come in
+    lockstep blocks of at most
     ``ceil(horizon / h_min)`` steps, drawn into one contiguous row per path
     (``_BlockStreams``).
     """
@@ -317,15 +356,20 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     horizon_eps = 1e-12 * max(1.0, horizon)
     capture_at_end = capture_time is not None and capture_time >= horizon - horizon_eps
 
-    streams = _BlockStreams(_pcg64.seed_words(entropies), (m,),
+    words, counts = _pcg64.entropy_words(entropies)
+    streams = _BlockStreams(_pcg64.hash_words(words, counts), (m,),
                             math.ceil(min(_NORMAL_BLOCK, horizon / policy.h_min)))
+    # per-path nearest uncrossed barrier values: levels, and with the bridge
+    # also the barriers' |x| positions
+    ladder_values = levels[None]
     bridge_seeds = None
     if bridge and nb:
-        bridge_seeds = np.stack([_pcg64.seeded_state(_pcg64.seed_words(
-            [e + tag for e in entropies]))
-            for tag in [(BRIDGE_STREAM_TAG, _float_bits(b.level)) for b in ladder]])
+        bridge_seeds = np.stack([_pcg64.seeded_state(_pcg64.hash_words(
+            words, counts, (BRIDGE_STREAM_TAG, _float_bits(b.level))))
+            for b in ladder])
         barrier_x = np.array([field.abs_level_inverse(b.level)
                               for b in ladder]).reshape(nb, 1)
+        ladder_values = np.stack([levels, barrier_x])
 
     end_times = np.zeros(n)
     end_states = np.tile(start, (n, 1))
@@ -366,36 +410,44 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 captured[:] = True
                 capture_state[:] = start
 
-    # live state, one entry (or column of ``uncrossed``) per live path;
-    # dW_sum has no columns unless noise sums are tracked.  dn and up are the
-    # highest uncrossed down level and the lowest uncrossed up level of each
-    # path.  An uncrossed down barrier always lies strictly below the current
-    # level and an uncrossed up barrier strictly above it, so without the
-    # bridge a path crosses on the interpolant exactly when lev1 <= dn or
-    # lev1 >= up.
+    is_down = side > 0
+
+    def nearest(unc):
+        # rows dn, up (and with the bridge x_dn, x_up) for each column of the
+        # (nb, k) uncrossed mask: the highest uncrossed down and the lowest
+        # uncrossed up value of each ladder_values row
+        dn = np.where(unc & is_down, ladder_values, -np.inf).max(axis=1, initial=-np.inf)
+        up = np.where(unc & ~is_down, ladder_values, np.inf).min(axis=1, initial=np.inf)
+        return np.stack([dn, up], axis=1).reshape(-1, unc.shape[1])
+
+    # live state, one entry (or column of ``uncrossed`` and ``near``) per
+    # live path; dW_sum is None unless noise sums are tracked.  An
+    # uncrossed down barrier always lies strictly below the current level
+    # and an uncrossed up barrier strictly above it, so a path crosses on the
+    # interpolant exactly when lev1 <= dn or lev1 >= up.
     idx = np.arange(0 if stop0 else n)
     X = np.tile(start, (idx.size, 1))
     t = np.zeros(idx.size)
     lev = np.full(idx.size, lev0)
     lo = lev.copy()
     uncrossed = np.repeat(~crossed0[:, None], idx.size, axis=1)
-    is_down = side > 0
-    dn = np.full(idx.size, levels[~crossed0[:, None] & is_down].max(initial=-np.inf))
-    up = np.full(idx.size, levels[~crossed0[:, None] & ~is_down].min(initial=np.inf))
-    dW_sum = np.zeros((idx.size, m if track_noise_sum else 0))
+    near = np.repeat(nearest(~crossed0[:, None]), idx.size, axis=1)
+    dW_sum = np.zeros((idx.size, m)) if track_noise_sum else None
 
     def retire(gone, t_end, x_end, lo_end):
         # write the retiring paths' results once; return the live state
-        # without them
-        rows = idx[gone]
-        end_times[rows] = t_end[gone]
-        end_states[rows] = x_end[gone]
-        min_levels[rows] = lo_end[gone]
+        # without them.  Index takes, not boolean masks: a mask on a 2-d
+        # array costs several times as much.
+        out, keep = np.flatnonzero(gone), np.flatnonzero(~gone)
+        rows = idx[out]
+        end_times[rows] = t_end[out]
+        end_states[rows] = x_end.take(out, axis=0)
+        min_levels[rows] = lo_end[out]
         if track_noise_sum:
-            noise_sum[rows] = dW_sum[gone]
-        keep = ~gone
-        return (idx[keep], X[keep], t[keep], lev[keep], lo[keep],
-                uncrossed[:, keep], dn[keep], up[keep], dW_sum[keep])
+            noise_sum[rows] = dW_sum.take(out, axis=0)
+        return (idx[keep], X.take(keep, axis=0), t[keep], lev[keep], lo[keep],
+                uncrossed.take(keep, axis=1), near.take(keep, axis=1),
+                None if dW_sum is None else dW_sum.take(keep, axis=0))
 
     step = 0
     while idx.size:
@@ -416,7 +468,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     step_index=step, path_index=int(indices[i]),
                     seed=entropies[i])
             blown_up[idx[bad]] = True
-            idx, X, t, lev, lo, uncrossed, dn, up, dW_sum = retire(bad, t, X, lo)
+            idx, X, t, lev, lo, uncrossed, near, dW_sum = retire(bad, t, X, lo)
             keep = ~bad
             h, dW, Sig, X1 = h[keep], dW[keep], Sig[keep], X1[keep]
             if not idx.size:
@@ -431,46 +483,41 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
         t_end, x_end, stop = t1, X1, None
         best_time = None
-        # candidate columns: all of them (as views) with the bridge, else
-        # only those whose new level reaches an uncrossed barrier
-        cand = None
-        if bridge_seeds is not None:
-            cand = slice(None)
-        elif nb:
-            cand = np.flatnonzero((lev1 <= dn) | (lev1 >= up))
-            if not cand.size:
-                cand = None
-        if cand is not None:
+        if nb:
+            reach = (lev1 <= near[0]) | (lev1 >= near[1])
+            if bridge_seeds is not None:
+                reach |= bridge_candidates(X[:, 0], X1[:, 0], Sig[:, 0, 0], dt,
+                                           near[2], near[3])
+            cand = np.flatnonzero(reach)
+        if nb and cand.size:
             lv, lv1, tt, ddt = lev[cand], lev1[cand], t[cand], dt[cand]
-            hit = uncrossed[:, cand] & (side * lv1 <= side_levels)
+            unc = uncrossed.take(cand, axis=1)
+            hit = unc & (side * lv1 <= side_levels)
             tc = np.full(hit.shape, np.inf)
             jj, ii = np.nonzero(hit)
             tc[jj, ii] = tt[ii] + (levels[jj, 0] - lv[ii]) / (lv1[ii] - lv[ii]) * ddt[ii]
             if bridge_seeds is not None:
-                p = bridge_cross_probability(X[:, 0], X1[:, 0], Sig[:, 0, 0], dt,
-                                             barrier_x, is_down)
-                jj, ii = np.nonzero(uncrossed & ~hit & (p > 0))
+                p = bridge_cross_probability(X[cand, 0], X1[cand, 0],
+                                             Sig[cand, 0, 0], ddt, barrier_x, is_down)
+                jj, ii = np.nonzero(unc & ~hit & (p > _BRIDGE_P_MIN))
                 if jj.size:
-                    # A (path, barrier) pair is assessed at step k only if it
-                    # was assessed at every earlier step: paths start together
-                    # at step 0, advance in lockstep and never come back once
-                    # retired, and a barrier never becomes uncrossed again.
-                    # So the uniform it would draw at step k is the k-th
-                    # output of its stream.  Pairs with p = 0 cannot trigger,
-                    # whatever they draw.
-                    u = _pcg64.kth_uniform(bridge_seeds[jj, idx[ii]], step)
+                    # The uniform of a (path, barrier) pair at step k is the
+                    # k-th output of its stream, evaluated from k alone, so
+                    # the pairs skipped at earlier steps do not shift it.
+                    paths = idx[cand[ii]]
+                    u = _pcg64.kth_uniform(bridge_seeds[jj, paths], step)
                     trig = u < p[jj, ii]
                     jj, ii = jj[trig], ii[trig]
-                    tc[jj, ii] = t[ii] + 0.5 * dt[ii]
-                    cross_bridge[idx[ii], jj] = True
+                    tc[jj, ii] = tt[ii] + 0.5 * ddt[ii]
+                    cross_bridge[paths[trig], jj] = True
             new = tc < np.inf
             # cc: the crossing columns of the candidate matrices; c: the
             # same columns of the live state
             cc = np.flatnonzero(new.any(axis=0))
-            c = cc if bridge_seeds is not None else cand[cc]
+            c = cand[cc]
             if c.size:
                 rows = idx[c]
-                tcc = np.where(new[:, cc], tc[:, cc], np.inf)
+                tcc = tc[:, cc]
                 jb = tcc.argmin(axis=0)
                 best_time = tcc[jb, np.arange(c.size)]
                 frac = (best_time - t[c]) / dt[c]
@@ -494,8 +541,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 else:
                     left = uncrossed[:, c] & ~new[:, cc]
                     uncrossed[:, c] = left
-                    dn[c] = np.where(left & is_down, levels, -np.inf).max(axis=0)
-                    up[c] = np.where(left & ~is_down, levels, np.inf).min(axis=0)
+                    near[:, c] = nearest(left)
                     done = ~left.any(axis=0)
                     if done.any():
                         stop = np.zeros(idx.size, dtype=bool)
@@ -539,7 +585,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     hz &= ~stop
                 captured[idx[hz]] = True
                 capture_state[idx[hz]] = X1[hz]
-            idx, X, t, lev, lo, uncrossed, dn, up, dW_sum = retire(gone, t_end, x_end, lo)
+            idx, X, t, lev, lo, uncrossed, near, dW_sum = retire(gone, t_end, x_end, lo)
         step += 1
 
     trajectory = None

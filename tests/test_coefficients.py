@@ -211,11 +211,28 @@ def test_make_field_errors():
     ("constant", {"sigma0": float("nan")}),
     ("constant", {"sigma0": "nan"}),
     ("constant", {"sigma0": [[1.0, 0.0], [0.0, 1.0]], "b0": [0.0, -float("inf")]}),
+    # finite, but outside the documented ranges: the level |y|^(2 alpha)
+    # is 0 or inf almost everywhere, and sigma would be n x d x d floats
+    ("power-law-1d", {"alpha": 1e308}),
+    ("diag-linear", {"d": 1000000}),
 ])
 def test_make_field_rejects_non_finite_params(name, params):
     key = list(params)[-1]
     with pytest.raises(InvalidInputError, match=f"{key} must be finite"):
         sl.make_field(name, **params)
+
+
+def test_documented_param_ranges_hold_their_ends():
+    for alpha in (0.25, 0.5, 1.5, 12):
+        assert sl.make_field("power-law-1d", alpha=alpha).d == 1
+    for d in (1, 3, 16):
+        assert sl.make_field("diag-linear", d=d).d == d
+    for name, params in [("power-law-1d", {"alpha": 0}),
+                         ("power-law-1d", {"alpha": 12.5}),
+                         ("power-law-1d", {"alpha": "a"}),
+                         ("diag-linear", {"d": 0}), ("diag-linear", {"d": 17})]:
+        with pytest.raises(InvalidInputError, match="must be finite and satisfy"):
+            sl.make_field(name, **params)
 
 
 def test_power_law_extends_by_zero_at_origin():

@@ -10,8 +10,9 @@ import sdelab as sl
 from sdelab import InvalidInputError, NumericalBlowupError, StepPolicy
 from sdelab import _pcg64
 from sdelab import coefficients as cf
-from sdelab.engine import (Barrier, SweepResult, _BlockStreams, path_entropy,
-                           sweep_paths)
+from sdelab.engine import (Barrier, SweepResult, _BlockStreams,
+                           bridge_candidates, bridge_cross_probability,
+                           path_entropy, sweep_paths)
 from sdelab.stopping import first_hitting_time
 
 
@@ -158,11 +159,17 @@ def test_sweep_split_invariance():
                           np.concatenate([left.min_levels, right.min_levels]))
 
 
-# (field, start, policy, bridge) of the sweep properties below
+# (field, start, policy, bridge) of the sweep properties below.  With
+# alpha = 3/2 the power law's barrier positions are ell^(1/3), and sqrt(ell)
+# lies farther from the start |x| = 1 on both sides, so a bridge prefilter
+# that used sqrt would miss pairs.
 _SWEEP_CASES = {
-    "linear-1d": ("linear-1d", [1.0], StepPolicy.fixed(1e-2), False),
-    "linear-1d-bridge": ("linear-1d", [1.0], StepPolicy.fixed(1e-2), True),
-    "diag-linear-adaptive": ("diag-linear", [1.0, 1.0],
+    "linear-1d": (sl.make_field("linear-1d"), [1.0], StepPolicy.fixed(1e-2), False),
+    "linear-1d-bridge": (sl.make_field("linear-1d"), [1.0],
+                         StepPolicy.fixed(1e-2), True),
+    "power-law-1d-bridge": (sl.make_field("power-law-1d", alpha=1.5), [1.0],
+                            StepPolicy.fixed(1e-2), True),
+    "diag-linear-adaptive": (sl.make_field("diag-linear"), [1.0, 1.0],
                              StepPolicy.adaptive(h_max=1e-2, h_min=1e-4,
                                                  level_fraction=0.05), False),
 }
@@ -175,8 +182,7 @@ _barrier_multiples = st.lists(
 
 
 def _sweep_case(case, multiples):
-    name, start, pol, bridge = _SWEEP_CASES[case]
-    field = sl.make_field(name)
+    field, start, pol, bridge = _SWEEP_CASES[case]
     lev0 = cf.level(field, np.asarray(start, dtype=float))
     barriers = tuple(Barrier(lev0 * f, "down" if f < 1 else "up")
                      for f in multiples)
@@ -243,6 +249,61 @@ def test_sweep_rows_do_not_depend_on_path_order(case, multiples, mode, master,
         joined = np.concatenate([getattr(left, f.name), getattr(right, f.name)])
         assert np.array_equal(a, joined, equal_nan=True), f.name
         assert np.array_equal(a, getattr(rev, f.name)[::-1], equal_nan=True), f.name
+
+
+def test_bridge_prefilter_keeps_every_pair_above_2_pow_minus_53():
+    # every uncrossed (step, barrier) pair whose bridge probability exceeds
+    # 2^-53 belongs to a candidate step, whatever the other uncrossed
+    # barriers: random steps, steps on either side of the 53 ln 2 cutoff,
+    # sigma = 0, endpoints exactly on a barrier, no barrier on a side
+    rng = np.random.default_rng(11)
+    n, k = 40000, 3
+    down_x = np.sort(rng.uniform(0.2, 1.0, (n, k)), axis=1)
+    up_x = np.sort(rng.uniform(1.0, 3.0, (n, k)), axis=1)
+    down_unc = rng.random((n, k)) < 0.6
+    up_unc = rng.random((n, k)) < 0.6
+    down_unc[: n // 10] = False          # no down barrier left
+    up_unc[n // 10: n // 5] = False      # no up barrier left
+    x_dn = np.where(down_unc, down_x, -np.inf).max(axis=1)
+    x_up = np.where(up_unc, up_x, np.inf).min(axis=1)
+    sign = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+    x0 = rng.uniform(0.1, 3.2, n)
+    sigma = np.where(rng.random(n) < 0.05, 0.0, rng.uniform(0.01, 2.0, n))
+    h = 10.0 ** rng.uniform(-6, -1, n)
+    x1 = x0 + rng.normal(0, 1, n) * np.abs(sigma) * np.sqrt(h)
+    # an exponent 2 gap0 gap1 / (sigma^2 h) within 1e-9 of 53 ln 2 for the
+    # nearest barrier on one side
+    edge = np.arange(n // 5, n // 2)
+    use_dn = (edge % 2 == 0) & np.isfinite(x_dn[edge])
+    use_up = (edge % 2 == 1) & np.isfinite(x_up[edge])
+    bx = np.where(use_dn, x_dn[edge], x_up[edge])
+    ok = (use_dn | use_up) & (sigma[edge] > 0)
+    edge, bx, use_dn = edge[ok], bx[ok], use_dn[ok]
+    side = np.where(use_dn, 1.0, -1.0)
+    gap0 = rng.uniform(1e-4, 0.3, edge.size) * np.sqrt(h[edge])
+    z = 53 * np.log(2) + rng.uniform(-1e-9, 1e-9, edge.size)
+    gap1 = z * sigma[edge] ** 2 * h[edge] / (2 * gap0)
+    x0[edge] = bx + side * gap0
+    x1[edge] = bx + side * gap1
+    # endpoints exactly on a barrier
+    on = np.arange(n // 2, n // 2 + n // 20)
+    x1[on] = np.where(np.isfinite(x_dn[on]), x_dn[on], down_x[on, -1])
+    on = np.arange(n // 2 + n // 20, n // 2 + n // 10)
+    x0[on] = np.where(np.isfinite(x_up[on]), x_up[on], up_x[on, 0])
+    x0, x1 = sign * x0, sign * x1
+
+    def above(xs, unc, down):
+        p = np.stack([bridge_cross_probability(x0, x1, sigma, h, xs[:, j], down)
+                      for j in range(k)], axis=1)
+        return (unc & (p > 2.0 ** -53)).any(axis=1)
+
+    need = above(down_x, down_unc, True) | above(up_x, up_unc, False)
+    cand = bridge_candidates(x0, x1, sigma, h, x_dn, x_up)
+    assert cand[need].all()
+    # the cutoff cases fall on both sides of 2^-53, and the prefilter does
+    # drop steps
+    assert need[edge].any() and not need[edge].all()
+    assert not cand.all()
 
 
 def test_single_path_matches_batch_row():

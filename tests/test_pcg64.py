@@ -48,6 +48,40 @@ def test_seed_words_equal_seed_sequence(entropies):
         assert np.array_equal(_pcg64.seed_words([e])[0], row)
 
 
+@pytest.mark.parametrize("tag", [
+    (), (BRIDGE_STREAM_TAG, HALF_BITS), (BRIDGE_STREAM_TAG, _float_bits(2.0 ** -1074)),
+    (0,), (2 ** 32,), (7, 2 ** 64 - 1, 3 ** 50, 0),
+])
+def test_tagged_words_equal_seed_sequence(entropies, tag):
+    # one word matrix hashes the tuples with any tag appended: entries of
+    # one and two words (master seeds from 2**32 up, index 0), wider than 64
+    # bits and tuples of every length mixed in one batch
+    mixed = entropies + [path_entropy(2 ** 32 + 5, 0), path_entropy(1, 0),
+                         path_entropy(2 ** 40, 2 ** 33), path_entropy(2 ** 63, 1)]
+    words, counts = _pcg64.entropy_words(mixed)
+    ref = np.array([np.random.SeedSequence((*e, *tag)).generate_state(4, np.uint64)
+                    for e in mixed])
+    assert np.array_equal(_pcg64.hash_words(words, counts, tag), ref)
+    # a subset of the rows hashes like the whole, and so does a batch of
+    # equally many words per row, as a sweep chunk has
+    rows = np.arange(0, len(mixed), 7)
+    assert np.array_equal(_pcg64.hash_words(words[rows], counts[rows], tag),
+                          ref[rows])
+    chunk = [path_entropy(3, i) for i in range(40)]
+    assert np.array_equal(
+        _pcg64.hash_words(*_pcg64.entropy_words(chunk), tag),
+        [np.random.SeedSequence((*e, *tag)).generate_state(4, np.uint64)
+         for e in chunk])
+
+
+def test_negative_tag_raises_like_numpy():
+    words, counts = _pcg64.entropy_words([(1, 2)])
+    with pytest.raises(ValueError):
+        _pcg64.hash_words(words, counts, (BRIDGE_STREAM_TAG, -1))
+    with pytest.raises(ValueError):
+        np.random.SeedSequence((1, 2, BRIDGE_STREAM_TAG, -1))
+
+
 def test_seeded_state_equals_pcg64_state(entropies):
     seeded = _pcg64.seeded_state(_pcg64.seed_words(entropies))
     for e, row in zip(entropies, seeded):
