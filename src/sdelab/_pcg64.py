@@ -1,17 +1,18 @@
-"""numpy's SeedSequence and PCG64 evaluated for many entropy tuples at once.
+"""numpy's SeedSequence and PCG64 evaluated for a whole chunk of paths at once.
 
-``seed_words`` computes ``SeedSequence(e).generate_state(4, np.uint64)`` for
-a whole chunk of entropy tuples in one vectorized pass over their uint32
-words.  ``entropy_words`` builds that word matrix once, and ``hash_words``
-hashes it with any tag tuple appended, so the ``(*e, *tag)`` streams of
-several tags share one matrix.  ``seeded_state`` turns the words into
+A path is named by a master seed and its index, and its stream is numpy's
+``default_rng((*master, index))``: a counter-style keyed stream, with the
+master as the key and the index as the counter (Salmon et al. 2011).
+``hash_words(master, indices, tag)`` computes
+``SeedSequence((*master, i, *tag)).generate_state(4, np.uint64)`` for every
+index in one vectorized pass; the master's and the tag's words are hashed
+once per call, shared by every index.  ``seeded_state`` turns the words into
 PCG64's seeded 128-bit ``(state, inc)``, and ``kth_uniform`` jumps each
-stream straight to its k-th output, so the k-th ``Generator.uniform()``
-draw of a stream costs O(log k) without building the stream (O'Neill 2014;
-counter-style evaluation as in Salmon et al. 2011).  ``generator`` builds
-the ordinary numpy Generator from precomputed words.  Every function
-reproduces numpy's own results bit for bit; the unit tests compare them
-with numpy directly.
+stream straight to its k-th output, so the k-th ``Generator.uniform()`` draw
+of a stream costs O(log k) without building the stream (O'Neill 2014).
+``generator`` builds the ordinary numpy Generator from precomputed words.
+Every function reproduces numpy's own results bit for bit; the unit tests
+compare them with numpy directly.
 
 128-bit values are (hi, lo) pairs of uint64 arrays; products go through
 32-bit limbs.  Only numpy is imported.
@@ -50,23 +51,6 @@ def _int_words(value: int) -> list[int]:
         words.append(value & _MASK32)
         value >>= 32
     return words
-
-
-def _column_words(column) -> tuple[np.ndarray, np.ndarray]:
-    """Words of one tuple position across rows: a (n, w) uint32 matrix and the
-    per-row word count."""
-    try:
-        vals = np.array(column, dtype=np.uint64)
-    except OverflowError:  # negative, or wider than 64 bits
-        per_row = [_int_words(int(v)) for v in column]
-        counts = np.array([len(w) for w in per_row], dtype=np.int64)
-        mat = np.zeros((len(per_row), int(counts.max())), dtype=np.uint32)
-        for i, w in enumerate(per_row):
-            mat[i, :len(w)] = w
-        return mat, counts
-    mat = np.stack([vals & _U32, vals >> np.uint64(32)], axis=1).astype(np.uint32)
-    counts = np.where(mat[:, 1] > 0, 2, 1)
-    return mat, counts
 
 
 def _hashmix(value: np.ndarray, const: int) -> tuple[np.ndarray, int]:
@@ -116,64 +100,34 @@ def _pool_state(columns: list, n: int) -> np.ndarray:
     return out
 
 
-def entropy_words(entropies) -> tuple[np.ndarray, np.ndarray]:
-    """The uint32 words numpy's SeedSequence hashes for each entropy tuple.
+def hash_words(master, indices, tag=()) -> np.ndarray:
+    """``SeedSequence((*master, i, *tag)).generate_state(4, np.uint64)`` for
+    each index ``i``.
 
-    Returns a zero-padded (n, w) uint32 matrix, one row per tuple, and each
-    row's word count.  Tuples may differ in length and in the word count of
-    their entries.  Negative entries raise ValueError, as numpy does.
-    """
-    entropies = [tuple(e) for e in entropies]
-    n = len(entropies)
-    lengths = np.fromiter(map(len, entropies), dtype=np.int64, count=n)
-    groups = []
-    counts = np.zeros(n, dtype=np.int64)
-    for length in np.unique(lengths):
-        rows = np.flatnonzero(lengths == length)
-        group = [entropies[i] for i in rows] if rows.size < n else entropies
-        cols = [_column_words(c) for c in zip(*group)]
-        for _, col_counts in cols:
-            counts[rows] += col_counts
-        groups.append((rows, cols))
-    words = np.zeros((n, int(counts.max(initial=0))), dtype=np.uint32)
-    for rows, cols in groups:
-        offset = np.zeros(rows.size, dtype=np.int64)
-        for mat, col_counts in cols:
-            for w in range(mat.shape[1]):
-                has = np.flatnonzero(col_counts > w)
-                words[rows[has], offset[has] + w] = mat[has, w]
-            offset += col_counts
-    return words, counts
-
-
-def hash_words(words: np.ndarray, counts: np.ndarray, tag=()) -> np.ndarray:
-    """``SeedSequence((*e, *tag)).generate_state(4, np.uint64)`` for each
-    ``entropy_words`` row of an entropy tuple ``e``.
-
-    Returns an (n, 4) uint64 array.  The tag's words are hashed as columns
-    shared by every row, after each row's own words, so one word matrix
-    seeds any number of tagged streams.
-    """
-    tag_cols = [np.array([w], dtype=np.uint32)
-                for v in tag for w in _int_words(int(v))]
-    n = len(counts)
-    out = np.empty((n, _POOL_SIZE), dtype=np.uint64)
-    for n_words in np.unique(counts):
-        sel = np.flatnonzero(counts == n_words)
-        block = words if sel.size == n else words[sel]
-        cols = [block[:, i] for i in range(n_words)] + tag_cols
-        out[sel] = _pool_state(cols, sel.size)
-    return out
-
-
-def seed_words(entropies) -> np.ndarray:
-    """``SeedSequence(e).generate_state(4, np.uint64)`` for every entropy tuple.
-
-    Returns an (n, 4) uint64 array.  Tuples may differ in length and in the
-    word count of their entries.  Negative entries raise ValueError, as
+    Returns a (len(indices), 4) uint64 array.  The master's and the tag's
+    words are one-element columns shared by every row, so they are hashed
+    once per call, not once per index; the index adds one word per row, or
+    two where it is at least 2**32.  Negative entries raise ValueError, as
     numpy does.
     """
-    return hash_words(*entropy_words(entropies))
+    def shared(values):
+        return [np.array([w], dtype=np.uint32)
+                for v in values for w in _int_words(int(v))]
+
+    head, tail = shared(master), shared(tag)
+    idx = np.asarray(indices).reshape(-1)
+    if idx.size and idx.min() < 0:
+        raise ValueError("expected non-negative integer")
+    idx = idx.astype(np.uint64)
+    lo = (idx & _U32).astype(np.uint32)
+    hi = (idx >> np.uint64(32)).astype(np.uint32)
+    out = np.empty((idx.size, _POOL_SIZE), dtype=np.uint64)
+    for wide in (False, True):
+        rows = np.flatnonzero((hi > 0) == wide)
+        if rows.size:
+            own = [lo[rows], hi[rows]] if wide else [lo[rows]]
+            out[rows] = _pool_state(head + own + tail, rows.size)
+    return out
 
 
 class _Words(ISeedSequence):
@@ -189,7 +143,7 @@ class _Words(ISeedSequence):
 
 
 def generator(words: np.ndarray) -> np.random.Generator:
-    """``np.random.default_rng(e)`` from ``seed_words`` row of ``e``."""
+    """``np.random.default_rng(e)`` from the ``hash_words`` row of ``e``."""
     return np.random.default_rng(
         np.random.PCG64(_Words(np.ascontiguousarray(words, dtype=np.uint64))))
 
@@ -222,7 +176,7 @@ def _add128(a_hi, a_lo, b_hi, b_lo):
 
 
 def seeded_state(words: np.ndarray) -> np.ndarray:
-    """PCG64's seeded ``(state, inc)`` from ``seed_words`` rows.
+    """PCG64's seeded ``(state, inc)`` from ``hash_words`` rows.
 
     Returns an (n, 4) uint64 array of columns (state_hi, state_lo, inc_hi,
     inc_lo): the values ``PCG64(e).state`` reports before any draw.

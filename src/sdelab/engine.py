@@ -5,17 +5,19 @@ one explicit Euler-Maruyama update and one fully recorded trajectory.  Under
 both sits ``sweep_paths``, a vectorized driver that advances a block of paths
 simultaneously, detects level-threshold crossings incrementally, and retires
 paths as they stop.  Every estimator in the package runs on the same driver,
-so a path's realization depends only on its entropy tuple and the step
-policy, never on batch size, worker count, or which functional is being
-accumulated.
+so a path's realization depends only on its name, the pair (master seed,
+path index), and the step policy, never on batch size, worker count, or
+which functional is being accumulated.
 
-Noise is numpy's own: each path's increments are ``default_rng(entropy)``
-normals, and each (path, barrier) bridge uniform stream is the PCG64 stream
-of ``(*entropy, BRIDGE_STREAM_TAG, level bits)``, so enabling the bridge
+Noise is numpy's own: each path's increments are
+``default_rng((*master, index))`` normals, and each (path, barrier) bridge
+uniform stream is the PCG64 stream of
+``(*master, index, BRIDGE_STREAM_TAG, level bits)``, so enabling the bridge
 never perturbs the increments.  The sweep builds one generator per path for
 the normals; live paths advance in lockstep, so one step counter locates
-every path in its stream.  All of a chunk's streams are seeded from one
-matrix of its entropy words.  The bridge uniforms are not buffered but
+every path in its stream.  A chunk's streams are seeded from its master and
+its index array in one vectorized hash (``_pcg64.hash_words``), which
+hashes the master once per chunk.  The bridge uniforms are not buffered but
 evaluated directly at the step index (``_pcg64.kth_uniform``), and only
 where the bridge probability exceeds 2^-53: a 53-bit uniform is a multiple
 of 2^-53, so a smaller probability could trigger only on a uniform of
@@ -143,19 +145,28 @@ class SweepResult:
 
 
 def entropy_tuple(seed) -> tuple[int, ...]:
-    """Normalize a seed (int or sequence of ints) to an entropy tuple."""
-    if isinstance(seed, (int, np.integer)):
-        return (int(seed),)
-    return tuple(map(int, seed))
+    """Normalize a seed (int, or tuple, list or array of ints) to an entropy
+    tuple.
+
+    Every entry must be a non-negative integer; a bool, a float or a
+    negative entry raises InvalidInputError naming the seed.
+    """
+    is_seq = isinstance(seed, (tuple, list, np.ndarray))
+    entries = tuple(seed) if is_seq else (seed,)
+    if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+               and v >= 0 for v in entries):
+        raise InvalidInputError(
+            f"seed {seed!r}: entries must be non-negative integers")
+    return tuple(map(int, entries))
 
 
 def path_entropy(master_seed, path_index: int) -> tuple[int, ...]:
-    """Entropy tuple of one path under a master seed (int or tuple).
+    """Entropy tuple ``(*master, path_index)`` of one path under a master seed.
 
     Derived from (master_seed, path_index) only, so serial and parallel runs
     consume identical noise regardless of scheduling.
     """
-    return (*entropy_tuple(master_seed), int(path_index))
+    return entropy_tuple((*entropy_tuple(master_seed), path_index))
 
 
 def iter_chunks(n_paths: int, chunk_size: int = DEFAULT_CHUNK):
@@ -178,8 +189,8 @@ class _BlockStreams:
     position: one step counter serves them all.  At each multiple of
     ``block`` each live path draws straight into its own contiguous row of a
     path-major ``(n, block, m)`` buffer, and step k reads column k of the
-    live rows.  ``words`` are the paths' ``_pcg64.seed_words``, so each
-    generator is ``default_rng(entropy)``.
+    live rows.  ``words`` are the paths' ``_pcg64.hash_words(master,
+    indices)`` rows, so each generator is ``default_rng((*master, index))``.
     """
 
     def __init__(self, words, shape_per_draw, block):
@@ -267,8 +278,7 @@ def em_step(field: CoefficientField, x, h: float, dW) -> np.ndarray:
 
 
 def sweep_paths(field: CoefficientField, start, horizon: float,
-                policy: StepPolicy, entropies, *,
-                indices=None,
+                policy: StepPolicy, master, indices, *,
                 barriers: tuple = (),
                 stop_mode: str = "first",
                 capture_time: float | None = None,
@@ -278,6 +288,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 track_noise_sum: bool = False,
                 record: bool = False) -> SweepResult:
     """Advance a block of paths from a common start until they stop.
+
+    Path i of the block is named by ``(master, indices[i])``: ``master`` is a
+    seed (int or tuple of ints) shared by the block and ``indices`` the
+    paths' global indices, so its normals are those of
+    ``default_rng(path_entropy(master, indices[i]))`` whatever block it is
+    swept in, and a blowup error names that path.
 
     Paths stop at the horizon, on absorption into the zero set, on numerical
     blowup, when the running grid-minimum of the level drops to
@@ -291,9 +307,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     barrier is additionally triggered with the Brownian-bridge probability
     exp(-2 a b / (sigma^2 h)) (``bridge_cross_probability``).  The uniform
     compared with it at step k is the k-th draw of the (path, barrier)
-    stream seeded by ``(*entropy, BRIDGE_STREAM_TAG, level bits)``, computed
-    directly from the step index, so results remain reproducible pathwise
-    and the increments are the same with the bridge on or off.
+    stream seeded by ``(*master, index, BRIDGE_STREAM_TAG, level bits)``,
+    computed directly from the step index, so results remain reproducible
+    pathwise and the increments are the same with the bridge on or off.
 
     Simultaneous crossings within one step resolve to the earliest
     interpolated time; exact ties resolve to the lower threshold.
@@ -330,12 +346,13 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         raise InvalidInputError(
             "bridge correction needs a 1-d field with abs_level_inverse")
 
-    entropies = [entropy_tuple(e) for e in entropies]
-    n = len(entropies)
-    if indices is None:
-        indices = np.arange(n)
-    else:
-        indices = np.asarray(indices)
+    master = entropy_tuple(master)
+    indices = np.asarray(indices)
+    if indices.ndim != 1 or indices.size and (
+            indices.dtype.kind not in "iu" or indices.min() < 0):
+        raise InvalidInputError(
+            "indices must be a 1-d array of non-negative integers")
+    n = indices.size
     if record and n != 1:
         raise InvalidInputError("trajectory recording supports one path at a time")
 
@@ -356,8 +373,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     horizon_eps = 1e-12 * max(1.0, horizon)
     capture_at_end = capture_time is not None and capture_time >= horizon - horizon_eps
 
-    words, counts = _pcg64.entropy_words(entropies)
-    streams = _BlockStreams(_pcg64.hash_words(words, counts), (m,),
+    streams = _BlockStreams(_pcg64.hash_words(master, indices), (m,),
                             math.ceil(min(_NORMAL_BLOCK, horizon / policy.h_min)))
     # per-path nearest uncrossed barrier values: levels, and with the bridge
     # also the barriers' |x| positions
@@ -365,7 +381,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     bridge_seeds = None
     if bridge and nb:
         bridge_seeds = np.stack([_pcg64.seeded_state(_pcg64.hash_words(
-            words, counts, (BRIDGE_STREAM_TAG, _float_bits(b.level))))
+            master, indices, (BRIDGE_STREAM_TAG, _float_bits(b.level))))
             for b in ladder])
         barrier_x = np.array([field.abs_level_inverse(b.level)
                               for b in ladder]).reshape(nb, 1)
@@ -461,12 +477,10 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         if not ok.all():
             bad = ~ok.all(axis=1)
             if on_blowup == "raise":
-                i = idx[np.argmax(bad)]
+                i = int(indices[idx[np.argmax(bad)]])
                 raise NumericalBlowupError(
-                    f"state left trusted range at step {step} "
-                    f"(path {int(indices[i])})",
-                    step_index=step, path_index=int(indices[i]),
-                    seed=entropies[i])
+                    f"state left trusted range at step {step} (path {i})",
+                    step_index=step, path_index=i, seed=(*master, i))
             blown_up[idx[bad]] = True
             idx, X, t, lev, lo, uncrossed, near, dW_sum = retire(bad, t, X, lo)
             keep = ~bad
@@ -595,7 +609,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             states=np.asarray(rec_states),
             increments=(np.asarray(rec_incs) if rec_incs
                         else np.zeros((0, m))),
-            seed=entropies[0],
+            seed=(*master, int(indices[0])),
             step_policy=policy,
             absorbed=bool(absorbed[0]),
         )
@@ -655,8 +669,13 @@ def simulate_path(field: CoefficientField, start, horizon: float,
     The path terminates at the horizon or upon absorption into the zero set
     (level within tolerance of zero); the recorded grid then ends at the
     absorption step.  Identical (seed, policy, field, start, horizon)
-    reproduce the identical trajectory bit for bit.
+    reproduce the identical trajectory bit for bit.  The seed's last entry
+    is the path index and the entries before it the master seed, so
+    ``path_entropy(master, i)`` replays row i of a sweep under ``master``.
     """
-    res = sweep_paths(field, start, horizon, policy, [entropy_tuple(seed)],
+    seed = entropy_tuple(seed)
+    if not seed:
+        raise InvalidInputError("seed () names no path: it needs a path index")
+    res = sweep_paths(field, start, horizon, policy, seed[:-1], [seed[-1]],
                       record=True, on_blowup="raise")
     return res.trajectory

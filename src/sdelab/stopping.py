@@ -19,7 +19,7 @@ from . import verification as vf
 from .coefficients import CoefficientField
 from .engine import (Barrier, BRIDGE_STREAM_TAG, PathRealization, StepPolicy,
                      _float_bits, bridge_cross_probability, iter_chunks,
-                     map_path_chunks, path_entropy, sweep_paths)
+                     map_path_chunks, sweep_paths)
 from .errors import InvalidInputError
 
 METHODS = ("grid", "interpolated", "bridge-corrected")
@@ -173,8 +173,7 @@ def _escape_increments(cross_times: np.ndarray) -> np.ndarray:
 def _kernel_dyadic(field: CoefficientField, indices, p):
     barriers = tuple(Barrier(lv, "down") for lv in p["levels"])
     res = sweep_paths(field, p["start"], p["horizon"], p["policy"],
-                      [path_entropy(p["master"], i) for i in indices],
-                      indices=indices, barriers=barriers, stop_mode="all",
+                      p["master"], indices, barriers=barriers, stop_mode="all",
                       bridge=p["bridge"])
     return _escape_increments(res.cross_times)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientField
 from .engine import (Barrier, StepPolicy, entropy_tuple, iter_chunks,
-                     map_path_chunks, path_entropy, sweep_paths)
+                     map_path_chunks, sweep_paths)
 from .errors import InvalidInputError, InvariantError
 
 # Fitted strong-convergence exponent the engine is expected to reproduce.
@@ -264,8 +264,7 @@ def _band_barriers(band_level: float, band_index: int):
 
 def _kernel_escape_times(field, indices, p):
     res = sweep_paths(field, p["start"], p["horizon"], p["policy"],
-                      [path_entropy(p["master"], i) for i in indices],
-                      indices=indices,
+                      p["master"], indices,
                       barriers=_band_barriers(p["A"], p["k"]),
                       stop_mode="first", bridge=p["bridge"])
     t_grid = np.asarray(p["t_grid"])[:, None]
@@ -275,8 +274,7 @@ def _kernel_escape_times(field, indices, p):
 
 def _kernel_band_functionals(field, indices, p):
     res = sweep_paths(field, p["start"], 1.0, p["policy"],
-                      [path_entropy(p["master"], i) for i in indices],
-                      indices=indices,
+                      p["master"], indices,
                       barriers=_band_barriers(p["A"], p["k"]),
                       stop_mode="first", capture_time=p["t"],
                       bridge=p["bridge"])
@@ -302,8 +300,7 @@ def _kernel_band_functionals(field, indices, p):
 
 def _kernel_persistence(field, indices, p):
     res = sweep_paths(field, p["start"], p["t0"], p["policy"],
-                      [path_entropy(p["master"], i) for i in indices],
-                      indices=indices,
+                      p["master"], indices,
                       barriers=(Barrier(p["barrier"], "down"),),
                       stop_mode="first", bridge=p["bridge"])
     survived = res.first_barrier < 0
@@ -313,8 +310,7 @@ def _kernel_persistence(field, indices, p):
 def _kernel_hitting_min(field, indices, p):
     eps_grid = np.asarray(p["eps_grid"])
     res = sweep_paths(field, p["start"], p["horizon"], p["policy"],
-                      [path_entropy(p["master"], i) for i in indices],
-                      indices=indices,
+                      p["master"], indices,
                       min_level_retire=float(eps_grid.min()),
                       on_blowup="retire")
     counts = np.array([(res.min_levels <= e).sum() for e in eps_grid],
@@ -328,9 +324,7 @@ def _kernel_strong_error(field, indices, p):
     for j, e in enumerate(p["h_exponents"]):
         res = sweep_paths(field, p["start"], p["horizon"],
                           StepPolicy.fixed(2.0 ** (-e)),
-                          [path_entropy((*p["master"], e), i)
-                           for i in indices],
-                          indices=indices, track_noise_sum=True)
+                          (*p["master"], e), indices, track_noise_sum=True)
         exact = x0 * np.exp(-0.5 * p["horizon"] + res.noise_sum[:, 0])
         sums[j] = np.sum(np.abs(res.end_states[:, 0] - exact))
     return sums, len(indices)

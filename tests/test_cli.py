@@ -1,9 +1,11 @@
+import csv
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sdelab as sl
@@ -308,6 +310,32 @@ def test_main_replay(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0].startswith("t,x_1,level")
     assert len(lines) > 10
+    # a seed numpy would reject is a typed error, not a traceback
+    assert main(["replay", str(cfg_path), "--path", "3", "--seed", "-1"]) == 1
+    assert "seed -1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("path", [0, 3, 57])
+def test_replay_path_is_row_of_the_run(tmp_path, path):
+    # `replay --path i` simulates path i of the run: its grid-minimum level
+    # is, bit for bit, the sweep's minimum level of index i under the
+    # scenario's master seed, policy and horizon
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_hitting_config(
+        n_paths=100, policy={"kind": "level-adaptive", "h_max": 1e-2,
+                             "h_min": 1e-5, "level_fraction": 0.05}))
+    out = tmp_path / "path.csv"
+    assert main(["replay", str(cfg_path), "--path", str(path),
+                 "--out-file", str(out)]) == 0
+    with open(out, newline="") as fh:
+        replayed = min(float(row["level"]) for row in csv.DictReader(fh))
+    config = sl.parse_scenario(cfg_path.read_text())
+    field = config.build_field()
+    one = sl.sweep_paths(field, config.start, config.horizon, config.policy,
+                         config.master_seed, [path])
+    run = sl.sweep_paths(field, config.start, config.horizon, config.policy,
+                         config.master_seed, np.arange(60))
+    assert replayed == one.min_levels[0] == run.min_levels[path]
 
 
 def test_sqrt_bound_scenario_end_to_end(tmp_path):

@@ -113,7 +113,7 @@ def test_terminal_law_constant_field():
     # X_T - x0 is exactly Gaussian with variance T for constant sigma
     field = sl.make_field("constant", sigma0=[[1.0]], b0=[0.0])
     res = sweep_paths(field, [0.0], 1.0, StepPolicy.fixed(0.01),
-                      [path_entropy(3, i) for i in range(10000)])
+                      3, np.arange(10000))
     term = res.end_states[:, 0]
     stat = np.sum(term ** 2)  # ~ chi2 with 10000 dof
     lo, hi = stats.chi2.ppf([0.005, 0.995], term.size)
@@ -142,17 +142,62 @@ def test_blowup_raises_with_context():
     with pytest.raises(NumericalBlowupError) as exc:
         sl.simulate_path(field, [0.0], 1.0, StepPolicy.fixed(1.0), 5)
     assert exc.value.step_index == 0
-    assert exc.value.path_index == 0
+    # the seed (5,) is path 5 under the empty master: the error names the
+    # path whose noise it used
+    assert exc.value.path_index == 5
+    assert exc.value.seed == (5,)
+
+
+def test_blowup_in_a_later_chunk_replays_from_its_seed():
+    # sigma 2e11 with h = 1 leaves the trusted range (1e12) on some paths
+    # and at different steps, so the first blowup of a chunk that starts at
+    # path 8192 is some later path of it; its error names that path, and its
+    # seed replays the blowup on its own
+    field = sl.make_field("constant", sigma0=[[2e11]], b0=[0.0])
+    pol = StepPolicy.fixed(1.0)
+    indices = np.arange(8192, 8256)
+    res = sweep_paths(field, [0.0], 30.0, pol, 4, indices, on_blowup="retire")
+    assert 0 < res.blown_up.sum() < indices.size
+    with pytest.raises(NumericalBlowupError) as exc:
+        sweep_paths(field, [0.0], 30.0, pol, 4, indices, on_blowup="raise")
+    err = exc.value
+    assert err.step_index > 0
+    assert err.path_index in indices[res.blown_up]
+    assert err.seed == path_entropy(4, err.path_index)
+    with pytest.raises(NumericalBlowupError) as replay:
+        sl.simulate_path(field, [0.0], 30.0, pol, err.seed)
+    assert replay.value.step_index == err.step_index
+    assert replay.value.path_index == err.path_index
+    assert replay.value.seed == err.seed
+
+
+@pytest.mark.parametrize("seed, indices, match", [
+    (-1, None, "seed"), (1.5, None, "seed"), (True, None, "seed"),
+    ((1, -2), None, "seed"), ((3, 2.0), None, "seed"), ("7", None, "seed"),
+    ((), None, "path index"),
+    (-1, [0], "seed"), (1.5, [0], "seed"), ((True, 2), [0], "seed"),
+    (3, [-1], "indices"), (3, [0.5], "indices"), (3, [[0]], "indices"),
+])
+def test_bad_seeds_are_typed_errors(seed, indices, match):
+    # simulate_path(seed) and sweep_paths(master, indices) reject what numpy
+    # would reject or silently truncate, naming the seed or the indices
+    field = sl.make_field("linear-1d")
+    pol = StepPolicy.fixed(1e-2)
+    with pytest.raises(InvalidInputError, match=match):
+        if indices is None:
+            sl.simulate_path(field, [1.0], 1.0, pol, seed)
+        else:
+            sweep_paths(field, [1.0], 1.0, pol, seed, indices)
 
 
 def test_sweep_split_invariance():
     # simulating [0..n) in one call or in two produces identical results
     field = sl.make_field("diag-linear")
     pol = StepPolicy.fixed(1e-3)
-    ent = [path_entropy(31, i) for i in range(40)]
-    whole = sweep_paths(field, [1.0, 1.0], 0.5, pol, ent)
-    left = sweep_paths(field, [1.0, 1.0], 0.5, pol, ent[:17])
-    right = sweep_paths(field, [1.0, 1.0], 0.5, pol, ent[17:])
+    indices = np.arange(40)
+    whole = sweep_paths(field, [1.0, 1.0], 0.5, pol, 31, indices)
+    left = sweep_paths(field, [1.0, 1.0], 0.5, pol, 31, indices[:17])
+    right = sweep_paths(field, [1.0, 1.0], 0.5, pol, 31, indices[17:])
     assert np.array_equal(whole.end_states,
                           np.vstack([left.end_states, right.end_states]))
     assert np.array_equal(whole.min_levels,
@@ -195,14 +240,21 @@ def _sweep_case(case, multiples):
 def test_sweep_equals_path_scan_property(case, multiples, mode, master):
     # every barrier's sweep crossing is the post-hoc scan of the recorded
     # path, bit for bit; the first crossing is the earliest, ties to the
-    # lower threshold
+    # lower threshold.  power-law-1d (alpha 3/2) leaves the trusted range on
+    # about 0.07 % of paths by t = 1, before or after the sweep stops them,
+    # so both sides retire a blown-up path and the path is recorded up to
+    # the step before its blowup
     field, start, pol, bridge, barriers = _sweep_case(case, multiples)
     method = "bridge-corrected" if bridge else "interpolated"
-    ent = [path_entropy(master, i) for i in range(3)]
-    res = sweep_paths(field, start, 1.0, pol, ent, barriers=barriers,
-                      stop_mode=mode, bridge=bridge)
-    for i, e in enumerate(ent):
-        path = sl.simulate_path(field, start, 1.0, pol, e)
+    res = sweep_paths(field, start, 1.0, pol, master, np.arange(3),
+                      barriers=barriers, stop_mode=mode, bridge=bridge,
+                      on_blowup="retire")
+    for i in range(3):
+        rec = sweep_paths(field, start, 1.0, pol, master, [i], record=True,
+                          on_blowup="retire")
+        if res.blown_up[i]:
+            assert rec.blown_up[0] and res.end_times[i] == rec.end_times[0]
+        path = rec.trajectory
         ref = [first_hitting_time(path, field, b.level, method)
                for b in barriers]
         if mode == "all":
@@ -232,16 +284,16 @@ def test_sweep_rows_do_not_depend_on_path_order(case, multiples, mode, master,
     # it sits in that batch
     field, start, pol, bridge, barriers = _sweep_case(case, multiples)
     lev0 = cf.level(field, np.asarray(start, dtype=float))
-    ent = [path_entropy(master, i) for i in range(6)]
+    indices = np.arange(6)
 
-    def sweep(entropies):
-        return sweep_paths(field, start, 1.0, pol, entropies, barriers=barriers,
+    def sweep(rows):
+        return sweep_paths(field, start, 1.0, pol, master, rows, barriers=barriers,
                            stop_mode=mode, bridge=bridge, capture_time=0.3,
                            min_level_retire=None if retire is None else retire * lev0,
-                           track_noise_sum=True)
+                           on_blowup="retire", track_noise_sum=True)
 
-    whole, left, right, rev = (sweep(ent), sweep(ent[:split]),
-                               sweep(ent[split:]), sweep(ent[::-1]))
+    whole, left, right, rev = (sweep(indices), sweep(indices[:split]),
+                               sweep(indices[split:]), sweep(indices[::-1]))
     for f in fields(SweepResult):
         if f.name == "trajectory":
             continue
@@ -309,8 +361,7 @@ def test_bridge_prefilter_keeps_every_pair_above_2_pow_minus_53():
 def test_single_path_matches_batch_row():
     field = sl.make_field("linear-1d")
     pol = StepPolicy.adaptive(h_max=1e-2, h_min=1e-4, level_fraction=0.05)
-    res = sweep_paths(field, [1.0], 1.0, pol,
-                      [path_entropy(8, i) for i in range(6)])
+    res = sweep_paths(field, [1.0], 1.0, pol, 8, np.arange(6))
     for i in range(6):
         p = sl.simulate_path(field, [1.0], 1.0, pol, path_entropy(8, i))
         assert p.states[-1, 0] == res.end_states[i, 0]
@@ -337,9 +388,9 @@ def test_generator_block_split_assumption():
 def test_block_streams_follow_each_path_stream():
     # rows retire as the steps go on, across refills; a live row's draw at
     # step k is the k-th normal of its path's default_rng(entropy)
-    ent = [path_entropy(3, i) for i in range(6)]
-    ref = [np.random.default_rng(e).standard_normal((11, 2)) for e in ent]
-    streams = _BlockStreams(_pcg64.seed_words(ent), (2,), 4)
+    ref = [np.random.default_rng(path_entropy(3, i)).standard_normal((11, 2))
+           for i in range(6)]
+    streams = _BlockStreams(_pcg64.hash_words((3,), np.arange(6)), (2,), 4)
     rows = np.arange(6)
     retire_at = {2: 1, 4: 0, 7: 2}   # step -> position of the row that goes
     for step in range(11):
@@ -366,10 +417,9 @@ def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
     # stops at that step, not at the next
     field = sl.make_field("decay-1d")
     pol = StepPolicy.fixed(h)
-    ent = [path_entropy(1, 0)]
-    res = sweep_paths(field, [1.0], 10 * h, pol, ent, barriers=barriers,
+    res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0], barriers=barriers,
                       stop_mode=mode)
-    path = sl.simulate_path(field, [1.0], 10 * h, pol, ent[0])
+    path = sl.simulate_path(field, [1.0], 10 * h, pol, path_entropy(1, 0))
     ref = [first_hitting_time(path, field, b.level) for b in barriers]
     assert not any(r.censored for r in ref)
     if mode == "first":
@@ -389,20 +439,20 @@ def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
 def test_sweep_barrier_at_start_and_validation():
     field = sl.make_field("linear-1d")
     pol = StepPolicy.fixed(1e-3)
-    res = sweep_paths(field, [1.0], 1.0, pol, [path_entropy(1, 0)],
+    res = sweep_paths(field, [1.0], 1.0, pol, 1, [0],
                       barriers=(Barrier(1.0, "down"),), stop_mode="first")
     assert res.first_time[0] == 0.0
     # a start at or through two down barriers, passed in descending level
     # order: the time-0 tie resolves to the lower threshold
     for start in ([1.0], [0.5]):
-        res = sweep_paths(field, start, 1.0, pol, [path_entropy(1, 0)],
+        res = sweep_paths(field, start, 1.0, pol, 1, [0],
                           barriers=(Barrier(2.0, "down"), Barrier(1.0, "down")),
                           stop_mode="first")
         assert res.first_barrier[0] == 1
         assert res.first_time[0] == 0.0
         assert res.crossed[0].all()
     with pytest.raises(InvalidInputError):
-        sweep_paths(field, [1.0], -1.0, pol, [(1, 0)])
+        sweep_paths(field, [1.0], -1.0, pol, 1, [0])
     with pytest.raises(InvalidInputError):
         Barrier(-1.0, "down")
     with pytest.raises(InvalidInputError):
@@ -410,7 +460,7 @@ def test_sweep_barrier_at_start_and_validation():
     with pytest.raises(InvalidInputError):
         # bridge needs 1-d with a level inverse
         sweep_paths(sl.make_field("diag-linear"), [1.0, 1.0], 1.0, pol,
-                    [(1, 0)], bridge=True)
+                    1, [0], bridge=True)
 
 
 def test_strong_convergence_to_closed_form():

@@ -77,7 +77,7 @@ def test_gbm_mean_crossing_time_matches_inverse_gaussian():
     field = sl.make_field("linear-1d")
     thr = float(np.exp(-2.0))
     res = sweep_paths(field, [1.0], 50.0, StepPolicy.fixed(1e-3),
-                      [path_entropy(17, i) for i in range(3000)],
+                      17, np.arange(3000),
                       barriers=(Barrier(thr, "down"),), stop_mode="first",
                       bridge=True)
     t = res.first_time
@@ -127,8 +127,7 @@ def test_sweep_band_exit_equals_path_scan():
     pol = StepPolicy.fixed(1e-3)
     bars = (Barrier(0.5, "down"), Barrier(2.0, "up"))
     for bridge, method in ((False, "interpolated"), (True, "bridge-corrected")):
-        res = sweep_paths(field, [1.0], 2.0, pol,
-                          [path_entropy(7, i) for i in range(40)],
+        res = sweep_paths(field, [1.0], 2.0, pol, 7, np.arange(40),
                           barriers=bars, stop_mode="first", bridge=bridge)
         for i in range(40):
             p = sl.simulate_path(field, [1.0], 2.0, pol, path_entropy(7, i))
@@ -159,8 +158,7 @@ def test_crossing_distribution_converges_under_refinement():
 
     def sample(h):
         res = sweep_paths(field, [1.0], 4.0, StepPolicy.fixed(h),
-                          [path_entropy((11, int(1 / h)), i)
-                           for i in range(4000)],
+                          (11, int(1 / h)), np.arange(4000),
                           barriers=(Barrier(thr, "down"),), stop_mode="first")
         t = res.first_time
         return t[~np.isnan(t)]
