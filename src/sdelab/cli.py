@@ -661,7 +661,11 @@ def _cmd_replay(args) -> int:
     path = simulate_path(field, config.start, config.horizon, config.policy,
                          path_entropy(master, args.path))
     rows = _path_rows(field, path)
-    _write_csv(args.out_file or sys.stdout, rows)
+    if args.out_file is None:
+        _write_csv(sys.stdout, rows)
+    else:
+        with _replacing(Path(args.out_file)) as fh:
+            _write_csv(fh, rows)
     print(f"# path {args.path} seed={master} steps={len(rows) - 1} "
           f"absorbed={path.absorbed} final_level={rows[-1]['level']:g}",
           file=sys.stderr)
@@ -692,7 +696,7 @@ def main(argv=None) -> int:
     p_rep.add_argument("config")
     p_rep.add_argument("--path", type=int, required=True)
     p_rep.add_argument("--seed", type=int, default=None)
-    p_rep.add_argument("--out-file", type=argparse.FileType("w"), default=None)
+    p_rep.add_argument("--out-file", default=None)
     p_rep.set_defaults(fn=_cmd_replay)
 
     args = parser.parse_args(argv)

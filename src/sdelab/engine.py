@@ -14,18 +14,20 @@ Noise is numpy's own: each path's increments are
 uniform stream is the PCG64 stream of
 ``(*master, index, BRIDGE_STREAM_TAG, level bits)``, so enabling the bridge
 never perturbs the increments.  The sweep builds one generator per path for
-the normals; live paths advance in lockstep, so one step counter locates
-every path in its stream.  A chunk's streams are seeded from its master and
-its index array in one vectorized hash (``_pcg64.hash_words``), which
-hashes the master once per chunk.  The bridge uniforms are not buffered but
-evaluated directly at the step index (``_pcg64.kth_uniform``), and only
-where the bridge probability exceeds 2^-53: a 53-bit uniform is a multiple
-of 2^-53, so a smaller probability could trigger only on a uniform of
-exactly 0.  Each sweep step is one pass over compact live-path arrays.  All
-barriers are tested at once as a (barrier, candidate path) matrix, where a
-candidate is a live path whose new level reaches its nearest uncrossed
-barrier or, with the bridge, whose bridge probability may exceed 2^-53 for
-one (``bridge_candidates``).
+the normals, at step 0, and keeps it only if the step budget
+``horizon / h_min`` outruns one normal block: a sweep that fits in one
+block draws each generator once and drops it at once.  Live paths advance
+in lockstep, so one step counter locates every path in its stream.  A
+chunk's streams are seeded from its master and its index array in one
+vectorized hash (``_pcg64.hash_words``), which hashes the master once per
+chunk.  The bridge uniforms are not buffered but evaluated directly at the
+step index (``_pcg64.kth_uniform``), and only where the bridge probability
+exceeds 2^-53: a 53-bit uniform is a multiple of 2^-53, so a smaller
+probability could trigger only on a uniform of exactly 0.  Each sweep step
+is one pass over compact live-path arrays.  All barriers are tested at once
+as a (barrier, candidate path) matrix, where a candidate is a live path
+whose new level reaches its nearest uncrossed barrier or, with the bridge,
+whose bridge probability may exceed 2^-53 for one (``bridge_candidates``).
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from . import _pcg64
 from . import coefficients as cf
 from .coefficients import CoefficientField
-from .errors import InvalidInputError, NumericalBlowupError
+from .errors import InvalidInputError, InvariantError, NumericalBlowupError
 
 # Any state component beyond this magnitude aborts the path.
 BLOWUP_LIMIT = 1e12
@@ -191,12 +193,19 @@ class _BlockStreams:
     path-major ``(n, block, m)`` buffer, and step k reads column k of the
     live rows.  ``words`` are the paths' ``_pcg64.hash_words(master,
     indices)`` rows, so each generator is ``default_rng((*master, index))``.
+
+    A path's generator is built at its first refill, step 0, and kept only
+    while it can still refill: when ``budget``, the sweep's step budget
+    ``horizon / h_min``, fits in one block, each generator is built, drawn
+    into its row and dropped in the same pass, and a later refill raises
+    InvariantError rather than restart a stream.
     """
 
-    def __init__(self, words, shape_per_draw, block):
-        self._gens = [_pcg64.generator(w) for w in words]
+    def __init__(self, words, shape_per_draw, block, budget):
+        self._words = words
+        self._gens = [None] * len(words) if budget > block else None
         self._draw_shape = (block,) + shape_per_draw
-        self._buf = np.empty((len(self._gens),) + self._draw_shape)
+        self._buf = np.empty((len(words),) + self._draw_shape)
         # the same memory as one opaque record per (path, step): a step then
         # gathers whole draws, not m floats at a time per row, which is
         # several times faster for m = 2
@@ -206,8 +215,14 @@ class _BlockStreams:
     def draw(self, rows: np.ndarray, step: int) -> np.ndarray:
         k = step % self._buf.shape[1]
         if k == 0:
+            if step and self._gens is None:
+                raise InvariantError(
+                    f"step {step} refills a stream dropped after its one block")
             for i in rows:
-                self._gens[i].standard_normal(self._draw_shape, out=self._buf[i])
+                gen = self._gens[i] if step else _pcg64.generator(self._words[i])
+                gen.standard_normal(self._draw_shape, out=self._buf[i])
+                if self._gens is not None:
+                    self._gens[i] = gen
         return self._records[:, k][rows].view(np.float64).reshape(
             (rows.size,) + self._draw_shape[1:])
 
@@ -329,7 +344,8 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     which a pair meets with probability 2^-53 per step.  Normals come in
     lockstep blocks of at most
     ``ceil(horizon / h_min)`` steps, drawn into one contiguous row per path
-    (``_BlockStreams``).
+    (``_BlockStreams``); a path's generator outlives the step-0 draw only
+    when that budget outruns one block.
     """
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
@@ -373,8 +389,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     horizon_eps = 1e-12 * max(1.0, horizon)
     capture_at_end = capture_time is not None and capture_time >= horizon - horizon_eps
 
+    budget = horizon / policy.h_min
     streams = _BlockStreams(_pcg64.hash_words(master, indices), (m,),
-                            math.ceil(min(_NORMAL_BLOCK, horizon / policy.h_min)))
+                            math.ceil(min(_NORMAL_BLOCK, budget)), budget)
     # per-path nearest uncrossed barrier values: levels, and with the bridge
     # also the barriers' |x| positions
     ladder_values = levels[None]
@@ -436,18 +453,21 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         up = np.where(unc & ~is_down, ladder_values, np.inf).min(axis=1, initial=np.inf)
         return np.stack([dn, up], axis=1).reshape(-1, unc.shape[1])
 
-    # live state, one entry (or column of ``uncrossed`` and ``near``) per
-    # live path; dW_sum is None unless noise sums are tracked.  An
-    # uncrossed down barrier always lies strictly below the current level
-    # and an uncrossed up barrier strictly above it, so a path crosses on the
-    # interpolant exactly when lev1 <= dn or lev1 >= up.
+    # live state, one entry per live path; dW_sum is None unless noise sums
+    # are tracked.  ``uncrossed`` and ``near`` have one column per live path
+    # with stop_mode 'all'; with 'first' a crossing stops its path, so every
+    # live path keeps the start's and they are one column broadcast against
+    # the paths.  An uncrossed down barrier always lies strictly below the
+    # current level and an uncrossed up barrier strictly above it, so a path
+    # crosses on the interpolant exactly when lev1 <= dn or lev1 >= up.
+    per_path = stop_mode == "all"
     idx = np.arange(0 if stop0 else n)
     X = np.tile(start, (idx.size, 1))
     t = np.zeros(idx.size)
     lev = np.full(idx.size, lev0)
     lo = lev.copy()
-    uncrossed = np.repeat(~crossed0[:, None], idx.size, axis=1)
-    near = np.repeat(nearest(~crossed0[:, None]), idx.size, axis=1)
+    uncrossed = np.repeat(~crossed0[:, None], idx.size if per_path else 1, axis=1)
+    near = np.repeat(nearest(~crossed0[:, None]), uncrossed.shape[1], axis=1)
     dW_sum = np.zeros((idx.size, m)) if track_noise_sum else None
 
     def retire(gone, t_end, x_end, lo_end):
@@ -462,7 +482,8 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         if track_noise_sum:
             noise_sum[rows] = dW_sum.take(out, axis=0)
         return (idx[keep], X.take(keep, axis=0), t[keep], lev[keep], lo[keep],
-                uncrossed.take(keep, axis=1), near.take(keep, axis=1),
+                uncrossed.take(keep, axis=1) if per_path else uncrossed,
+                near.take(keep, axis=1) if per_path else near,
                 None if dW_sum is None else dW_sum.take(keep, axis=0))
 
     step = 0
@@ -505,7 +526,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             cand = np.flatnonzero(reach)
         if nb and cand.size:
             lv, lv1, tt, ddt = lev[cand], lev1[cand], t[cand], dt[cand]
-            unc = uncrossed.take(cand, axis=1)
+            unc = uncrossed.take(cand, axis=1) if per_path else uncrossed
             hit = unc & (side * lv1 <= side_levels)
             tc = np.full(hit.shape, np.inf)
             jj, ii = np.nonzero(hit)

@@ -315,6 +315,26 @@ def test_main_replay(tmp_path, capsys):
     assert "seed -1" in capsys.readouterr().err
 
 
+def test_replay_out_file_is_written_only_on_success(tmp_path, capsys):
+    # a failing replay leaves an existing --out-file as it was; a good one
+    # writes the bytes it prints without --out-file
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(_hitting_config(n_paths=100))
+    out = tmp_path / "path.csv"
+    out.write_bytes(b"an earlier replay\n")
+    assert main(["replay", str(cfg_path), "--path", "3", "--seed", "-1",
+                 "--out-file", str(out)]) == 1
+    assert out.read_bytes() == b"an earlier replay\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "path.csv"]
+    capsys.readouterr()
+    assert main(["replay", str(cfg_path), "--path", "3"]) == 0
+    printed = capsys.readouterr().out
+    assert main(["replay", str(cfg_path), "--path", "3",
+                 "--out-file", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_bytes() == printed.encode()
+
+
 @pytest.mark.parametrize("path", [0, 3, 57])
 def test_replay_path_is_row_of_the_run(tmp_path, path):
     # `replay --path i` simulates path i of the run: its grid-minimum level

@@ -1,3 +1,4 @@
+import gc
 from dataclasses import fields
 
 import numpy as np
@@ -7,7 +8,8 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import sdelab as sl
-from sdelab import InvalidInputError, NumericalBlowupError, StepPolicy
+from sdelab import (InvalidInputError, InvariantError, NumericalBlowupError,
+                    StepPolicy)
 from sdelab import _pcg64
 from sdelab import coefficients as cf
 from sdelab.engine import (Barrier, SweepResult, _BlockStreams,
@@ -385,12 +387,20 @@ def test_generator_block_split_assumption():
     assert np.isnan(buf[0]).all()
 
 
+def _live_generators():
+    gc.collect()
+    return sum(isinstance(o, np.random.Generator) for o in gc.get_objects())
+
+
 def test_block_streams_follow_each_path_stream():
     # rows retire as the steps go on, across refills; a live row's draw at
     # step k is the k-th normal of its path's default_rng(entropy)
     ref = [np.random.default_rng(path_entropy(3, i)).standard_normal((11, 2))
            for i in range(6)]
-    streams = _BlockStreams(_pcg64.hash_words((3,), np.arange(6)), (2,), 4)
+    words = _pcg64.hash_words((3,), np.arange(6))
+    before = _live_generators()
+    # a budget of 11 steps outruns the 4-step block: generators are kept
+    streams = _BlockStreams(words, (2,), 4, 11)
     rows = np.arange(6)
     retire_at = {2: 1, 4: 0, 7: 2}   # step -> position of the row that goes
     for step in range(11):
@@ -398,6 +408,44 @@ def test_block_streams_follow_each_path_stream():
             rows = np.delete(rows, retire_at[step])
         got = streams.draw(rows, step)
         assert np.array_equal(got, np.stack([ref[i][step] for i in rows]))
+        if step == 0:
+            assert _live_generators() == before + 6
+    del streams
+
+    # one block covers the budget: each generator is built, drawn into its
+    # row and dropped at step 0, and a second refill is an error rather than
+    # a restarted stream
+    streams = _BlockStreams(words, (2,), 4, 4)
+    rows = np.arange(6)
+    for step in range(4):
+        got = streams.draw(rows, step)
+        assert np.array_equal(got, np.stack([ref[i][step] for i in rows]))
+        if step == 0:
+            assert _live_generators() == before
+    with pytest.raises(InvariantError, match="step 4"):
+        streams.draw(rows, 4)
+
+
+@pytest.mark.parametrize("n_steps", [256, 257])
+def test_sweep_at_the_generator_keep_boundary(n_steps):
+    # horizon / h = 256 steps fit one normal block, so the sweep drops each
+    # generator after step 0; 257 need a second block, so it keeps them and
+    # refills.  Either way each row is its path's replay bit for bit, and
+    # the replay's increments are its default_rng normals times sqrt(h)
+    field = sl.make_field("diag-linear")
+    h = 2.0 ** -8
+    pol = StepPolicy.fixed(h)
+    indices = np.array([0, 5, 9, 1000])
+    res = sweep_paths(field, [1.0, 1.0], n_steps * h, pol, 3, indices)
+    for row, i in enumerate(indices):
+        path = sl.simulate_path(field, [1.0, 1.0], n_steps * h, pol,
+                                path_entropy(3, i))
+        assert path.times.size == n_steps + 1
+        assert res.end_times[row] == path.times[-1]
+        assert np.array_equal(res.end_states[row], path.states[-1])
+        normals = np.random.default_rng(path_entropy(3, i)).standard_normal(
+            (n_steps, 2))
+        assert np.array_equal(path.increments, normals * np.sqrt(h))
 
 
 @pytest.mark.parametrize("mode", ["first", "all"])
