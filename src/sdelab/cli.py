@@ -330,7 +330,7 @@ class RunReport:
     timestamp_utc: str
     wall_clock_s: float
     payload: dict
-    tables: dict          # table name -> list of row dicts
+    tables: dict          # table name -> iterable of row dicts
     checks: list          # satisfied flags of all bound checks in the run
     debug_trajectories: list = dc_field(default_factory=list)  # (index, rows)
     output_files: list = dc_field(default_factory=list)
@@ -575,10 +575,21 @@ def _debug_trajectories(config: ScenarioConfig, field: CoefficientField,
 
 
 def _write_csv(fh, rows):
-    if rows:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    # the header is the first row's keys, and a row is written as its values,
+    # so every row must have the header's keys in the header's order
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is None:
+        return
+    header = tuple(first)
+    writer = csv.writer(fh)
+    writer.writerow(header)
+    writer.writerow(first.values())
+    for row in rows:
+        if tuple(row) != header:
+            raise ValueError(f"row keys {tuple(row)} differ from the "
+                             f"table's header {header}")
+        writer.writerow(row.values())
 
 
 @contextmanager

@@ -16,8 +16,10 @@ uniform stream is the PCG64 stream of
 never perturbs the increments.  The sweep builds one generator per path for
 the normals, at step 0, and keeps it only if the step budget
 ``horizon / h_min`` outruns one normal block: a sweep that fits in one
-block draws each generator once and drops it at once.  Live paths advance
-in lockstep, so one step counter locates every path in its stream.  A
+block draws each generator once and drops it at once.  A block holds at
+most 256 normals per path, floor(256 / m) steps of an m-dimensional noise,
+so the buffer does not grow with the noise dimension.  Live paths advance in
+lockstep, so one step counter locates every path in its stream.  A
 chunk's streams are seeded from its master and its index array in one
 vectorized hash (``_pcg64.hash_words``), which hashes the master once per
 chunk.  The bridge uniforms are not buffered but evaluated directly at the
@@ -50,6 +52,7 @@ BLOWUP_LIMIT = 1e12
 BRIDGE_STREAM_TAG = 0x42726467
 
 DEFAULT_CHUNK = 8192
+# normals per path in one block of the noise buffer
 _NORMAL_BLOCK = 256
 
 # The bridge cutoff (see sweep_paths) and the prefilter's bound on half the
@@ -181,6 +184,16 @@ def _float_bits(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
+def _normal_block(m: int, budget: float) -> int:
+    """Steps per normal block of an m-dimensional noise.
+
+    A block holds at most ``_NORMAL_BLOCK`` normals per path, and never more
+    steps than ``ceil(budget)``, the most a sweep with step budget ``budget``
+    can take.
+    """
+    return math.ceil(min(max(1, _NORMAL_BLOCK // m), budget))
+
+
 class _BlockStreams:
     """Per-path normal generators drained in lockstep blocks.
 
@@ -191,8 +204,10 @@ class _BlockStreams:
     position: one step counter serves them all.  At each multiple of
     ``block`` each live path draws straight into its own contiguous row of a
     path-major ``(n, block, m)`` buffer, and step k reads column k of the
-    live rows.  ``words`` are the paths' ``_pcg64.hash_words(master,
-    indices)`` rows, so each generator is ``default_rng((*master, index))``.
+    live rows.  The sweep takes ``block`` from ``_normal_block``, so a row
+    holds at most 256 normals whatever m is.  ``words`` are the paths'
+    ``_pcg64.hash_words(master, indices)`` rows, so each generator is
+    ``default_rng((*master, index))``.
 
     A path's generator is built at its first refill, step 0, and kept only
     while it can still refill: when ``budget``, the sweep's step budget
@@ -342,10 +357,10 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     matrices.  Only pairs whose bridge probability exceeds 2^-53 draw a
     uniform: a smaller one could trigger only on a uniform of exactly 0,
     which a pair meets with probability 2^-53 per step.  Normals come in
-    lockstep blocks of at most
-    ``ceil(horizon / h_min)`` steps, drawn into one contiguous row per path
-    (``_BlockStreams``); a path's generator outlives the step-0 draw only
-    when that budget outruns one block.
+    lockstep blocks of at most 256 normals, floor(256 / m) steps, and at
+    most ``ceil(horizon / h_min)`` steps (``_normal_block``), drawn into one
+    contiguous row per path (``_BlockStreams``); a path's generator outlives
+    the step-0 draw only when that budget outruns one block.
     """
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
@@ -391,7 +406,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
     budget = horizon / policy.h_min
     streams = _BlockStreams(_pcg64.hash_words(master, indices), (m,),
-                            math.ceil(min(_NORMAL_BLOCK, budget)), budget)
+                            _normal_block(m, budget), budget)
     # per-path nearest uncrossed barrier values: levels, and with the bridge
     # also the barriers' |x| positions
     ladder_values = levels[None]

@@ -202,13 +202,35 @@ def dyadic_escape_batch(field: CoefficientField, start, depth: int,
         _kernel_dyadic, field, iter_chunks(n_paths), params, workers))
 
 
-def escape_csv_rows(increments: np.ndarray, t0: float) -> list[dict]:
-    """One row per (path, band): path_id, k, increment, censored, ge_t0."""
-    rows = []
-    for pid, row in enumerate(increments):
-        for k, inc in enumerate(row.tolist()):
-            cen = math.isnan(inc)
-            rows.append({"path_id": pid, "k": k,
-                         "increment": "" if cen else inc,
-                         "censored": cen, "ge_t0": inc >= t0})
-    return rows
+class _EscapeRows:
+    """The (path, band) rows of an increment array, built as they are read.
+
+    Iterating yields one dict per (path, band) in path-major order; every
+    pass yields the same rows, and ``len()`` is their count, so a table of
+    n_paths x depth rows never sits in memory as dicts.
+    """
+
+    def __init__(self, increments: np.ndarray, t0: float):
+        self._increments = increments
+        self._t0 = t0
+
+    def __len__(self) -> int:
+        return self._increments.size
+
+    def __iter__(self):
+        t0 = self._t0
+        for pid, row in enumerate(self._increments):
+            for k, inc in enumerate(row.tolist()):
+                cen = math.isnan(inc)
+                yield {"path_id": pid, "k": k,
+                       "increment": "" if cen else inc,
+                       "censored": cen, "ge_t0": inc >= t0}
+
+
+def escape_csv_rows(increments: np.ndarray, t0: float) -> _EscapeRows:
+    """One row per (path, band): path_id, k, increment, censored, ge_t0.
+
+    Returns a re-iterable row source over ``increments`` with ``len()``,
+    not a list: the rows are built as a writer reads them.
+    """
+    return _EscapeRows(increments, t0)

@@ -10,7 +10,7 @@ from scipy import stats
 import sdelab as sl
 from sdelab import (InvalidInputError, InvariantError, NumericalBlowupError,
                     StepPolicy)
-from sdelab import _pcg64
+from sdelab import _pcg64, engine
 from sdelab import coefficients as cf
 from sdelab.engine import (Barrier, SweepResult, _BlockStreams,
                            bridge_candidates, bridge_cross_probability,
@@ -426,14 +426,19 @@ def test_block_streams_follow_each_path_stream():
         streams.draw(rows, 4)
 
 
-@pytest.mark.parametrize("n_steps", [256, 257])
-def test_sweep_at_the_generator_keep_boundary(n_steps):
-    # horizon / h = 256 steps fit one normal block, so the sweep drops each
-    # generator after step 0; 257 need a second block, so it keeps them and
-    # refills.  Either way each row is its path's replay bit for bit, and
-    # the replay's increments are its default_rng normals times sqrt(h)
-    field = sl.make_field("diag-linear")
-    h = 2.0 ** -8
+@pytest.mark.parametrize("h, n_steps", [
+    pytest.param(2.0 ** -7, 128, id="128"),
+    pytest.param(2.0 ** -7, 129, id="129"),
+    pytest.param(2.0 ** -8, 256, id="256"),
+    pytest.param(2.0 ** -8, 257, id="257")])
+def test_sweep_at_the_generator_keep_boundary(h, n_steps):
+    # a block of the 2-d field's noise is 256 // 2 = 128 steps: 128 steps
+    # fit one block, so the sweep drops each generator after step 0; 129
+    # need a second block, so it keeps them and refills, and 256 and 257
+    # steps take two and three blocks.  Either way each row is its path's
+    # replay bit for bit, and the replay's increments are its default_rng
+    # normals times sqrt(h)
+    field = sl.make_field("diag-linear", d=2)
     pol = StepPolicy.fixed(h)
     indices = np.array([0, 5, 9, 1000])
     res = sweep_paths(field, [1.0, 1.0], n_steps * h, pol, 3, indices)
@@ -446,6 +451,29 @@ def test_sweep_at_the_generator_keep_boundary(n_steps):
         normals = np.random.default_rng(path_entropy(3, i)).standard_normal(
             (n_steps, 2))
         assert np.array_equal(path.increments, normals * np.sqrt(h))
+
+
+@pytest.mark.parametrize("name, params", [
+    ("linear-1d", {}), ("diag-linear", {"d": 2}), ("diag-linear", {"d": 16})])
+def test_sweep_buffer_holds_at_most_256_normals_per_path(monkeypatch, name,
+                                                         params):
+    # a block is floor(256 / m) steps of m normals, however large m is; the
+    # 300-step budget does not cap it
+    field = sl.make_field(name, **params)
+    shapes = []
+
+    class Recording(_BlockStreams):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shapes.append(self._buf.shape)
+
+    monkeypatch.setattr(engine, "_BlockStreams", Recording)
+    sweep_paths(field, np.ones(field.d), 0.3, StepPolicy.fixed(1e-3), 4,
+                np.arange(3))
+    m = field.m
+    assert shapes == [(3, 256 // m, m)]
+    assert engine._normal_block(m, 100.0) == min(256 // m, 100)
+    assert engine._normal_block(300, 1e7) == 1
 
 
 @pytest.mark.parametrize("mode", ["first", "all"])

@@ -12,7 +12,7 @@ def _report(tables):
 def test_failed_write_leaves_no_report(tmp_path):
     write_report(_report({"ok": [{"a": 1}]}), tmp_path)
     assert (tmp_path / "report.json").exists()
-    # a row key missing from the header makes csv.DictWriter raise
+    # a row whose keys differ from the header makes the table write raise
     broken = _report({"ok": [{"a": 1}, {"a": 2, "b": 3}]})
     with pytest.raises(ValueError):
         write_report(broken, tmp_path)

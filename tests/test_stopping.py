@@ -1,3 +1,7 @@
+import csv
+import io
+import math
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -5,6 +9,7 @@ from scipy import stats
 import sdelab as sl
 from sdelab import InvalidInputError, StepPolicy
 from sdelab.engine import Barrier, PathRealization, path_entropy, sweep_paths
+from sdelab.cli import _write_csv
 from sdelab.stopping import _escape_increments, escape_csv_rows
 
 
@@ -247,8 +252,40 @@ def test_escape_csv_rows():
     field = sl.make_field("constant", sigma0=[[1.0]], b0=[0.0])
     inc = sl.dyadic_escape_batch(field, [0.0], 2, 1.0, StepPolicy.fixed(1e-2),
                                  1, 2)
-    rows = escape_csv_rows(inc, 0.1)
+    rows = list(escape_csv_rows(inc, 0.1))
     assert len(rows) == 4
     assert rows[0] == {"path_id": 0, "k": 0, "increment": "",
                        "censored": True, "ge_t0": False}
     assert {r["path_id"] for r in rows} == {0, 1}
+
+
+def test_escape_csv_rows_stream_the_dict_rows():
+    # censored tails, zeros, increments tied with t0 and 17-digit values
+    t0 = 0.1
+    nan = np.nan
+    inc = np.array([[0.1, 0.30000000000000004, nan, nan],
+                    [0.0, 0.0, 0.1, 2.0000000000000004e-05],
+                    [nan, nan, nan, nan],
+                    [0.09999999999999999, 0.1, 1.2345678901234567, nan]])
+    # the rows as a list of dicts, one per (path, band)
+    listed = []
+    for pid, row in enumerate(inc.tolist()):
+        for k, v in enumerate(row):
+            cen = math.isnan(v)
+            listed.append({"path_id": pid, "k": k,
+                           "increment": "" if cen else v,
+                           "censored": cen, "ge_t0": v >= t0})
+    rows = escape_csv_rows(inc, t0)
+    assert len(rows) == inc.size == 16
+    assert list(rows) == listed
+    assert list(rows) == listed  # a second pass gives the same rows
+
+    want = io.StringIO(newline="")
+    writer = csv.DictWriter(want, fieldnames=list(listed[0]))
+    writer.writeheader()
+    writer.writerows(listed)
+    got = io.StringIO(newline="")
+    _write_csv(got, rows)
+    assert got.getvalue() == want.getvalue()
+    assert "0.30000000000000004,False,True" in got.getvalue()
+    assert "3,0,0.09999999999999999,False,False" in got.getvalue()
