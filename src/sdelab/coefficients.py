@@ -299,7 +299,7 @@ _NOTES = {
 # alpha <= 12 keeps the level |y|^(2 alpha) finite for every state within
 # the sweep's blowup limit of 1e12.  diag-linear's sigma is an (n, d, d)
 # block per step, 16.8 MB for a chunk of 8192 paths at d = 16; its noise
-# buffer of 256 normals per path is 16 MiB there (256 MiB while a block was
+# buffer of 128 normals per path is 8 MiB there (256 MiB while a block was
 # 256 steps of d normals).
 _PARAM_RANGES = {
     ("power-law-1d", "alpha"): (0, 12),

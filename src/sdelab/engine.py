@@ -17,7 +17,7 @@ never perturbs the increments.  The sweep builds one generator per path for
 the normals, at step 0, and keeps it only if the step budget
 ``horizon / h_min`` outruns one normal block: a sweep that fits in one
 block draws each generator once and drops it at once.  A block holds at
-most 256 normals per path, floor(256 / m) steps of an m-dimensional noise,
+most 128 normals per path, floor(128 / m) steps of an m-dimensional noise,
 so the buffer does not grow with the noise dimension.  Live paths advance in
 lockstep, so one step counter locates every path in its stream.  A
 chunk's streams are seeded from its master and its index array in one
@@ -26,7 +26,9 @@ chunk.  The bridge uniforms are not buffered but evaluated directly at the
 step index (``_pcg64.kth_uniform``), and only where the bridge probability
 exceeds 2^-53: a 53-bit uniform is a multiple of 2^-53, so a smaller
 probability could trigger only on a uniform of exactly 0.  Each sweep step
-is one pass over compact live-path arrays.  All barriers are tested at once
+is one pass over compact live-path arrays, and sigma and b are evaluated
+once per state: the values at a step's end state serve its level and the
+next step's update.  All barriers are tested at once
 as a (barrier, candidate path) matrix, where a candidate is a live path
 whose new level reaches its nearest uncrossed barrier or, with the bridge,
 whose bridge probability may exceed 2^-53 for one (``bridge_candidates``).
@@ -53,7 +55,7 @@ BRIDGE_STREAM_TAG = 0x42726467
 
 DEFAULT_CHUNK = 8192
 # normals per path in one block of the noise buffer
-_NORMAL_BLOCK = 256
+_NORMAL_BLOCK = 128
 
 # The bridge cutoff (see sweep_paths) and the prefilter's bound on half the
 # exponent: 53 ln 2 plus one nat, so that rounding can only add candidates.
@@ -99,7 +101,9 @@ class StepPolicy:
         if self.kind == "fixed":
             return np.full(levels.shape, self.h_max)
         raw = self.level_fraction * levels / (1.0 + levels)
-        return np.clip(raw, self.h_min, self.h_max)
+        # np.clip's wrapper costs more than the two ufuncs on the sweep's
+        # blocks, and agrees with them bit for bit, NaN included
+        return np.minimum(np.maximum(raw, self.h_min), self.h_max)
 
 
 @dataclass
@@ -205,7 +209,7 @@ class _BlockStreams:
     ``block`` each live path draws straight into its own contiguous row of a
     path-major ``(n, block, m)`` buffer, and step k reads column k of the
     live rows.  The sweep takes ``block`` from ``_normal_block``, so a row
-    holds at most 256 normals whatever m is.  ``words`` are the paths'
+    holds at most 128 normals whatever m is.  ``words`` are the paths'
     ``_pcg64.hash_words(master, indices)`` rows, so each generator is
     ``default_rng((*master, index))``.
 
@@ -219,8 +223,8 @@ class _BlockStreams:
     def __init__(self, words, shape_per_draw, block, budget):
         self._words = words
         self._gens = [None] * len(words) if budget > block else None
-        self._draw_shape = (block,) + shape_per_draw
-        self._buf = np.empty((len(words),) + self._draw_shape)
+        self._step_shape = shape_per_draw
+        self._buf = np.empty((len(words), block) + shape_per_draw)
         # the same memory as one opaque record per (path, step): a step then
         # gathers whole draws, not m floats at a time per row, which is
         # several times faster for m = 2
@@ -228,18 +232,22 @@ class _BlockStreams:
         self._records = self._buf.view(record).reshape(self._buf.shape[:2])
 
     def draw(self, rows: np.ndarray, step: int) -> np.ndarray:
-        k = step % self._buf.shape[1]
+        buf, gens = self._buf, self._gens
+        k = step % buf.shape[1]
         if k == 0:
-            if step and self._gens is None:
+            if step and gens is None:
                 raise InvariantError(
                     f"step {step} refills a stream dropped after its one block")
-            for i in rows:
-                gen = self._gens[i] if step else _pcg64.generator(self._words[i])
-                gen.standard_normal(self._draw_shape, out=self._buf[i])
-                if self._gens is not None:
-                    self._gens[i] = gen
+            words = self._words
+            # one Python iteration per live path: plain ints and locals keep
+            # its overhead small next to the draw
+            for i in rows.tolist():
+                gen = gens[i] if step else _pcg64.generator(words[i])
+                gen.standard_normal(out=buf[i])
+                if gens is not None:
+                    gens[i] = gen
         return self._records[:, k][rows].view(np.float64).reshape(
-            (rows.size,) + self._draw_shape[1:])
+            (rows.size,) + self._step_shape)
 
 
 def bridge_cross_probability(x0, x1, sigma, h, barrier_x, down) -> np.ndarray:
@@ -357,10 +365,14 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     matrices.  Only pairs whose bridge probability exceeds 2^-53 draw a
     uniform: a smaller one could trigger only on a uniform of exactly 0,
     which a pair meets with probability 2^-53 per step.  Normals come in
-    lockstep blocks of at most 256 normals, floor(256 / m) steps, and at
+    lockstep blocks of at most 128 normals, floor(128 / m) steps, and at
     most ``ceil(horizon / h_min)`` steps (``_normal_block``), drawn into one
     contiguous row per path (``_BlockStreams``); a path's generator outlives
-    the step-0 draw only when that budget outruns one block.
+    the step-0 draw only when that budget outruns one block.  Sigma and b
+    are evaluated once per state: a step evaluates them at its end states,
+    for their level and for the next step's update, and carries them with
+    the live state; the start block's values come from ``field.sigma`` and
+    ``field.b`` directly, so ``cf.sigma_batch`` is called once per step.
     """
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
@@ -468,16 +480,18 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         up = np.where(unc & ~is_down, ladder_values, np.inf).min(axis=1, initial=np.inf)
         return np.stack([dn, up], axis=1).reshape(-1, unc.shape[1])
 
-    # live state, one entry per live path; dW_sum is None unless noise sums
-    # are tracked.  ``uncrossed`` and ``near`` have one column per live path
-    # with stop_mode 'all'; with 'first' a crossing stops its path, so every
-    # live path keeps the start's and they are one column broadcast against
-    # the paths.  An uncrossed down barrier always lies strictly below the
-    # current level and an uncrossed up barrier strictly above it, so a path
-    # crosses on the interpolant exactly when lev1 <= dn or lev1 >= up.
+    # live state, one entry per live path: Sig and Bv are sigma and b at X,
+    # and dW_sum is None unless noise sums are tracked.  ``uncrossed`` and
+    # ``near`` have one column per live path with stop_mode 'all'; with
+    # 'first' a crossing stops its path, so every live path keeps the
+    # start's and they are one column broadcast against the paths.  An
+    # uncrossed down barrier always lies strictly below the current level
+    # and an uncrossed up barrier strictly above it, so a path crosses on
+    # the interpolant exactly when lev1 <= dn or lev1 >= up.
     per_path = stop_mode == "all"
     idx = np.arange(0 if stop0 else n)
     X = np.tile(start, (idx.size, 1))
+    Sig, Bv = field.sigma(X), field.b(X)
     t = np.zeros(idx.size)
     lev = np.full(idx.size, lev0)
     lo = lev.copy()
@@ -496,7 +510,8 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         min_levels[rows] = lo_end[out]
         if track_noise_sum:
             noise_sum[rows] = dW_sum.take(out, axis=0)
-        return (idx[keep], X.take(keep, axis=0), t[keep], lev[keep], lo[keep],
+        return (idx[keep], X.take(keep, axis=0), Sig.take(keep, axis=0),
+                Bv.take(keep, axis=0), t[keep], lev[keep], lo[keep],
                 uncrossed.take(keep, axis=1) if per_path else uncrossed,
                 near.take(keep, axis=1) if per_path else near,
                 None if dW_sum is None else dW_sum.take(keep, axis=0))
@@ -505,8 +520,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     while idx.size:
         h = np.minimum(policy.step_sizes(lev), horizon - t)
         dW = streams.draw(idx, step) * np.sqrt(h)[:, None]
-        Sig = cf.sigma_batch(field, X)
-        X1 = _em_batch(X, Sig, cf.b_batch(field, X), h, dW)
+        X1 = _em_batch(X, Sig, Bv, h, dW)
 
         # NaN and inf fail the comparison too
         ok = np.abs(X1) <= BLOWUP_LIMIT
@@ -518,13 +532,15 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     f"state left trusted range at step {step} (path {i})",
                     step_index=step, path_index=i, seed=(*master, i))
             blown_up[idx[bad]] = True
-            idx, X, t, lev, lo, uncrossed, near, dW_sum = retire(bad, t, X, lo)
+            (idx, X, Sig, Bv, t, lev, lo, uncrossed, near,
+             dW_sum) = retire(bad, t, X, lo)
             keep = ~bad
-            h, dW, Sig, X1 = h[keep], dW[keep], Sig[keep], X1[keep]
+            h, dW, X1 = h[keep], dW[keep], X1[keep]
             if not idx.size:
                 break
 
-        lev1 = cf.level_batch(field, X1)
+        Sig1, Bv1 = cf.sigma_batch(field, X1), cf.b_batch(field, X1)
+        lev1 = cf._level_of(Sig1, Bv1)
         t1 = t + h
         # realized step duration; used for every within-step time
         # interpolation so crossing times recomputed from a recorded grid
@@ -626,7 +642,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             rec_times.append(float(t1[0]))
             rec_states.append(X1[0].copy())
             rec_incs.append(dW[0].copy())
-        X, t, lev, lo = X1, t1, lev1, lo1
+        X, Sig, Bv, t, lev, lo = X1, Sig1, Bv1, t1, lev1, lo1
         if gone.any():
             absorbed[idx[absorb]] = True
             if capture_at_end:
@@ -635,7 +651,8 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                     hz &= ~stop
                 captured[idx[hz]] = True
                 capture_state[idx[hz]] = X1[hz]
-            idx, X, t, lev, lo, uncrossed, near, dW_sum = retire(gone, t_end, x_end, lo)
+            (idx, X, Sig, Bv, t, lev, lo, uncrossed, near,
+             dW_sum) = retire(gone, t_end, x_end, lo)
         step += 1
 
     trajectory = None

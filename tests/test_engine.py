@@ -53,6 +53,25 @@ def test_step_policy_validation_and_sizes():
     assert np.all(StepPolicy.fixed(0.5).step_sizes(levels) == 0.5)
 
 
+def test_adaptive_step_sizes_equal_np_clip_bit_for_bit():
+    # step_sizes clamps with minimum(maximum(.)), which must agree with
+    # np.clip on every level, at both edges and on non-finite ones: inf
+    # makes raw inf / inf = NaN
+    frac = 0.5
+    at_min = 2.0 ** -20
+    h_min = frac * at_min / (1.0 + at_min)
+    pol = StepPolicy.adaptive(h_max=0.25, h_min=h_min, level_fraction=frac)
+    # raw steps exactly h_min (level 2^-20) and exactly h_max (level 1)
+    levels = np.array([0.0, 5e-324, 1e-300, at_min, 1.0, 1e300, np.inf, np.nan])
+    with np.errstate(invalid="ignore"):
+        raw = frac * levels / (1.0 + levels)
+        h = pol.step_sizes(levels)
+    assert raw[3] == h_min and raw[4] == 0.25
+    ref = np.clip(raw, h_min, 0.25)
+    assert np.array_equal(h.view(np.uint64), ref.view(np.uint64))
+    assert np.isnan(h[-2:]).all()
+
+
 def test_pure_drift_path_hits_exact_grid():
     field = sl.make_field("constant", sigma0=[[0.0]], b0=[1.0])
     path = sl.simulate_path(field, [0.0], 1.0, StepPolicy.fixed(0.25), 1)
@@ -426,38 +445,85 @@ def test_block_streams_follow_each_path_stream():
         streams.draw(rows, 4)
 
 
-@pytest.mark.parametrize("h, n_steps", [
-    pytest.param(2.0 ** -7, 128, id="128"),
-    pytest.param(2.0 ** -7, 129, id="129"),
-    pytest.param(2.0 ** -8, 256, id="256"),
-    pytest.param(2.0 ** -8, 257, id="257")])
-def test_sweep_at_the_generator_keep_boundary(h, n_steps):
-    # a block of the 2-d field's noise is 256 // 2 = 128 steps: 128 steps
-    # fit one block, so the sweep drops each generator after step 0; 129
-    # need a second block, so it keeps them and refills, and 256 and 257
-    # steps take two and three blocks.  Either way each row is its path's
-    # replay bit for bit, and the replay's increments are its default_rng
-    # normals times sqrt(h)
-    field = sl.make_field("diag-linear", d=2)
+@pytest.mark.parametrize("name, params, h, n_steps", [
+    pytest.param("linear-1d", {}, 2.0 ** -7, 128, id="linear-1d-128"),
+    pytest.param("linear-1d", {}, 2.0 ** -7, 129, id="linear-1d-129"),
+    pytest.param("diag-linear", {"d": 2}, 2.0 ** -6, 64, id="64"),
+    pytest.param("diag-linear", {"d": 2}, 2.0 ** -6, 65, id="65"),
+    pytest.param("diag-linear", {"d": 2}, 2.0 ** -7, 128, id="128"),
+    pytest.param("diag-linear", {"d": 2}, 2.0 ** -7, 129, id="129"),
+    pytest.param("diag-linear", {"d": 2}, 2.0 ** -8, 256, id="256"),
+    pytest.param("diag-linear", {"d": 2}, 2.0 ** -8, 257, id="257")])
+def test_sweep_at_the_generator_keep_boundary(name, params, h, n_steps):
+    # a block is 128 // m steps: 128 for linear-1d, 64 for the 2-d
+    # diag-linear field.  A sweep that fits one block (128 steps of
+    # linear-1d, 64 of diag-linear) drops each generator after step 0; one
+    # step more needs a second block, so it keeps them and refills, and
+    # 128, 129, 256 and 257 steps of diag-linear take two to five blocks.
+    # Either way each row is its path's replay bit for bit, and the
+    # replay's increments are its default_rng normals times sqrt(h)
+    field = sl.make_field(name, **params)
+    start = np.ones(field.d)
     pol = StepPolicy.fixed(h)
     indices = np.array([0, 5, 9, 1000])
-    res = sweep_paths(field, [1.0, 1.0], n_steps * h, pol, 3, indices)
+    res = sweep_paths(field, start, n_steps * h, pol, 3, indices)
     for row, i in enumerate(indices):
-        path = sl.simulate_path(field, [1.0, 1.0], n_steps * h, pol,
+        path = sl.simulate_path(field, start, n_steps * h, pol,
                                 path_entropy(3, i))
         assert path.times.size == n_steps + 1
         assert res.end_times[row] == path.times[-1]
         assert np.array_equal(res.end_states[row], path.states[-1])
         normals = np.random.default_rng(path_entropy(3, i)).standard_normal(
-            (n_steps, 2))
+            (n_steps, field.m))
         assert np.array_equal(path.increments, normals * np.sqrt(h))
 
 
-@pytest.mark.parametrize("name, params", [
-    ("linear-1d", {}), ("diag-linear", {"d": 2}), ("diag-linear", {"d": 16})])
-def test_sweep_buffer_holds_at_most_256_normals_per_path(monkeypatch, name,
-                                                         params):
-    # a block is floor(256 / m) steps of m normals, however large m is; the
+@pytest.mark.parametrize("name, params, h, horizon, retire, n, kinds", [
+    # 2 blowups, 26 low-level and 20 horizon retirements
+    pytest.param("power-law-1d", {"alpha": 1.5}, 2.0 ** -4, 12.0, 5e-4, 48,
+                 ("blowup", "low", "horizon"), id="power-law-1d"),
+    # sigma(X) is a view of X, so a state changed in place would show
+    pytest.param("linear-1d", {}, 2.0 ** -6, 3.0, 0.1, 24, ("low", "horizon"),
+                 id="linear-1d")])
+def test_sweep_matches_an_em_step_loop(name, params, h, horizon, retire, n,
+                                       kinds):
+    # The sweep carries sigma and b from a step's end state to the next
+    # step; a scalar Euler-Maruyama loop that evaluates them afresh at
+    # every state must give each path's end time, end state and minimum
+    # level bit for bit.  Both sweeps outrun one normal block, so streams
+    # are refilled too.
+    field = sl.make_field(name, **params)
+    master = 1
+    res = sweep_paths(field, [1.0], horizon, StepPolicy.fixed(h), master,
+                      np.arange(n), min_level_retire=retire, on_blowup="retire")
+    seen = {"blowup": res.blown_up.any(),
+            "low": ((res.min_levels <= retire) & ~res.blown_up).any(),
+            "horizon": (res.end_times == horizon).any()}
+    assert all(seen[k] for k in kinds), seen
+    n_steps = round(horizon / h)
+    for i in np.flatnonzero(~res.blown_up):
+        normals = np.random.default_rng(path_entropy(master, i)).standard_normal(
+            (n_steps, field.m))
+        x, t = np.array([1.0]), 0.0
+        lo = sl.level(field, x)
+        for dw in normals * np.sqrt(h):
+            x = sl.em_step(field, x, h, dw)
+            t += h
+            lo = min(lo, sl.level(field, x))
+            if lo <= retire:
+                break
+        assert res.end_times[i] == t
+        assert np.array_equal(res.end_states[i], x)
+        assert res.min_levels[i] == lo
+
+
+@pytest.mark.parametrize("name, params, shape", [
+    pytest.param("linear-1d", {}, (3, 128, 1), id="linear-1d"),
+    pytest.param("diag-linear", {"d": 2}, (3, 64, 2), id="diag-linear-2"),
+    pytest.param("diag-linear", {"d": 16}, (3, 8, 16), id="diag-linear-16")])
+def test_sweep_buffer_holds_at_most_128_normals_per_path(monkeypatch, name,
+                                                         params, shape):
+    # a block is floor(128 / m) steps of m normals, however large m is; the
     # 300-step budget does not cap it
     field = sl.make_field(name, **params)
     shapes = []
@@ -471,8 +537,8 @@ def test_sweep_buffer_holds_at_most_256_normals_per_path(monkeypatch, name,
     sweep_paths(field, np.ones(field.d), 0.3, StepPolicy.fixed(1e-3), 4,
                 np.arange(3))
     m = field.m
-    assert shapes == [(3, 256 // m, m)]
-    assert engine._normal_block(m, 100.0) == min(256 // m, 100)
+    assert shapes == [shape]
+    assert engine._normal_block(m, 100.0) == min(128 // m, 100)
     assert engine._normal_block(300, 1e7) == 1
 
 
