@@ -4,10 +4,13 @@ The module has two layers.  ``em_step``/``simulate_path`` are the scalar API:
 one explicit Euler-Maruyama update and one fully recorded trajectory.  Under
 both sits ``sweep_paths``, a vectorized driver that advances a block of paths
 simultaneously, detects level-threshold crossings incrementally, and retires
-paths as they stop.  Every estimator in the package runs on the same driver,
-so a path's realization depends only on its name, the pair (master seed,
-path index), and the step policy, never on batch size, worker count, or
-which functional is being accumulated.
+paths as they stop.  Its ``SweepResult`` records each fact once: a path that
+stops at its first crossing ends there, so that crossing's time and state
+are the path's end time and end state, and the capture at a time t is the
+stopped state X(t ^ end time).  Every estimator in the package runs on the
+same driver, so a path's realization depends only on its name, the pair
+(master seed, path index), and the step policy, never on batch size, worker
+count, or which functional is being accumulated.
 
 Noise is numpy's own: each path's increments are
 ``default_rng((*master, index))`` normals, and each (path, barrier) bridge
@@ -134,19 +137,19 @@ class Barrier:
 
 @dataclass
 class SweepResult:
-    """Per-path functionals accumulated by :func:`sweep_paths`."""
+    """Per-path functionals accumulated by :func:`sweep_paths`.
 
-    end_times: np.ndarray
-    end_states: np.ndarray
-    min_levels: np.ndarray
-    crossed: np.ndarray        # (n, n_barriers) bool
+    With ``stop_mode='first'`` a crossing stops its path, so the first
+    crossing's time and state are ``end_times`` and ``end_states``.
+    """
+
+    end_times: np.ndarray      # (n,)
+    end_states: np.ndarray     # (n, d)
+    min_levels: np.ndarray     # (n,)
     cross_times: np.ndarray    # (n, n_barriers), nan where uncrossed
     cross_bridge: np.ndarray   # (n, n_barriers) bool
-    first_barrier: np.ndarray  # (n,) int, -1 where no crossing
-    first_time: np.ndarray     # (n,), nan where no crossing
-    first_state: np.ndarray    # (n, d)
-    captured: np.ndarray       # (n,) bool
-    capture_state: np.ndarray  # (n, d)
+    first_barrier: np.ndarray  # (n,) int: earliest crossing, -1 where none
+    capture_state: np.ndarray  # (n, d): the state at min(capture_time, end)
     absorbed: np.ndarray       # (n,) bool
     blown_up: np.ndarray       # (n,) bool
     noise_sum: np.ndarray | None
@@ -350,11 +353,19 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     pathwise and the increments are the same with the bridge on or off.
 
     Simultaneous crossings within one step resolve to the earliest
-    interpolated time; exact ties resolve to the lower threshold.
+    interpolated time; exact ties resolve to the lower threshold.  That
+    earliest barrier is ``first_barrier``; with ``'first'`` its crossing
+    time and state are the path's end time and end state.
+
+    ``capture_state`` is the stopped state X(min(capture_time, end time)):
+    the state interpolated at ``capture_time`` on the step that contains it
+    for a path still running then, else the path's end state.  A
+    ``capture_time`` at the horizon, or none, gives the end states.
 
     Each step is one pass.  The live paths' state sits in arrays of live
     rows, compressed only on steps where some path retires; a retiring
-    path's end time, end state and minimum level are written once.  The
+    path's end time, end state and minimum level are written once, and its
+    capture state too if it ends by ``capture_time``.  The
     barriers are one vector in ascending level order, so crossing tests,
     times and bridge probabilities are (barrier, candidate path) matrices
     whose first column minimum is the lower threshold.  A live path is a
@@ -399,7 +410,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     if record and n != 1:
         raise InvalidInputError("trajectory recording supports one path at a time")
 
-    d, m = field.d, field.m
+    m = field.m
     # Barrier columns in ascending level order; column j is barriers[order[j]].
     # A down barrier is crossed when side * level <= side * barrier level.
     order = np.argsort([b.level for b in barriers], kind="stable")
@@ -414,7 +425,10 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     tol = cf.resolved_zero_tol(field, lev0)
     retire_level = -np.inf if min_level_retire is None else min_level_retire
     horizon_eps = 1e-12 * max(1.0, horizon)
-    capture_at_end = capture_time is not None and capture_time >= horizon - horizon_eps
+    # a capture time at the horizon, like none, takes the end states
+    cap_t = capture_time
+    if cap_t is not None and cap_t >= horizon - horizon_eps:
+        cap_t = None
 
     budget = horizon / policy.h_min
     streams = _BlockStreams(_pcg64.hash_words(master, indices), (m,),
@@ -436,11 +450,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     min_levels = np.full(n, lev0)
     cross_times = np.full((n, nb), np.nan)
     cross_bridge = np.zeros((n, nb), dtype=bool)
-    first_barrier = np.full(n, -1, dtype=np.int64)
-    first_time = np.full(n, np.nan)
-    first_state = np.tile(start, (n, 1))
-    captured = np.zeros(n, dtype=bool)
-    capture_state = np.zeros((n, d))
+    capture_state = np.tile(start, (n, 1))
     absorbed = np.zeros(n, dtype=bool)
     blown_up = np.zeros(n, dtype=bool)
     noise_sum = np.zeros((n, m)) if track_noise_sum else None
@@ -455,20 +465,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         absorbed[:] = True
         stop0 = True
     else:
-        if crossed0.any():
-            cross_times[:, crossed0] = 0.0
-            first_barrier[:] = order[np.argmax(crossed0)]
-            first_time[:] = 0.0
+        cross_times[:, crossed0] = 0.0
         stop0 = crossed0.any() if stop_mode == "first" else nb and crossed0.all()
-        if capture_time == 0.0:
-            captured[:] = True
-            capture_state[:] = start
-        stop0 = stop0 or lev0 <= retire_level
-        if not stop0 and horizon <= horizon_eps:
-            stop0 = True
-            if capture_at_end:
-                captured[:] = True
-                capture_state[:] = start
+        stop0 = stop0 or lev0 <= retire_level or horizon <= horizon_eps
 
     is_down = side > 0
 
@@ -508,6 +507,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         end_times[rows] = t_end[out]
         end_states[rows] = x_end.take(out, axis=0)
         min_levels[rows] = lo_end[out]
+        if cap_t is not None:
+            early = t_end[out] <= cap_t
+            capture_state[rows[early]] = x_end.take(out[early], axis=0)
         if track_noise_sum:
             noise_sum[rows] = dW_sum.take(out, axis=0)
         return (idx[keep], X.take(keep, axis=0), Sig.take(keep, axis=0),
@@ -548,7 +550,6 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         dt = t1 - t
 
         t_end, x_end, stop = t1, X1, None
-        best_time = None
         if nb:
             reach = (lev1 <= near[0]) | (lev1 >= near[1])
             if bridge_seeds is not None:
@@ -584,22 +585,19 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             if c.size:
                 rows = idx[c]
                 tcc = tc[:, cc]
-                jb = tcc.argmin(axis=0)
-                best_time = tcc[jb, np.arange(c.size)]
-                frac = (best_time - t[c]) / dt[c]
-                best_state = X[c] + (X1[c] - X[c]) * frac[:, None]
-                if bridge_seeds is not None:
-                    bb = cross_bridge[rows, jb]
-                    sgn = np.sign(X[c[bb], 0])
-                    sgn[sgn == 0] = 1.0
-                    best_state[bb, 0] = sgn * barrier_x[jb[bb], 0]
                 jn, cn = np.nonzero(new[:, cc])
                 cross_times[rows[cn], jn] = tcc[jn, cn]
-                first = first_barrier[rows] == -1
-                first_barrier[rows[first]] = order[jb[first]]
-                first_time[rows[first]] = best_time[first]
-                first_state[rows[first]] = best_state[first]
                 if stop_mode == "first":
+                    # the path stops at its earliest crossing
+                    jb = tcc.argmin(axis=0)
+                    best_time = tcc[jb, np.arange(c.size)]
+                    frac = (best_time - t[c]) / dt[c]
+                    best_state = X[c] + (X1[c] - X[c]) * frac[:, None]
+                    if bridge_seeds is not None:
+                        bb = cross_bridge[rows, jb]
+                        sgn = np.sign(X[c[bb], 0])
+                        sgn[sgn == 0] = 1.0
+                        best_state[bb, 0] = sgn * barrier_x[jb[bb], 0]
                     stop = np.zeros(idx.size, dtype=bool)
                     stop[c] = True
                     t_end, x_end = t1.copy(), X1.copy()
@@ -615,15 +613,11 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                         t_end = t1.copy()
                         t_end[c[done]] = cross_times[rows[done]].max(axis=1)
 
-        if capture_time is not None:
-            cap = (t <= capture_time) & (capture_time < t1)
-            if best_time is not None:
-                cap[c] &= capture_time < best_time
-            k = np.flatnonzero(cap)
-            k = k[~captured[idx[k]]]
+        if cap_t is not None:
+            # a path ending at or before cap_t takes its end state in retire
+            k = np.flatnonzero((t <= cap_t) & (cap_t < t_end))
             if k.size:
-                frac = (capture_time - t[k]) / dt[k]
-                captured[idx[k]] = True
+                frac = (cap_t - t[k]) / dt[k]
                 capture_state[idx[k]] = X[k] + (X1[k] - X[k]) * frac[:, None]
 
         # retirement after the step; a crossing retirement takes precedence
@@ -645,12 +639,6 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         X, Sig, Bv, t, lev, lo = X1, Sig1, Bv1, t1, lev1, lo1
         if gone.any():
             absorbed[idx[absorb]] = True
-            if capture_at_end:
-                hz = gone & ~absorb & ~low
-                if stop is not None:
-                    hz &= ~stop
-                captured[idx[hz]] = True
-                capture_state[idx[hz]] = X1[hz]
             (idx, X, Sig, Bv, t, lev, lo, uncrossed, near,
              dW_sum) = retire(gone, t_end, x_end, lo)
         step += 1
@@ -667,15 +655,20 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             absorbed=bool(absorbed[0]),
         )
 
+    # the earliest crossing; ladder order sends ties to the lower threshold
+    first_barrier = np.full(n, -1, dtype=np.int64)
+    if nb:
+        crossed = ~np.isnan(cross_times)
+        jb = np.where(crossed, cross_times, np.inf).argmin(axis=1)
+        first_barrier = np.where(crossed.any(axis=1), order[jb], -1)
     # back to the caller's barrier order
     unsort = np.argsort(order)
-    cross_times = cross_times[:, unsort]
     return SweepResult(
         end_times=end_times, end_states=end_states, min_levels=min_levels,
-        crossed=~np.isnan(cross_times), cross_times=cross_times,
+        cross_times=cross_times[:, unsort],
         cross_bridge=cross_bridge[:, unsort], first_barrier=first_barrier,
-        first_time=first_time, first_state=first_state, captured=captured,
-        capture_state=capture_state, absorbed=absorbed, blown_up=blown_up,
+        capture_state=end_states.copy() if cap_t is None else capture_state,
+        absorbed=absorbed, blown_up=blown_up,
         noise_sum=noise_sum, trajectory=trajectory)
 
 

@@ -137,10 +137,9 @@ def sandwich_time(path: PathRealization, field: CoefficientField,
     within 5% relative tolerance.
     """
     vf._check_band_start(field, path.states[0], base_level, band_index)
-    down = first_hitting_time(path, field, base_level / 2.0 ** (band_index + 1),
-                              method)
-    up = first_hitting_time(path, field, base_level / 2.0 ** (band_index - 1),
-                            method)
+    lower, _, upper = vf._band_levels(base_level, band_index)
+    down = first_hitting_time(path, field, lower, method)
+    up = first_hitting_time(path, field, upper, method)
     if down.censored and up.censored:
         return down
     if down.censored:

@@ -21,7 +21,7 @@ from . import coefficients as cf
 from .coefficients import CoefficientField
 from .engine import (Barrier, StepPolicy, entropy_tuple, iter_chunks,
                      map_path_chunks, sweep_paths)
-from .errors import InvalidInputError, InvariantError
+from .errors import InvalidInputError
 
 # Fitted strong-convergence exponent the engine is expected to reproduce.
 STRONG_ORDER_WINDOW = (0.35, 0.65)
@@ -224,13 +224,18 @@ def _require_k(field: CoefficientField, override) -> float:
     return float(k)
 
 
-def _check_band_start(field: CoefficientField, x, band_level: float,
-                      band_index: int) -> float:
+def _band_levels(band_level: float, band_index: int) -> tuple:
+    """The band's lower, center and upper levels A/2^(k+1), A/2^k, A/2^(k-1)."""
     if band_level <= 0:
         raise InvalidInputError("band_level must be positive")
     if band_index < 1:
         raise InvalidInputError("band_index must be >= 1")
-    target = band_level / 2.0 ** band_index
+    return tuple(band_level / 2.0 ** (band_index + j) for j in (1, 0, -1))
+
+
+def _check_band_start(field: CoefficientField, x, band_level: float,
+                      band_index: int) -> float:
+    _, target, _ = _band_levels(band_level, band_index)
     lev = cf.level(field, x)
     if abs(lev - target) > 0.05 * target:
         raise InvalidInputError(
@@ -258,8 +263,8 @@ def _sum_chunks(partials) -> list:
 # ---------------------------------------------------------------------------
 
 def _band_barriers(band_level: float, band_index: int):
-    return (Barrier(band_level / 2.0 ** (band_index + 1), "down"),
-            Barrier(band_level / 2.0 ** (band_index - 1), "up"))
+    lower, _, upper = _band_levels(band_level, band_index)
+    return Barrier(lower, "down"), Barrier(upper, "up")
 
 
 def _kernel_escape_times(field, indices, p):
@@ -268,8 +273,9 @@ def _kernel_escape_times(field, indices, p):
                       barriers=_band_barriers(p["A"], p["k"]),
                       stop_mode="first", bridge=p["bridge"])
     t_grid = np.asarray(p["t_grid"])[:, None]
-    exits = np.count_nonzero(res.first_time <= t_grid, axis=1)
-    return exits, int(np.count_nonzero(np.isnan(res.first_time))), len(indices)
+    exited = res.first_barrier >= 0
+    exits = np.count_nonzero(exited & (res.end_times <= t_grid), axis=1)
+    return exits, int(np.count_nonzero(~exited)), len(indices)
 
 
 def _kernel_band_functionals(field, indices, p):
@@ -280,9 +286,7 @@ def _kernel_band_functionals(field, indices, p):
                       bridge=p["bridge"])
     x = np.asarray(p["start"], dtype=float)
     exited = res.first_barrier >= 0
-    before_t = exited & (res.first_time <= p["t"])
-    after_t = exited & ~before_t
-    states = np.where(before_t[:, None], res.first_state, res.capture_state)
+    states = res.capture_state
     lev_x = cf.level(field, x)
     n = len(indices)
     v = np.zeros(n)
@@ -291,8 +295,6 @@ def _kernel_band_functionals(field, indices, p):
         diff = states[exited] - x
         v[exited] = np.einsum("ij,ij->i", diff, diff)
         w[exited] = np.abs(lev_x - cf.level_batch(field, states[exited]))
-    if np.any(after_t) and not res.captured[after_t].all():
-        raise InvariantError("band exit after capture time without captured state")
     return (float(np.sum(v)), float(np.sum(v * v)),
             float(np.sum(w)), float(np.sum(w * w)),
             int(np.sum(~exited)), n)
@@ -364,7 +366,7 @@ def check_displacement_bound(field: CoefficientField, x, band_level: float,
         field, x, band_level, band_index, t, n_paths, policy, seed, bridge,
         workers)
     lhs = _mean_with_ci(sv, sv2, n, cens)
-    rhs = (field.m + 1.0) * (band_level / 2.0 ** (band_index - 1)) * t
+    rhs = (field.m + 1.0) * _band_levels(band_level, band_index)[2] * t
     params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
               "d": field.d, "field": field.name, "n_paths": n,
               "seed": list(entropy_tuple(seed)),
@@ -471,10 +473,7 @@ def check_halving_persistence(field: CoefficientField, starts,
     band_level / 2**(band_index+1).  ``t0`` is given by the caller, for
     example ``persistence_t0`` of the field's Lipschitz bound.
     """
-    if band_level <= 0 or band_index < 1:
-        raise InvalidInputError("need band_level > 0 and band_index >= 1")
-    floor_level = band_level / 2.0 ** band_index
-    barrier = band_level / 2.0 ** (band_index + 1)
+    barrier, floor_level, _ = _band_levels(band_level, band_index)
     starts = [np.asarray(s, dtype=float) for s in starts]
     valid = [s for s in starts if cf.level(field, s) >= floor_level * (1 - 1e-12)]
     dropped = len(starts) - len(valid)

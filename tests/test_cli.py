@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import sdelab as sl
-from sdelab import InvalidInputError
+from sdelab import InvalidInputError, InvariantError
 from sdelab.cli import main, run_scenario, write_report
 
 
@@ -149,17 +149,14 @@ def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
 
 
 def test_broken_sweep_invariant_exits_1(tmp_path, capsys, monkeypatch):
-    # band exits after t without a captured state would be a sweep defect;
-    # main reports it as a typed error and returns 1, not a traceback
+    # a sweep invariant found broken is a typed error: main reports it and
+    # returns 1, not a traceback
     from sdelab import verification
-    real = verification.sweep_paths
 
-    def sweep_without_capture(*args, **kwargs):
-        res = real(*args, **kwargs)
-        res.captured[:] = False
-        return res
+    def broken_sweep(*args, **kwargs):
+        raise InvariantError("sweep lost a captured state")
 
-    monkeypatch.setattr(verification, "sweep_paths", sweep_without_capture)
+    monkeypatch.setattr(verification, "sweep_paths", broken_sweep)
     cfg = json.loads(_hitting_config(n_paths=200,
                                      policy={"kind": "fixed", "h_max": 1e-2}))
     cfg["experiment"] = "displacement"

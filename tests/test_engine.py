@@ -261,10 +261,11 @@ def _sweep_case(case, multiples):
 def test_sweep_equals_path_scan_property(case, multiples, mode, master):
     # every barrier's sweep crossing is the post-hoc scan of the recorded
     # path, bit for bit; the first crossing is the earliest, ties to the
-    # lower threshold.  power-law-1d (alpha 3/2) leaves the trusted range on
-    # about 0.07 % of paths by t = 1, before or after the sweep stops them,
-    # so both sides retire a blown-up path and the path is recorded up to
-    # the step before its blowup
+    # lower threshold, and with 'first' the path ends there.  power-law-1d
+    # (alpha 3/2) leaves the trusted range on about 0.07 % of paths by
+    # t = 1, before or after the sweep stops them, so both sides retire a
+    # blown-up path and the path is recorded up to the step before its
+    # blowup
     field, start, pol, bridge, barriers = _sweep_case(case, multiples)
     method = "bridge-corrected" if bridge else "interpolated"
     res = sweep_paths(field, start, 1.0, pol, master, np.arange(3),
@@ -280,18 +281,19 @@ def test_sweep_equals_path_scan_property(case, multiples, mode, master):
                for b in barriers]
         if mode == "all":
             for j, r in enumerate(ref):
-                assert res.crossed[i, j] == (not r.censored)
+                assert np.isnan(res.cross_times[i, j]) == r.censored
                 if not r.censored:
                     assert res.cross_times[i, j] == r.time
+        hits = sorted((r.time, b.level, j) for j, (r, b)
+                      in enumerate(zip(ref, barriers)) if not r.censored)
+        if hits:
+            assert res.first_barrier[i] == hits[0][2]
+            if mode == "first":
+                assert res.end_times[i] == hits[0][0]
+                assert res.cross_times[i, hits[0][2]] == hits[0][0]
         else:
-            hits = sorted((r.time, b.level, j) for j, (r, b)
-                          in enumerate(zip(ref, barriers)) if not r.censored)
-            if hits:
-                assert res.first_time[i] == hits[0][0]
-                assert res.first_barrier[i] == hits[0][2]
-            else:
-                assert res.first_barrier[i] == -1
-                assert np.isnan(res.first_time[i])
+            assert res.first_barrier[i] == -1
+            assert np.isnan(res.cross_times[i]).all()
 
 
 @settings(max_examples=60, deadline=None)
@@ -564,14 +566,14 @@ def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
     path = sl.simulate_path(field, [1.0], 10 * h, pol, path_entropy(1, 0))
     ref = [first_hitting_time(path, field, b.level) for b in barriers]
     assert not any(r.censored for r in ref)
+    jb, t_first = first[:2]
+    assert res.first_barrier[0] == jb
+    assert res.cross_times[0, jb] == ref[jb].time == t_first
     if mode == "first":
-        jb, t_first, x_end, lo = first
-        assert res.first_barrier[0] == jb
-        assert res.first_time[0] == ref[jb].time == t_first
+        x_end, lo = first[2:]
         assert res.end_times[0] == t_first
     else:
         t_last, x_end, lo = all_
-        assert res.crossed[0].all()
         assert res.cross_times[0].tolist() == [r.time for r in ref]
         assert res.end_times[0] == t_last
     assert res.end_states[0, 0] == x_end
@@ -583,7 +585,8 @@ def test_sweep_barrier_at_start_and_validation():
     pol = StepPolicy.fixed(1e-3)
     res = sweep_paths(field, [1.0], 1.0, pol, 1, [0],
                       barriers=(Barrier(1.0, "down"),), stop_mode="first")
-    assert res.first_time[0] == 0.0
+    assert res.first_barrier[0] == 0
+    assert res.end_times[0] == res.cross_times[0, 0] == 0.0
     # a start at or through two down barriers, passed in descending level
     # order: the time-0 tie resolves to the lower threshold
     for start in ([1.0], [0.5]):
@@ -591,8 +594,8 @@ def test_sweep_barrier_at_start_and_validation():
                           barriers=(Barrier(2.0, "down"), Barrier(1.0, "down")),
                           stop_mode="first")
         assert res.first_barrier[0] == 1
-        assert res.first_time[0] == 0.0
-        assert res.crossed[0].all()
+        assert res.end_times[0] == 0.0
+        assert (res.cross_times[0] == 0.0).all()
     with pytest.raises(InvalidInputError):
         sweep_paths(field, [1.0], -1.0, pol, 1, [0])
     with pytest.raises(InvalidInputError):
@@ -603,6 +606,29 @@ def test_sweep_barrier_at_start_and_validation():
         # bridge needs 1-d with a level inverse
         sweep_paths(sl.make_field("diag-linear"), [1.0, 1.0], 1.0, pol,
                     1, [0], bridge=True)
+
+
+def test_capture_is_the_state_at_capture_time_or_end():
+    # capture_state is X(min(capture_time, end time)): a path still running
+    # at the capture time is captured as the same path swept without
+    # barriers is, also when with stop_mode 'all' it crosses a barrier in
+    # the step holding the capture time and keeps going
+    field = sl.make_field("linear-1d")
+    pol = StepPolicy.fixed(1e-2)
+    bars = tuple(Barrier(2.0 ** -j, "down") for j in range(1, 7))
+    indices = np.arange(4000)
+    free = sweep_paths(field, [1.0], 1.0, pol, 5, indices, capture_time=0.3)
+    for mode in ("first", "all"):
+        res = sweep_paths(field, [1.0], 1.0, pol, 5, indices, barriers=bars,
+                          stop_mode=mode, capture_time=0.3)
+        live = res.end_times > 0.3
+        near = (np.abs(res.cross_times - 0.3) < 1e-2).any(axis=1)
+        assert np.count_nonzero(live & near) > 20 and not live.all()
+        assert np.array_equal(res.capture_state[live], free.capture_state[live])
+        assert np.array_equal(res.capture_state[~live], res.end_states[~live])
+        res = sweep_paths(field, [1.0], 1.0, pol, 5, indices[:500],
+                          barriers=bars, stop_mode=mode, capture_time=1.0)
+        assert np.array_equal(res.capture_state, res.end_states)
 
 
 def test_strong_convergence_to_closed_form():

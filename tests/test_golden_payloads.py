@@ -45,6 +45,15 @@ SCENARIOS = {
     "level-change": {
         **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-2},
         "experiment": "level-change", "params": {"A": 2.0, "k": 1, "t": 0.2}},
+    # the capture time is the horizon, here and in level-change-2d
+    "displacement-at-horizon": {
+        **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-2},
+        "experiment": "displacement", "params": {"A": 2.0, "k": 1, "t": 1.0}},
+    "level-change-2d": {
+        "field": {"name": "diag-linear", "params": {"d": 2}},
+        "start": [0.5, 0.5], "horizon": 1.0, "master_seed": 11, "n_paths": 200,
+        "policy": {"kind": "fixed", "h_max": 1e-2},
+        "experiment": "level-change", "params": {"A": 2.0, "k": 1, "t": 1.0}},
     "persistence": {
         **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-3},
         "experiment": "persistence", "params": {"A": 2.0, "k": 1}},
@@ -69,6 +78,8 @@ SCENARIOS = {
 GOLDEN = {
     "displacement":
         "bf74d306f13be1b7156f95d91f3a58d22b4bc9d06329eca25dd38dc9aab326fb",
+    "displacement-at-horizon":
+        "da96231835d18c13033a939aaeb720564b2a04fb255fc38034cdbe5e3762a1b3",
     "dyadic-escape-2d":
         "14f6586857a98c6948b406da50a4d86e32fef7a7801e90facb020ab58fae391e",
     "dyadic-escape-bridge":
@@ -81,6 +92,8 @@ GOLDEN = {
         "ffad3ecbd51ac325cf200d5b90f99a7d5798d65f31e7c152e4dcaf1ce00d633e",
     "level-change":
         "e3cf704065c2036918cc7ae8362109ac16b42f3bc7c018f486b89ff92a29b221",
+    "level-change-2d":
+        "b71edf3837c80f23de4557c091a7ec76829e65ba495fe0e155d190ab6685fb85",
     "persistence":
         "71b85c3aa2e48cf7b74975c2c456bd5debb29577037b594559e2c444b3d89a4f",
     "sqrt-bound-bridge":

@@ -85,10 +85,9 @@ def test_gbm_mean_crossing_time_matches_inverse_gaussian():
                       17, np.arange(3000),
                       barriers=(Barrier(thr, "down"),), stop_mode="first",
                       bridge=True)
-    t = res.first_time
-    crossed = ~np.isnan(t)
+    crossed = res.first_barrier >= 0
     assert crossed.mean() > 0.995
-    assert np.mean(t[crossed]) == pytest.approx(2.0, abs=0.15)
+    assert np.mean(res.end_times[crossed]) == pytest.approx(2.0, abs=0.15)
 
 
 def test_sandwich_monotone_paths():
@@ -138,9 +137,9 @@ def test_sweep_band_exit_equals_path_scan():
             p = sl.simulate_path(field, [1.0], 2.0, pol, path_entropy(7, i))
             sw = sl.sandwich_time(p, field, 2.0, 1, method=method)
             if sw.censored:
-                assert np.isnan(res.first_time[i])
+                assert res.first_barrier[i] == -1
             else:
-                assert res.first_time[i] == sw.time
+                assert res.end_times[i] == sw.time
 
 
 def test_pathwise_threshold_ordering():
@@ -165,8 +164,7 @@ def test_crossing_distribution_converges_under_refinement():
         res = sweep_paths(field, [1.0], 4.0, StepPolicy.fixed(h),
                           (11, int(1 / h)), np.arange(4000),
                           barriers=(Barrier(thr, "down"),), stop_mode="first")
-        t = res.first_time
-        return t[~np.isnan(t)]
+        return res.end_times[res.first_barrier >= 0]
 
     ref = sample(2.0 ** -10)
     ks = [stats.ks_2samp(sample(2.0 ** -e), ref).statistic for e in (4, 6, 8)]
