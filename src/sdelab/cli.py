@@ -181,8 +181,6 @@ _PARAM_VALIDATORS = {
                                  for t in _nonempty_list(val, path)],
     "ci_method": _ci_method,
     "h_exponents": _h_exponents,
-    "trend_windows": _pos_int,
-    "max_windows": _pos_int,
 }
 
 
@@ -486,11 +484,8 @@ def _run_dyadic_escape(config, field, start, workers):
 
 
 def _run_integral_1d(config, field, start, workers):
-    p = config.params
     sigma_1d = lambda y: float(field.sigma(np.array([[y]]))[0, 0, 0])
-    verdict = vf.accessibility_integral_1d(
-        sigma_1d, p["a"], **{key: p[key] for key in
-                             ("trend_windows", "max_windows") if key in p})
+    verdict = vf.accessibility_integral_1d(sigma_1d, config.params["a"])
     payload = {"verdict": verdict.kind, "value": verdict.value,
                "error": verdict.error, "windows": verdict.windows}
     return payload, {"integral": [payload.copy()]}, []
@@ -532,7 +527,7 @@ EXPERIMENTS = {
                               ci_floor=True),
     "dyadic-escape": Experiment(_run_dyadic_escape, ("depth",), ("t0",)),
     "integral-1d": Experiment(
-        _run_integral_1d, ("a",), ("trend_windows", "max_windows"),
+        _run_integral_1d, ("a",),
         field_rule=(lambda f: f.d == 1, "integral-1d requires a 1-d field")),
     "engine-validation": Experiment(
         _run_engine_validation, (), ("h_exponents",),

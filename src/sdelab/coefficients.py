@@ -134,11 +134,10 @@ def resolved_zero_tol(field: CoefficientField, start_level: float) -> float:
     return ZERO_TOL_BASE * max(1.0, start_level)
 
 
-def in_zero_set(field: CoefficientField, x, zero_tol: float | None = None) -> bool:
-    """Whether the level at x is within tolerance of zero."""
+def in_zero_set(field: CoefficientField, x) -> bool:
+    """Whether the level at x is within the field's tolerance of zero."""
     lev = level(field, x)
-    tol = zero_tol if zero_tol is not None else resolved_zero_tol(field, lev)
-    return lev <= tol
+    return lev <= resolved_zero_tol(field, lev)
 
 
 def estimate_lipschitz(field: CoefficientField, region, samples: int,

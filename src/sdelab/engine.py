@@ -5,9 +5,9 @@ one explicit Euler-Maruyama update and one fully recorded trajectory.  Under
 both sits ``sweep_paths``, a vectorized driver that advances a block of paths
 simultaneously, detects level-threshold crossings incrementally, and retires
 paths as they stop.  Its ``SweepResult`` records each fact once: a path that
-stops at its first crossing ends there, so that crossing's time and state
-are the path's end time and end state, and the capture at a time t is the
-stopped state X(t ^ end time).  Every estimator in the package runs on the
+a crossing stops ends there, so that crossing's time and state are the
+path's end time and end state, and the capture at a time t is the stopped
+state X(t ^ end time).  Every estimator in the package runs on the
 same driver, so a path's realization depends only on its name, the pair
 (master seed, path index), and the step policy, never on batch size, worker
 count, or which functional is being accumulated.
@@ -139,8 +139,9 @@ class Barrier:
 class SweepResult:
     """Per-path functionals accumulated by :func:`sweep_paths`.
 
-    With ``stop_mode='first'`` a crossing stops its path, so the first
-    crossing's time and state are ``end_times`` and ``end_states``.
+    A path stopped by a crossing (its first with ``stop_mode='first'``, its
+    last with ``'all'``) ends there: that crossing's time and state are its
+    ``end_times`` and ``end_states``.
     """
 
     end_times: np.ndarray      # (n,)
@@ -304,6 +305,13 @@ def _em_batch(X, Sig, Bv, h, DW):
     return X + np.einsum("ijk,ik->ij", Sig, DW, optimize=False) + Bv * h[:, None]
 
 
+def _state_at(X, X1, t, dt, s):
+    # the state at time s on the linear interpolant of steps X -> X1 that
+    # start at t and last dt
+    frac = (s - t) / dt
+    return X + (X1 - X) * frac[:, None]
+
+
 def em_step(field: CoefficientField, x, h: float, dW) -> np.ndarray:
     """Single Euler-Maruyama update x + sigma(x) dW + b(x) h."""
     if not h > 0:
@@ -354,8 +362,10 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
     Simultaneous crossings within one step resolve to the earliest
     interpolated time; exact ties resolve to the lower threshold.  That
-    earliest barrier is ``first_barrier``; with ``'first'`` its crossing
-    time and state are the path's end time and end state.
+    earliest barrier is ``first_barrier``.  A crossing stop (the earliest
+    crossing with ``'first'``, with ``'all'`` the latest of the step that
+    leaves no barrier uncrossed) ends the path at that time, in the step's
+    interpolated state, or a bridge trigger's barrier position.
 
     ``capture_state`` is the stopped state X(min(capture_time, end time)):
     the state interpolated at ``capture_time`` on the step that contains it
@@ -587,38 +597,36 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 tcc = tc[:, cc]
                 jn, cn = np.nonzero(new[:, cc])
                 cross_times[rows[cn], jn] = tcc[jn, cn]
-                if stop_mode == "first":
-                    # the path stops at its earliest crossing
-                    jb = tcc.argmin(axis=0)
-                    best_time = tcc[jb, np.arange(c.size)]
-                    frac = (best_time - t[c]) / dt[c]
-                    best_state = X[c] + (X1[c] - X[c]) * frac[:, None]
-                    if bridge_seeds is not None:
-                        bb = cross_bridge[rows, jb]
-                        sgn = np.sign(X[c[bb], 0])
-                        sgn[sgn == 0] = 1.0
-                        best_state[bb, 0] = sgn * barrier_x[jb[bb], 0]
-                    stop = np.zeros(idx.size, dtype=bool)
-                    stop[c] = True
-                    t_end, x_end = t1.copy(), X1.copy()
-                    t_end[c], x_end[c] = best_time, best_state
-                else:
+                if per_path:
+                    # only the paths with no barrier left stop, at their
+                    # latest crossing of this step
                     left = uncrossed[:, c] & ~new[:, cc]
                     uncrossed[:, c] = left
                     near[:, c] = nearest(left)
                     done = ~left.any(axis=0)
-                    if done.any():
-                        stop = np.zeros(idx.size, dtype=bool)
-                        stop[c[done]] = True
-                        t_end = t1.copy()
-                        t_end[c[done]] = cross_times[rows[done]].max(axis=1)
+                    c, rows, tcc = c[done], rows[done], tcc[:, done]
+                    jb = np.where(new[:, cc[done]], tcc, -np.inf).argmax(axis=0)
+                else:
+                    # the path stops at its earliest crossing
+                    jb = tcc.argmin(axis=0)
+            if c.size:
+                stop_time = tcc[jb, np.arange(c.size)]
+                stop_state = _state_at(X[c], X1[c], t[c], dt[c], stop_time)
+                if bridge_seeds is not None:
+                    bb = cross_bridge[rows, jb]
+                    sgn = np.sign(X[c[bb], 0])
+                    sgn[sgn == 0] = 1.0
+                    stop_state[bb, 0] = sgn * barrier_x[jb[bb], 0]
+                stop = np.zeros(idx.size, dtype=bool)
+                stop[c] = True
+                t_end, x_end = t1.copy(), X1.copy()
+                t_end[c], x_end[c] = stop_time, stop_state
 
         if cap_t is not None:
             # a path ending at or before cap_t takes its end state in retire
             k = np.flatnonzero((t <= cap_t) & (cap_t < t_end))
             if k.size:
-                frac = (cap_t - t[k]) / dt[k]
-                capture_state[idx[k]] = X[k] + (X1[k] - X[k]) * frac[:, None]
+                capture_state[idx[k]] = _state_at(X[k], X1[k], t[k], dt[k], cap_t)
 
         # retirement after the step; a crossing retirement takes precedence
         # and keeps the minimum level of the steps before it

@@ -123,8 +123,7 @@ def estimate_with_ci(successes: int, n: int, method: str = "wilson", *,
                      censored_n: int = 0) -> EstimateWithCI:
     """Binomial proportion estimate with a two-sided 95 % confidence interval.
 
-    Wilson by default; Clopper-Pearson on request; the normal approximation
-    is refused unless n * p * (1-p) >= 10.
+    Wilson by default; Clopper-Pearson on request.
     """
     if n < 1 or successes < 0 or successes > n:
         raise InvalidInputError(f"invalid counts: {successes}/{n}")
@@ -143,12 +142,6 @@ def estimate_with_ci(successes: int, n: int, method: str = "wilson", *,
             stats.beta.ppf(tail, successes, n - successes + 1))
         high = 1.0 if successes == n else float(
             stats.beta.ppf(1.0 - tail, successes + 1, n - successes))
-    elif method == "normal":
-        if n * p_hat * (1.0 - p_hat) < 10.0:
-            raise InvalidInputError(
-                "normal approximation needs n p (1-p) >= 10; use wilson")
-        half = z * math.sqrt(p_hat * (1.0 - p_hat) / n)
-        low, high = p_hat - half, p_hat + half
     else:
         raise InvalidInputError(f"unknown CI method {method!r}")
     low = min(max(low, 0.0), p_hat)
@@ -534,8 +527,12 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
 
 
 # The accessibility integral is declared finite once the geometric tail
-# estimate falls below this share of the partial sum.
+# estimate falls below this share of the partial sum, and divergent once
+# the last _TREND_WINDOWS dyadic windows show no geometric decay; it stops
+# after _MAX_WINDOWS windows.
 _TAIL_REL_TOL = 1e-9
+_TREND_WINDOWS = 12
+_MAX_WINDOWS = 400
 
 
 @dataclass(frozen=True)
@@ -552,22 +549,18 @@ class IntegralVerdict:
         return self.kind == "finite"
 
 
-def accessibility_integral_1d(sigma_1d, a: float, *,
-                              trend_windows: int = 12,
-                              max_windows: int = 400) -> IntegralVerdict:
+def accessibility_integral_1d(sigma_1d, a: float) -> IntegralVerdict:
     """Classify the integral of y / sigma(y)^2 over (0, a] near the origin.
 
     Integrates over dyadic windows [a/2^(j+1), a/2^j] by adaptive quadrature.
     If the window sums keep geometric decay, the tail is summed from the
     decay ratio and the integral is declared finite; if the last
-    ``trend_windows`` windows show no geometric decay, the partial sums grow
+    ``_TREND_WINDOWS`` windows show no geometric decay, the partial sums grow
     without it and the integral is declared divergent.  The origin is then
     reachable for the driftless 1-d equation exactly in the finite case.
     """
     if a <= 0:
         raise InvalidInputError("a must be positive")
-    if trend_windows < 2:
-        raise InvalidInputError("trend_windows must be >= 2")
     from scipy import integrate
 
     def integrand(y):
@@ -578,7 +571,7 @@ def accessibility_integral_1d(sigma_1d, a: float, *,
     quad_err = 0.0
     total = 0.0
     decay_threshold = 1.0 - 1e-3
-    for j in range(max_windows):
+    for j in range(_MAX_WINDOWS):
         hi = a / 2.0 ** j
         lo = a / 2.0 ** (j + 1)
         for y in (lo, 0.5 * (lo + hi), hi):
@@ -591,10 +584,10 @@ def accessibility_integral_1d(sigma_1d, a: float, *,
         winsums.append(val)
         quad_err += err
         total += val
-        if len(winsums) <= trend_windows:
+        if len(winsums) <= _TREND_WINDOWS:
             continue
-        recent = winsums[-trend_windows:]
-        prev = winsums[-trend_windows - 1:-1]
+        recent = winsums[-_TREND_WINDOWS:]
+        prev = winsums[-_TREND_WINDOWS - 1:-1]
         ratios = [r / q if q != 0 else np.inf for r, q in zip(recent, prev)]
         if all(q == 0 for q in recent):
             return IntegralVerdict("finite", total, quad_err, j + 1)
@@ -606,15 +599,15 @@ def accessibility_integral_1d(sigma_1d, a: float, *,
             if tail <= _TAIL_REL_TOL * max(abs(total), 1e-300) + 1e-300:
                 return IntegralVerdict("finite", total + tail,
                                        quad_err + 0.25 * tail, j + 1)
-    # undecided after max_windows: fall back to the trend of the last windows
+    # undecided after _MAX_WINDOWS: fall back to the trend of the last windows
     if winsums[-2] == 0 or winsums[-3] == 0:
-        return IntegralVerdict("finite", total, quad_err, max_windows)
+        return IntegralVerdict("finite", total, quad_err, _MAX_WINDOWS)
     rbar = max(winsums[-1] / winsums[-2], winsums[-2] / winsums[-3])
     if rbar >= decay_threshold:
-        return IntegralVerdict("divergent", None, None, max_windows)
+        return IntegralVerdict("divergent", None, None, _MAX_WINDOWS)
     tail = winsums[-1] * rbar / (1.0 - rbar)
     return IntegralVerdict("finite", total + tail, quad_err + tail,
-                           max_windows)
+                           _MAX_WINDOWS)
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,14 @@ def test_unknown_keys_are_errors():
     with pytest.raises(InvalidInputError, match="policy"):
         sl.parse_scenario(json.dumps(raw))
 
+    # integral-1d's window counts are fixed, not scenario keys
+    raw = json.loads(_hitting_config())
+    raw["experiment"] = "integral-1d"
+    for key in ("trend_windows", "max_windows"):
+        raw["params"] = {"a": 1.0, key: 12}
+        with pytest.raises(InvalidInputError, match=f"params.*{key}"):
+            sl.parse_scenario(json.dumps(raw))
+
 
 def test_missing_required_param_names_path():
     raw = json.loads(_hitting_config())

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -84,8 +86,8 @@ def test_zero_set_membership_tolerance():
     assert sl.in_zero_set(lin, [0.0])
     assert sl.in_zero_set(lin, [1e-8])      # level 1e-16 < resolved tol
     assert not sl.in_zero_set(lin, [1.0])
-    # explicit tolerance wins
-    assert sl.in_zero_set(lin, [0.5], zero_tol=1.0)
+    # the field's explicit tolerance wins
+    assert sl.in_zero_set(dataclasses.replace(lin, zero_tol=1.0), [0.5])
     # the default tolerance scales with the starting level
     assert resolved_zero_tol(lin, 100.0) == pytest.approx(1e-10)
     assert resolved_zero_tol(lin, 0.5) == pytest.approx(1e-12)

@@ -294,6 +294,21 @@ def test_sweep_equals_path_scan_property(case, multiples, mode, master):
         else:
             assert res.first_barrier[i] == -1
             assert np.isnan(res.cross_times[i]).all()
+        if mode == "all" and len(hits) == len(barriers):
+            # the path stops at its last crossing (a tie goes to the lower
+            # threshold), in that state: the recorded step interpolated at
+            # the end time, or the barrier's position for a bridge trigger
+            t_end = hits[-1][0]
+            last = min((lv, j) for t, lv, j in hits if t == t_end)[1]
+            assert res.end_times[i] == t_end
+            k = np.searchsorted(path.times, t_end) - 1
+            x0, x1 = path.states[k], path.states[k + 1]
+            frac = (t_end - path.times[k]) / (path.times[k + 1] - path.times[k])
+            want = x0 + (x1 - x0) * frac
+            if ref[last].method == "bridge-corrected":
+                sgn = np.sign(x0[0]) or 1.0
+                want = [sgn * field.abs_level_inverse(barriers[last].level)]
+            assert np.array_equal(res.end_states[i], want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -629,6 +644,45 @@ def test_capture_is_the_state_at_capture_time_or_end():
         res = sweep_paths(field, [1.0], 1.0, pol, 5, indices[:500],
                           barriers=bars, stop_mode=mode, capture_time=1.0)
         assert np.array_equal(res.capture_state, res.end_states)
+
+
+def test_all_stop_state_is_the_state_at_the_last_crossing():
+    # decay-1d from 1 with h = 1/2: the level 1 -> 1/4 over the first step
+    # meets 1/2 at t = 1/3, where the interpolated state is 2/3.  The path
+    # ends there, and a capture time after it takes that state.
+    field = sl.make_field("decay-1d")
+    res = sweep_paths(field, [1.0], 2.0, StepPolicy.fixed(0.5), 1, [0],
+                      barriers=(Barrier(0.5, "down"),), stop_mode="all",
+                      capture_time=0.4)
+    assert res.end_times[0] == pytest.approx(1 / 3, abs=1e-15)
+    assert res.end_states[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+    assert res.capture_state[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+
+
+@pytest.mark.parametrize("case, barrier", [
+    ("decay-1d", Barrier(0.5, "down")),
+    ("linear-1d-bridge", Barrier(0.5, "down")),
+    ("linear-1d-bridge", Barrier(2.0, "up")),
+])
+def test_one_barrier_all_equals_first(case, barrier):
+    # with one barrier the last crossing is the first, so both stop modes
+    # give the same sweep, bridge-triggered stops included
+    if case == "decay-1d":
+        field, pol, n = sl.make_field("decay-1d"), StepPolicy.fixed(0.5), 4
+    else:
+        field, pol, n = sl.make_field("linear-1d"), StepPolicy.fixed(1e-2), 3000
+    bridge = case.endswith("bridge")
+    res = {mode: sweep_paths(field, [1.0], 1.0, pol, 7, np.arange(n),
+                             barriers=(barrier,), stop_mode=mode, bridge=bridge,
+                             capture_time=0.3, track_noise_sum=True)
+           for mode in ("first", "all")}
+    if bridge:
+        assert np.count_nonzero(res["all"].cross_bridge) > 500
+    for f in fields(SweepResult):
+        if f.name != "trajectory":
+            assert np.array_equal(getattr(res["first"], f.name),
+                                  getattr(res["all"], f.name),
+                                  equal_nan=True), f.name
 
 
 def test_strong_convergence_to_closed_form():

@@ -91,14 +91,6 @@ def test_clopper_pearson_matches_beta_quantiles():
     assert e.ci_low < 0.5 < e.ci_high
 
 
-def test_normal_method_gate():
-    e = sl.estimate_with_ci(50, 100, "normal")
-    assert e.ci_high - e.ci_low == pytest.approx(2 * 1.959963984540054 * 0.05,
-                                                 rel=1e-6)
-    with pytest.raises(InvalidInputError):
-        sl.estimate_with_ci(2, 100, "normal")  # n p (1-p) < 10
-
-
 def test_estimate_with_ci_validation():
     with pytest.raises(InvalidInputError):
         sl.estimate_with_ci(-1, 10)
@@ -106,8 +98,9 @@ def test_estimate_with_ci_validation():
         sl.estimate_with_ci(11, 10)
     with pytest.raises(InvalidInputError):
         sl.estimate_with_ci(1, 0)
-    with pytest.raises(InvalidInputError):
-        sl.estimate_with_ci(5, 10, "bogus")
+    for method in ("bogus", "normal"):
+        with pytest.raises(InvalidInputError, match="unknown CI method"):
+            sl.estimate_with_ci(50, 100, method)
 
 
 @settings(max_examples=80, deadline=None)
