@@ -330,7 +330,6 @@ class RunReport:
     payload: dict
     tables: dict          # table name -> iterable of row dicts
     checks: list          # satisfied flags of all bound checks in the run
-    debug_trajectories: list = dc_field(default_factory=list)  # (index, rows)
     output_files: list = dc_field(default_factory=list)
 
     @property
@@ -436,17 +435,17 @@ def _run_sqrt_bound(config, field, start, workers):
 def _run_displacement(config, field, start, workers):
     p = config.params
     return _single_check(vf.check_displacement_bound(
-        field, start, p["A"], p["k"], p["t"], config.n_paths, config.policy,
-        config.master_seed, bridge=config.bridge, workers=workers))
+        field, start, p["A"], p["k"], [p["t"]], config.n_paths, config.policy,
+        config.master_seed, bridge=config.bridge, workers=workers)[0])
 
 
 def _run_level_change(config, field, start, workers):
     p = config.params
     k_val, k_source = _resolve_lipschitz(config, field, start)
     return _single_check(vf.check_level_change_bound(
-        field, start, p["A"], p["k"], p["t"], config.n_paths, config.policy,
+        field, start, p["A"], p["k"], [p["t"]], config.n_paths, config.policy,
         config.master_seed, lipschitz_k=k_val, bridge=config.bridge,
-        workers=workers), k_source=k_source)
+        workers=workers)[0], k_source=k_source)
 
 
 def _run_persistence(config, field, start, workers):
@@ -536,8 +535,7 @@ EXPERIMENTS = {
 }
 
 
-def run_scenario(config: ScenarioConfig, workers: int = 1,
-                 debug_paths: bool = False) -> RunReport:
+def run_scenario(config: ScenarioConfig, workers: int = 1) -> RunReport:
     """Execute the configured experiment and assemble the in-memory report."""
     t_start = time.perf_counter()
     field = config.build_field()
@@ -548,9 +546,7 @@ def run_scenario(config: ScenarioConfig, workers: int = 1,
         config=config.to_dict(), version=__version__,
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
         wall_clock_s=time.perf_counter() - t_start,
-        payload=payload, tables=tables, checks=checks,
-        debug_trajectories=(_debug_trajectories(config, field)
-                            if debug_paths else []))
+        payload=payload, tables=tables, checks=checks)
 
 
 def _path_rows(field: CoefficientField, path) -> list[dict]:
@@ -559,14 +555,6 @@ def _path_rows(field: CoefficientField, path) -> list[dict]:
     return [{"t": float(t), **{f"x_{k + 1}": float(v) for k, v in enumerate(x)},
              "level": float(lev)}
             for t, x, lev in zip(path.times, path.states, levels)]
-
-
-def _debug_trajectories(config: ScenarioConfig, field: CoefficientField,
-                        count: int = 10):
-    return [(i, _path_rows(field, simulate_path(
-                field, config.start, config.horizon, config.policy,
-                path_entropy(config.master_seed, i))))
-            for i in range(min(count, config.n_paths))]
 
 
 def _write_csv(fh, rows):
@@ -601,7 +589,7 @@ def _replacing(path: Path):
 
 
 def write_report(report: RunReport, out_dir) -> list[str]:
-    """Write report.json, one CSV per table and the debug path dumps.
+    """Write report.json and one CSV per table.
 
     Returns the file names, report.json first.  report.json is the index of
     the tables, so it is removed first and written last: a write that fails
@@ -613,8 +601,6 @@ def write_report(report: RunReport, out_dir) -> list[str]:
     report_path.unlink(missing_ok=True)
     files = {f"table_{name}.csv": rows
              for name, rows in sorted(report.tables.items())}
-    files.update({f"path_{i:03d}.csv": rows
-                  for i, rows in report.debug_trajectories})
     for name, rows in files.items():
         with _replacing(out / name) as fh:
             _write_csv(fh, rows)
@@ -634,8 +620,7 @@ def write_report(report: RunReport, out_dir) -> list[str]:
 
 def _cmd_run(args) -> int:
     config = parse_scenario(Path(args.config).read_text())
-    report = run_scenario(config, workers=args.workers,
-                          debug_paths=args.debug_paths)
+    report = run_scenario(config, workers=args.workers)
     written = write_report(report, args.out)
     for path in written:
         print(path)
@@ -688,7 +673,6 @@ def main(argv=None) -> int:
     p_run.add_argument("config")
     p_run.add_argument("--workers", type=int, default=1)
     p_run.add_argument("--out", default="out")
-    p_run.add_argument("--debug-paths", action="store_true")
     p_run.set_defaults(fn=_cmd_run)
 
     p_val = sub.add_parser("validate", help="validate a config and echo it")

@@ -7,10 +7,10 @@ simultaneously, detects level-threshold crossings incrementally, and retires
 paths as they stop.  Its ``SweepResult`` records each fact once: a path that
 a crossing stops ends there, so that crossing's time and state are the
 path's end time and end state, and the capture at a time t is the stopped
-state X(t ^ end time).  Every estimator in the package runs on the
-same driver, so a path's realization depends only on its name, the pair
-(master seed, path index), and the step policy, never on batch size, worker
-count, or which functional is being accumulated.
+state X(t ^ end time), for any number of times.  Every estimator in the
+package runs on the same driver, so a path's realization depends only on
+its name, the pair (master seed, path index), and the step policy, never on
+batch size, worker count, or which functional is being accumulated.
 
 Noise is numpy's own: each path's increments are
 ``default_rng((*master, index))`` normals, and each (path, barrier) bridge
@@ -150,7 +150,7 @@ class SweepResult:
     cross_times: np.ndarray    # (n, n_barriers), nan where uncrossed
     cross_bridge: np.ndarray   # (n, n_barriers) bool
     first_barrier: np.ndarray  # (n,) int: earliest crossing, -1 where none
-    capture_state: np.ndarray  # (n, d): the state at min(capture_time, end)
+    capture_state: np.ndarray  # (n, n_times, d): X(min(capture_times[j], end))
     absorbed: np.ndarray       # (n,) bool
     blown_up: np.ndarray       # (n,) bool
     noise_sum: np.ndarray | None
@@ -330,7 +330,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 policy: StepPolicy, master, indices, *,
                 barriers: tuple = (),
                 stop_mode: str = "first",
-                capture_time: float | None = None,
+                capture_times=(),
                 min_level_retire: float | None = None,
                 bridge: bool = False,
                 on_blowup: str = "raise",
@@ -367,15 +367,16 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     leaves no barrier uncrossed) ends the path at that time, in the step's
     interpolated state, or a bridge trigger's barrier position.
 
-    ``capture_state`` is the stopped state X(min(capture_time, end time)):
-    the state interpolated at ``capture_time`` on the step that contains it
-    for a path still running then, else the path's end state.  A
-    ``capture_time`` at the horizon, or none, gives the end states.
+    ``capture_state[:, j]`` is the stopped state X(min(capture_times[j], end
+    time)): the state interpolated at that time on the step that contains
+    it for a path still running then, else the path's end state.  The times
+    may come in any order and may repeat; a time at the horizon gives the
+    end states, and a sweep without capture times does no capture work.
 
     Each step is one pass.  The live paths' state sits in arrays of live
     rows, compressed only on steps where some path retires; a retiring
     path's end time, end state and minimum level are written once, and its
-    capture state too if it ends by ``capture_time``.  The
+    capture state too at each capture time it ends by.  The
     barriers are one vector in ascending level order, so crossing tests,
     times and bridge probabilities are (barrier, candidate path) matrices
     whose first column minimum is the lower threshold.  A live path is a
@@ -404,8 +405,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     start = cf._check_state(field, start)
     if not np.all(np.isfinite(start)):
         raise InvalidInputError("start point has non-finite entries")
-    if capture_time is not None and not (0 <= capture_time <= horizon):
-        raise InvalidInputError("capture_time must lie in [0, horizon]")
+    cap = np.asarray(capture_times, dtype=float)
+    if cap.ndim != 1 or not np.all((0 <= cap) & (cap <= horizon)):
+        raise InvalidInputError("capture_times must lie in [0, horizon]")
     if bridge and (field.d != 1 or field.abs_level_inverse is None):
         raise InvalidInputError(
             "bridge correction needs a 1-d field with abs_level_inverse")
@@ -434,11 +436,13 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     lev0 = cf.level(field, start)
     tol = cf.resolved_zero_tol(field, lev0)
     retire_level = -np.inf if min_level_retire is None else min_level_retire
+    # a live path's running minimum lies above retire_level, so its level
+    # retires it (absorption or the minimum) exactly at or below gone_level
+    gone_level = max(tol, retire_level)
     horizon_eps = 1e-12 * max(1.0, horizon)
-    # a capture time at the horizon, like none, takes the end states
-    cap_t = capture_time
-    if cap_t is not None and cap_t >= horizon - horizon_eps:
-        cap_t = None
+    # one row per capture time; a time at the horizon is inf, so that every
+    # path takes its end state there when it retires
+    cap = np.where(cap >= horizon - horizon_eps, np.inf, cap)[:, None]
 
     budget = horizon / policy.h_min
     streams = _BlockStreams(_pcg64.hash_words(master, indices), (m,),
@@ -460,7 +464,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     min_levels = np.full(n, lev0)
     cross_times = np.full((n, nb), np.nan)
     cross_bridge = np.zeros((n, nb), dtype=bool)
-    capture_state = np.tile(start, (n, 1))
+    capture_state = np.tile(start, (n, cap.size, 1))
     absorbed = np.zeros(n, dtype=bool)
     blown_up = np.zeros(n, dtype=bool)
     noise_sum = np.zeros((n, m)) if track_noise_sum else None
@@ -517,9 +521,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         end_times[rows] = t_end[out]
         end_states[rows] = x_end.take(out, axis=0)
         min_levels[rows] = lo_end[out]
-        if cap_t is not None:
-            early = t_end[out] <= cap_t
-            capture_state[rows[early]] = x_end.take(out[early], axis=0)
+        if cap.size:
+            jc, early = np.nonzero(t_end[out] <= cap)
+            capture_state[rows[early], jc] = x_end.take(out[early], axis=0)
         if track_noise_sum:
             noise_sum[rows] = dW_sum.take(out, axis=0)
         return (idx[keep], X.take(keep, axis=0), Sig.take(keep, axis=0),
@@ -622,20 +626,18 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 t_end, x_end = t1.copy(), X1.copy()
                 t_end[c], x_end[c] = stop_time, stop_state
 
-        if cap_t is not None:
-            # a path ending at or before cap_t takes its end state in retire
-            k = np.flatnonzero((t <= cap_t) & (cap_t < t_end))
+        if cap.size:
+            # a path ending by a capture time takes its end state in retire
+            jc, k = np.nonzero((t <= cap) & (cap < t_end))
             if k.size:
-                capture_state[idx[k]] = _state_at(X[k], X1[k], t[k], dt[k], cap_t)
+                capture_state[idx[k], jc] = _state_at(X[k], X1[k], t[k], dt[k],
+                                                      cap[jc, 0])
 
         # retirement after the step; a crossing retirement takes precedence
         # and keeps the minimum level of the steps before it
         lo1 = np.minimum(lo, lev1)
-        absorb = lev1 <= tol
-        low = lo1 <= retire_level
-        gone = absorb | low | (horizon - t1 <= horizon_eps)
+        gone = (lev1 <= gone_level) | (horizon - t1 <= horizon_eps)
         if stop is not None:
-            absorb &= ~stop
             gone |= stop
             lo1[stop] = lo[stop]
         if track_noise_sum:
@@ -646,6 +648,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             rec_incs.append(dW[0].copy())
         X, Sig, Bv, t, lev, lo = X1, Sig1, Bv1, t1, lev1, lo1
         if gone.any():
+            absorb = lev <= tol
+            if stop is not None:
+                absorb &= ~stop
             absorbed[idx[absorb]] = True
             (idx, X, Sig, Bv, t, lev, lo, uncrossed, near,
              dW_sum) = retire(gone, t_end, x_end, lo)
@@ -675,7 +680,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         end_times=end_times, end_states=end_states, min_levels=min_levels,
         cross_times=cross_times[:, unsort],
         cross_bridge=cross_bridge[:, unsort], first_barrier=first_barrier,
-        capture_state=end_states.copy() if cap_t is None else capture_state,
+        capture_state=capture_state,
         absorbed=absorbed, blown_up=blown_up,
         noise_sum=noise_sum, trajectory=trajectory)
 

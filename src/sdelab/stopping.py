@@ -22,7 +22,7 @@ from .engine import (Barrier, BRIDGE_STREAM_TAG, PathRealization, StepPolicy,
                      map_path_chunks, sweep_paths)
 from .errors import InvalidInputError
 
-METHODS = ("grid", "interpolated", "bridge-corrected")
+METHODS = ("interpolated", "bridge-corrected")
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,8 @@ def first_hitting_time(path: PathRealization, field: CoefficientField,
                        method: str = "interpolated") -> LevelCrossing:
     """Earliest time the path's interpolated level equals the threshold.
 
-    The grid method reports the first grid time with the level on the far
-    side; the interpolated method solves the linear crossing within the step;
-    the bridge-corrected method additionally triggers intra-step excursions
+    The interpolated method solves the linear crossing within the step; the
+    bridge-corrected method additionally triggers intra-step excursions
     with the Brownian-bridge probability (1-d fields with a symmetric
     monotone level only).  A path starting exactly at the threshold crosses
     at time 0.  Censored results carry the path's final time.
@@ -86,14 +85,6 @@ def first_hitting_time(path: PathRealization, field: CoefficientField,
     direction = "down" if downward else "up"
 
     found = _interp_crossing(levels, times, threshold, downward)
-
-    if method == "grid":
-        if found is None:
-            return LevelCrossing(threshold, end_time, True, direction, "grid")
-        i, _, at_start = found
-        t = float(times[0]) if at_start else float(times[i + 1])
-        return LevelCrossing(threshold, t, False, direction, "grid")
-
     interp_i = len(times) - 1 if found is None else found[0]
     interp_t = None if found is None else found[1]
 

@@ -226,6 +226,16 @@ def _band_levels(band_level: float, band_index: int) -> tuple:
     return tuple(band_level / 2.0 ** (band_index + j) for j in (1, 0, -1))
 
 
+def _unit_grid(t_grid) -> list[float]:
+    """The checkers' times as floats, each in (0, 1]."""
+    t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise InvalidInputError("t_grid must be nonempty")
+    if any(not (0.0 < t <= 1.0) for t in t_grid):
+        raise InvalidInputError("every t must lie in (0, 1]")
+    return t_grid
+
+
 def _check_band_start(field: CoefficientField, x, band_level: float,
                       band_index: int) -> float:
     _, target, _ = _band_levels(band_level, band_index)
@@ -272,25 +282,28 @@ def _kernel_escape_times(field, indices, p):
 
 
 def _kernel_band_functionals(field, indices, p):
+    # one sweep to time 1 captures the stopped state at every t of the grid;
+    # row j of the moments holds the four sums of t_grid[j]
     res = sweep_paths(field, p["start"], 1.0, p["policy"],
                       p["master"], indices,
                       barriers=_band_barriers(p["A"], p["k"]),
-                      stop_mode="first", capture_time=p["t"],
+                      stop_mode="first", capture_times=p["t_grid"],
                       bridge=p["bridge"])
     x = np.asarray(p["start"], dtype=float)
     exited = res.first_barrier >= 0
-    states = res.capture_state
     lev_x = cf.level(field, x)
     n = len(indices)
-    v = np.zeros(n)
-    w = np.zeros(n)
-    if np.any(exited):
-        diff = states[exited] - x
-        v[exited] = np.einsum("ij,ij->i", diff, diff)
-        w[exited] = np.abs(lev_x - cf.level_batch(field, states[exited]))
-    return (float(np.sum(v)), float(np.sum(v * v)),
-            float(np.sum(w)), float(np.sum(w * w)),
-            int(np.sum(~exited)), n)
+    moments = np.zeros((len(p["t_grid"]), 4))
+    for j in range(moments.shape[0]):
+        states = res.capture_state[exited, j]
+        v = np.zeros(n)
+        w = np.zeros(n)
+        if states.size:
+            diff = states - x
+            v[exited] = np.einsum("ij,ij->i", diff, diff)
+            w[exited] = np.abs(lev_x - cf.level_batch(field, states))
+        moments[j] = np.sum(v), np.sum(v * v), np.sum(w), np.sum(w * w)
+    return moments, int(np.sum(~exited)), n
 
 
 def _kernel_persistence(field, indices, p):
@@ -329,51 +342,55 @@ def _kernel_strong_error(field, indices, p):
 # Bound checkers
 # ---------------------------------------------------------------------------
 
-def _band_moments(field, x, band_level, band_index, t, n_paths, policy, seed,
-                  bridge, workers):
-    if not (0.0 < t <= 1.0):
-        raise InvalidInputError("t must lie in (0, 1]")
+def _band_moments(field, x, band_level, band_index, t_grid, n_paths, policy,
+                  seed, bridge, workers):
+    # (t, its sums of v, v^2, w, w^2) per t, the censored count, n, the bridge
+    t_grid = _unit_grid(t_grid)
     if n_paths < 2:
         raise InvalidInputError("need at least 2 paths")
     _check_band_start(field, x, band_level, band_index)
     params = {"start": np.asarray(x, dtype=float), "A": band_level,
-              "k": band_index, "t": t, "policy": policy, "master": seed,
-              "bridge": _resolve_bridge(field, bridge)}
-    partials = map_path_chunks(_kernel_band_functionals, field,
-                               iter_chunks(n_paths), params, workers)
-    return (*_sum_chunks(partials), params["bridge"])
+              "k": band_index, "t_grid": t_grid, "policy": policy,
+              "master": seed, "bridge": _resolve_bridge(field, bridge)}
+    moments, cens, n = _sum_chunks(map_path_chunks(
+        _kernel_band_functionals, field, iter_chunks(n_paths), params,
+        workers))
+    return list(zip(t_grid, moments.tolist())), cens, n, params["bridge"]
 
 
 def check_displacement_bound(field: CoefficientField, x, band_level: float,
-                             band_index: int, t: float, n_paths: int,
+                             band_index: int, t_grid, n_paths: int,
                              policy: StepPolicy, seed, *,
                              bridge="auto", workers: int = 1
-                             ) -> BoundCheckReport:
-    """Second moment of the stopped displacement against (m+1) (A/2^(k-1)) t.
+                             ) -> list[BoundCheckReport]:
+    """Second moment of the stopped displacement against (m+1) (A/2^(k-1)) t,
+    for each t in the grid, all from one band sweep to time 1.
 
     Estimates E[|x - X(t ^ S)|^2 ; S <= 1] where S is the band exit time;
     paths still inside the band at time 1 contribute zero and are counted as
     censored.
     """
-    sv, sv2, _, _, cens, n, used_bridge = _band_moments(
-        field, x, band_level, band_index, t, n_paths, policy, seed, bridge,
-        workers)
-    lhs = _mean_with_ci(sv, sv2, n, cens)
-    rhs = (field.m + 1.0) * _band_levels(band_level, band_index)[2] * t
-    params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
-              "d": field.d, "field": field.name, "n_paths": n,
-              "seed": list(entropy_tuple(seed)),
-              "policy": policy.to_dict(), "bridge": used_bridge}
-    return BoundCheckReport("displacement", lhs, rhs, "upper", params)
+    per_t, cens, n, used_bridge = _band_moments(
+        field, x, band_level, band_index, t_grid, n_paths, policy, seed,
+        bridge, workers)
+    scale = (field.m + 1.0) * _band_levels(band_level, band_index)[2]
+    return [BoundCheckReport(
+        "displacement", _mean_with_ci(sv, sv2, n, cens), scale * t, "upper",
+        {"A": band_level, "k": band_index, "t": t, "m": field.m,
+         "d": field.d, "field": field.name, "n_paths": n,
+         "seed": list(entropy_tuple(seed)),
+         "policy": policy.to_dict(), "bridge": used_bridge})
+        for t, (sv, sv2, _, _) in per_t]
 
 
 def check_level_change_bound(field: CoefficientField, x, band_level: float,
-                             band_index: int, t: float, n_paths: int,
+                             band_index: int, t_grid, n_paths: int,
                              policy: StepPolicy, seed, *,
                              lipschitz_k: float | None = None,
                              bridge="auto", workers: int = 1
-                             ) -> BoundCheckReport:
-    """Mean absolute level change against the Lipschitz chain bound.
+                             ) -> list[BoundCheckReport]:
+    """Mean absolute level change against the Lipschitz chain bound, for each
+    t in the grid, all from one band sweep to time 1.
 
     Estimates E[|level(x) - level(X(t ^ S))| ; S <= 1] and compares it with
     2 (3 A/2^k)^(1/2) K sqrt(displacement estimate), taking the CI-upper of
@@ -381,18 +398,22 @@ def check_level_change_bound(field: CoefficientField, x, band_level: float,
     declared Lipschitz bound can and should fail this check.
     """
     k_bound = _require_k(field, lipschitz_k)
-    sv, sv2, sw, sw2, cens, n, used_bridge = _band_moments(
-        field, x, band_level, band_index, t, n_paths, policy, seed, bridge,
-        workers)
-    lhs = _mean_with_ci(sw, sw2, n, cens)
-    disp = _mean_with_ci(sv, sv2, n, cens)
-    rhs = (2.0 * math.sqrt(3.0 * band_level / 2.0 ** band_index)
-           * k_bound * math.sqrt(max(disp.ci_high, 0.0)))
-    params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
-              "K": k_bound, "field": field.name, "n_paths": n,
-              "policy": policy.to_dict(), "bridge": used_bridge,
-              "displacement": disp.to_dict()}
-    return BoundCheckReport("level-change", lhs, rhs, "upper", params)
+    per_t, cens, n, used_bridge = _band_moments(
+        field, x, band_level, band_index, t_grid, n_paths, policy, seed,
+        bridge, workers)
+    reports = []
+    for t, (sv, sv2, sw, sw2) in per_t:
+        disp = _mean_with_ci(sv, sv2, n, cens)
+        rhs = (2.0 * math.sqrt(3.0 * band_level / 2.0 ** band_index)
+               * k_bound * math.sqrt(max(disp.ci_high, 0.0)))
+        params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
+                  "K": k_bound, "field": field.name, "n_paths": n,
+                  "policy": policy.to_dict(), "bridge": used_bridge,
+                  "displacement": disp.to_dict()}
+        reports.append(BoundCheckReport(
+            "level-change", _mean_with_ci(sw, sw2, n, cens), rhs, "upper",
+            params))
+    return reports
 
 
 def check_escape_probability_bound(field: CoefficientField, x,
@@ -406,11 +427,7 @@ def check_escape_probability_bound(field: CoefficientField, x,
     Times with C sqrt(t) >= 1 are vacuous (any probability satisfies them)
     and are flagged as non-informative in the report parameters.
     """
-    t_grid = [float(t) for t in t_grid]
-    if not t_grid:
-        raise InvalidInputError("t_grid must be nonempty")
-    if any(not (0.0 < t <= 1.0) for t in t_grid):
-        raise InvalidInputError("every t must lie in (0, 1]")
+    t_grid = _unit_grid(t_grid)
     _check_band_start(field, x, band_level, band_index)
     k_bound = _require_k(field, lipschitz_k)
     c = escape_rate_constant(field.m, k_bound)

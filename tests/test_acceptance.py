@@ -85,22 +85,22 @@ def test_criterion_4_displacement_and_level_change():
     ]
     all_ok = True
     n_checks = 0
+    t_grid = (0.01, 0.1, 1.0)
     for field, x in cases:
         for k in (1, 2):
             band_level = 2.0 ** k * sl.level(field, x)
-            for t in (0.01, 0.1, 1.0):
-                disp = sl.check_displacement_bound(
-                    field, x, band_level, k, t, 5000, policy, 71)
-                chg = sl.check_level_change_bound(
-                    field, x, band_level, k, t, 5000, policy, 72)
-                n_checks += 2
-                if not (disp.satisfied and chg.satisfied):
-                    all_ok = False
+            reports = (sl.check_displacement_bound(
+                           field, x, band_level, k, t_grid, 5000, policy, 71)
+                       + sl.check_level_change_bound(
+                           field, x, band_level, k, t_grid, 5000, policy, 72))
+            n_checks += len(reports)
+            if not all(rep.satisfied for rep in reports):
+                all_ok = False
 
-    control = sl.check_level_change_bound(
+    [control] = sl.check_level_change_bound(
         sl.make_field("power-law-1d", alpha=0.5, lipschitz_k=1.0),
-        [1e-4], 2e-4, 1, 0.01, 2000, StepPolicy.fixed(1e-6), 73)
-    ok = all_ok and not control.satisfied
+        [1e-4], 2e-4, 1, [0.01], 2000, StepPolicy.fixed(1e-6), 73)
+    ok = all_ok and n_checks == 24 and not control.satisfied
     _verdict(4, "displacement-and-level-change", ok,
              f"{n_checks} checks satisfied on Lipschitz fields; "
              f"non-Lipschitz control fails (lhs ci_low "

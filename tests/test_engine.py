@@ -326,7 +326,8 @@ def test_sweep_rows_do_not_depend_on_path_order(case, multiples, mode, master,
 
     def sweep(rows):
         return sweep_paths(field, start, 1.0, pol, master, rows, barriers=barriers,
-                           stop_mode=mode, bridge=bridge, capture_time=0.3,
+                           stop_mode=mode, bridge=bridge,
+                           capture_times=(0.3, 1.0, 0.05),
                            min_level_retire=None if retire is None else retire * lev0,
                            on_blowup="retire", track_noise_sum=True)
 
@@ -624,7 +625,7 @@ def test_sweep_barrier_at_start_and_validation():
 
 
 def test_capture_is_the_state_at_capture_time_or_end():
-    # capture_state is X(min(capture_time, end time)): a path still running
+    # capture_state is X(min(capture time, end time)): a path still running
     # at the capture time is captured as the same path swept without
     # barriers is, also when with stop_mode 'all' it crosses a barrier in
     # the step holding the capture time and keeps going
@@ -632,18 +633,67 @@ def test_capture_is_the_state_at_capture_time_or_end():
     pol = StepPolicy.fixed(1e-2)
     bars = tuple(Barrier(2.0 ** -j, "down") for j in range(1, 7))
     indices = np.arange(4000)
-    free = sweep_paths(field, [1.0], 1.0, pol, 5, indices, capture_time=0.3)
+    free = sweep_paths(field, [1.0], 1.0, pol, 5, indices, capture_times=(0.3,))
+    assert free.capture_state.shape == (4000, 1, 1)
     for mode in ("first", "all"):
         res = sweep_paths(field, [1.0], 1.0, pol, 5, indices, barriers=bars,
-                          stop_mode=mode, capture_time=0.3)
+                          stop_mode=mode, capture_times=(0.3,))
         live = res.end_times > 0.3
         near = (np.abs(res.cross_times - 0.3) < 1e-2).any(axis=1)
         assert np.count_nonzero(live & near) > 20 and not live.all()
         assert np.array_equal(res.capture_state[live], free.capture_state[live])
-        assert np.array_equal(res.capture_state[~live], res.end_states[~live])
+        assert np.array_equal(res.capture_state[~live, 0], res.end_states[~live])
         res = sweep_paths(field, [1.0], 1.0, pol, 5, indices[:500],
-                          barriers=bars, stop_mode=mode, capture_time=1.0)
-        assert np.array_equal(res.capture_state, res.end_states)
+                          barriers=bars, stop_mode=mode, capture_times=(1.0,))
+        assert np.array_equal(res.capture_state[:, 0], res.end_states)
+
+
+@pytest.mark.parametrize("case", ["linear-1d-bridge", "diag-linear"])
+def test_capture_times_in_any_order_give_their_columns(case):
+    # column j of a multi-time capture is the capture of a sweep with
+    # capture time capture_times[j] alone, bit for bit, whatever the order
+    # of the times and with repeats; every other field is the sweep's own
+    if case == "diag-linear":
+        field, start, bridge = sl.make_field("diag-linear", d=2), [0.5, 0.5], False
+    else:
+        field, start, bridge = sl.make_field("linear-1d"), [1.0], True
+    pol = StepPolicy.fixed(1e-2)
+    lev0 = cf.level(field, np.asarray(start))
+    kw = dict(barriers=(Barrier(lev0 / 2, "down"), Barrier(2 * lev0, "up")),
+              bridge=bridge, track_noise_sum=True)
+    times = (0.3, 0.0, 1.0, 2.5e-3, 0.3, 0.05, 1.0 - 1e-13)
+    indices = np.arange(400)
+    plain = sweep_paths(field, start, 1.0, pol, 4, indices, **kw)
+    assert plain.capture_state.shape == (400, 0, field.d)
+    res = sweep_paths(field, start, 1.0, pol, 4, indices, capture_times=times, **kw)
+    rev = sweep_paths(field, start, 1.0, pol, 4, indices,
+                      capture_times=times[::-1], **kw)
+    assert res.capture_state.shape == (400, len(times), field.d)
+    assert np.array_equal(res.capture_state, rev.capture_state[:, ::-1])
+    for j, t in enumerate(times):
+        one = sweep_paths(field, start, 1.0, pol, 4, indices,
+                          capture_times=[t], **kw)
+        assert np.array_equal(res.capture_state[:, j], one.capture_state[:, 0]), t
+    for f in fields(SweepResult):
+        if f.name not in ("trajectory", "capture_state"):
+            assert np.array_equal(getattr(res, f.name), getattr(plain, f.name),
+                                  equal_nan=True), f.name
+    # t = 0 is the start, and a time at the horizon the end state
+    assert np.array_equal(res.capture_state[:, 1],
+                          np.broadcast_to(start, (400, field.d)))
+    assert np.array_equal(res.capture_state[:, 2], res.end_states)
+    assert np.array_equal(res.capture_state[:, 6], res.end_states)
+    # some paths stop before 0.05 and some run past 0.3
+    assert 0 < np.count_nonzero(res.end_times < 0.05)
+    assert 0 < np.count_nonzero(res.end_times > 0.3) < 400
+
+
+@pytest.mark.parametrize("times", [(1.5,), (0.2, -0.1), (float("nan"),),
+                                   [[0.2]], 0.2])
+def test_capture_time_out_of_range_is_invalid(times):
+    with pytest.raises(InvalidInputError, match="capture_times"):
+        sweep_paths(sl.make_field("linear-1d"), [1.0], 1.0,
+                    StepPolicy.fixed(1e-2), 1, [0], capture_times=times)
 
 
 def test_all_stop_state_is_the_state_at_the_last_crossing():
@@ -653,10 +703,10 @@ def test_all_stop_state_is_the_state_at_the_last_crossing():
     field = sl.make_field("decay-1d")
     res = sweep_paths(field, [1.0], 2.0, StepPolicy.fixed(0.5), 1, [0],
                       barriers=(Barrier(0.5, "down"),), stop_mode="all",
-                      capture_time=0.4)
+                      capture_times=(0.4,))
     assert res.end_times[0] == pytest.approx(1 / 3, abs=1e-15)
     assert res.end_states[0, 0] == pytest.approx(2 / 3, abs=1e-15)
-    assert res.capture_state[0, 0] == pytest.approx(2 / 3, abs=1e-15)
+    assert res.capture_state[0, 0, 0] == pytest.approx(2 / 3, abs=1e-15)
 
 
 @pytest.mark.parametrize("case, barrier", [
@@ -674,7 +724,7 @@ def test_one_barrier_all_equals_first(case, barrier):
     bridge = case.endswith("bridge")
     res = {mode: sweep_paths(field, [1.0], 1.0, pol, 7, np.arange(n),
                              barriers=(barrier,), stop_mode=mode, bridge=bridge,
-                             capture_time=0.3, track_noise_sum=True)
+                             capture_times=(0.3,), track_noise_sum=True)
            for mode in ("first", "all")}
     if bridge:
         assert np.count_nonzero(res["all"].cross_bridge) > 500

@@ -33,12 +33,8 @@ def test_interpolated_crossing_example():
     assert not c.censored
     assert c.direction == "down"
     assert c.method == "interpolated"
-
-
-def test_grid_crossing_reports_far_side():
-    path = _synthetic_path([4, 3, 2, 1], [0, 1, 2, 3])
-    c = sl.first_hitting_time(path, LEVEL_FIELD, 2.5, method="grid")
-    assert c.time == 2.0
+    with pytest.raises(InvalidInputError, match="unknown crossing method"):
+        sl.first_hitting_time(path, LEVEL_FIELD, 2.5, method="grid")
 
 
 def test_censored_when_never_reached():

@@ -171,23 +171,24 @@ POL = StepPolicy.fixed(5e-4)
 
 def test_displacement_constant_field_is_zero_and_satisfied():
     # level never moves, the band is never left, every contribution is zero
-    rep = sl.check_displacement_bound(CONST_FIELD, [5.0], 2.0, 1, 0.5, 300,
-                                      StepPolicy.fixed(1e-2), 1)
+    [rep] = sl.check_displacement_bound(CONST_FIELD, [5.0], 2.0, 1, [0.5], 300,
+                                        StepPolicy.fixed(1e-2), 1)
     assert rep.lhs_estimate.point == 0.0
     assert rep.lhs_estimate.censored_n == 300
     assert rep.satisfied
 
 
 def test_level_change_constant_field_zero_both_sides():
-    rep = sl.check_level_change_bound(CONST_FIELD, [5.0], 2.0, 1, 0.5, 300,
-                                      StepPolicy.fixed(1e-2), 1)
+    [rep] = sl.check_level_change_bound(CONST_FIELD, [5.0], 2.0, 1, [0.5], 300,
+                                        StepPolicy.fixed(1e-2), 1)
     assert rep.lhs_estimate.point == 0.0
     assert rep.rhs_value == 0.0
     assert rep.satisfied
 
 
 def test_displacement_gbm_satisfied_with_slack():
-    rep = sl.check_displacement_bound(LINEAR, [1.0], 2.0, 1, 0.1, 3000, POL, 5)
+    [rep] = sl.check_displacement_bound(LINEAR, [1.0], 2.0, 1, [0.1], 3000,
+                                        POL, 5)
     assert rep.satisfied
     assert rep.rhs_value == pytest.approx(2 * 2 * 0.1)
     assert rep.rhs_value > 2 * rep.lhs_estimate.point  # documented slack
@@ -197,9 +198,10 @@ def test_displacement_scaling_in_band_level():
     # doubling A doubles the bound exactly; the estimate follows suit and the
     # check stays satisfied (paired run through common random numbers)
     pol = StepPolicy.fixed(1e-3)
-    r1 = sl.check_displacement_bound(LINEAR, [1.0], 2.0, 1, 0.1, 2000, pol, 9)
-    r2 = sl.check_displacement_bound(LINEAR, [float(np.sqrt(2.0))], 4.0, 1,
-                                     0.1, 2000, pol, 9)
+    [r1] = sl.check_displacement_bound(LINEAR, [1.0], 2.0, 1, [0.1], 2000,
+                                       pol, 9)
+    [r2] = sl.check_displacement_bound(LINEAR, [float(np.sqrt(2.0))], 4.0, 1,
+                                       [0.1], 2000, pol, 9)
     assert r2.rhs_value == pytest.approx(2 * r1.rhs_value, rel=1e-12)
     assert r2.lhs_estimate.point == pytest.approx(2 * r1.lhs_estimate.point,
                                                   rel=0.02)
@@ -207,7 +209,8 @@ def test_displacement_scaling_in_band_level():
 
 
 def test_level_change_gbm_satisfied():
-    rep = sl.check_level_change_bound(LINEAR, [1.0], 2.0, 1, 0.1, 3000, POL, 5)
+    [rep] = sl.check_level_change_bound(LINEAR, [1.0], 2.0, 1, [0.1], 3000,
+                                        POL, 5)
     assert rep.satisfied
     assert rep.parameters["K"] == 1.0
     assert "displacement" in rep.parameters
@@ -217,20 +220,52 @@ def test_level_change_negative_control_can_fail():
     # alpha=1/2 power law is not Lipschitz near 0; with a (wrong) declared
     # bound K=1 the chain inequality must break down close to the origin
     field = sl.make_field("power-law-1d", alpha=0.5, lipschitz_k=1.0)
-    rep = sl.check_level_change_bound(field, [1e-4], 2e-4, 1, 0.01, 1500,
-                                      StepPolicy.fixed(1e-6), 6)
+    [rep] = sl.check_level_change_bound(field, [1e-4], 2e-4, 1, [0.01], 1500,
+                                        StepPolicy.fixed(1e-6), 6)
     assert not rep.satisfied
     assert rep.lhs_estimate.ci_low > rep.rhs_value
 
 
+@pytest.mark.parametrize("case", ["linear-1d-bridge", "diag-linear"])
+def test_band_checkers_grid_equals_one_time_calls(case):
+    # a grid call reports each t exactly as a call with that t alone: one
+    # sweep captures every t as a one-time sweep does.  The grid is
+    # unsorted and repeats a time; it holds t = 1.0 (the end states) and
+    # t = h / 4, before any path can exit (a linear crossing ends a step,
+    # a bridge crossing sits mid-step)
+    pol = StepPolicy.fixed(1e-2)
+    if case == "diag-linear":
+        field, x, bridge = sl.make_field("diag-linear", d=2), [0.5, 0.5], False
+    else:
+        field, x, bridge = LINEAR, [1.0], True
+    band_level = 2.0 * sl.level(field, x)
+    t_grid = [0.3, 1.0, 2.5e-3, 0.05, 0.3]
+    for check, seed in ((sl.check_displacement_bound, 12),
+                        (sl.check_level_change_bound, 13)):
+        grid = check(field, x, band_level, 1, t_grid, 600, pol, seed,
+                     bridge=bridge)
+        assert [r.parameters["t"] for r in grid] == t_grid
+        assert grid[0].parameters["bridge"] == bridge
+        for t, rep in zip(t_grid, grid):
+            [one] = check(field, x, band_level, 1, [t], 600, pol, seed,
+                          bridge=bridge)
+            assert rep.to_json_dict() == one.to_json_dict(), t
+        assert grid[1].lhs_estimate.point > grid[2].lhs_estimate.point > 0
+
+
 def test_band_checkers_validate_inputs():
     with pytest.raises(InvalidInputError):
-        sl.check_displacement_bound(LINEAR, [1.0], 2.0, 1, 1.5, 200, POL, 0)
+        sl.check_displacement_bound(LINEAR, [1.0], 2.0, 1, [1.5], 200, POL, 0)
+    with pytest.raises(InvalidInputError):  # one t outside (0, 1]
+        sl.check_displacement_bound(LINEAR, [1.0], 2.0, 1, [0.1, 0.0], 200,
+                                    POL, 0)
+    with pytest.raises(InvalidInputError):  # an empty grid
+        sl.check_level_change_bound(LINEAR, [1.0], 2.0, 1, [], 200, POL, 0)
     with pytest.raises(InvalidInputError):  # level(x)=1 is not A/2^k = 4
-        sl.check_displacement_bound(LINEAR, [1.0], 8.0, 1, 0.1, 200, POL, 0)
+        sl.check_displacement_bound(LINEAR, [1.0], 8.0, 1, [0.1], 200, POL, 0)
     with pytest.raises(InvalidInputError):  # no Lipschitz bound anywhere
         sl.check_level_change_bound(sl.make_field("power-law-1d", alpha=0.5),
-                                    [1.0], 2.0, 1, 0.1, 200, POL, 0)
+                                    [1.0], 2.0, 1, [0.1], 200, POL, 0)
 
 
 def test_escape_bound_vacuous_times():
