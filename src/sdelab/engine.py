@@ -689,34 +689,47 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 # Parallel chunk plumbing
 # ---------------------------------------------------------------------------
 #
-# Estimators express their Monte Carlo work as a kernel over a block of path
-# indices: a module-level function ``kernel(field, indices, params)``, which
-# pickles by reference, so pool workers import it by its qualified name.
-# Chunk boundaries are a fixed function of n_paths alone and each path's
-# noise depends only on (master seed, path index), so results are identical
-# for any worker count; workers rebuild catalog fields from their
-# (name, params) reference instead of pickling closures.
+# Estimators describe their Monte Carlo work as a sweep spec and a reducer.
+# The spec is a dict of ``sweep_paths`` keyword arguments without ``field``
+# and ``indices``, so the sweep's signature is its schema and its validation.
+# The reducer is a module-level function ``reduce(field, spec, result)``,
+# possibly a functools.partial of one, which turns a chunk's SweepResult
+# into its fixed-size partial; it pickles by reference, so pool workers
+# import it by its qualified name.  Chunk boundaries are a fixed function of
+# n_paths alone and each path's noise depends only on (master seed, path
+# index), so results are identical for any worker count; workers rebuild
+# catalog fields from their (name, params) reference instead of pickling
+# closures.
+
+def _reduce_chunk(reduce, field, indices, spec):
+    # the one place an estimator's sweep runs; sweep_paths is looked up at
+    # call time, so a patched engine.sweep_paths sees every chunk
+    return reduce(field, spec, sweep_paths(field, indices=indices, **spec))
+
 
 def _parallel_entry(packed):
-    kernel, field_ref, indices, params = packed
-    return kernel(cf.make_field(field_ref[0], **field_ref[1]), indices, params)
+    reduce, field_ref, indices, spec = packed
+    return _reduce_chunk(reduce, cf.make_field(field_ref[0], **field_ref[1]),
+                         indices, spec)
 
 
-def map_path_chunks(kernel, field: CoefficientField, index_chunks,
-                    params: dict, workers: int = 1):
-    """Run a module-level kernel over index chunks, serially or in a pool.
+def map_path_chunks(reduce, field: CoefficientField, index_chunks,
+                    spec: dict, workers: int = 1):
+    """Sweep each index chunk as ``spec`` says and reduce it, serially or in
+    a pool.
 
-    Returns per-chunk partial results in chunk order; callers combine them
-    sequentially so the reduction is byte-identical for any worker count.
+    Returns ``reduce(field, spec, sweep_paths(field, indices=chunk, **spec))``
+    per chunk, in chunk order; callers combine the partials sequentially so
+    the reduction is byte-identical for any worker count.
     """
     index_chunks = list(index_chunks)
     if workers <= 1:
-        return [kernel(field, c, params) for c in index_chunks]
+        return [_reduce_chunk(reduce, field, c, spec) for c in index_chunks]
     if field.catalog_ref is None:
         raise InvalidInputError(
             "parallel execution requires a catalog field (picklable reference)")
     from concurrent.futures import ProcessPoolExecutor
-    packed = [(kernel, field.catalog_ref, c, params) for c in index_chunks]
+    packed = [(reduce, field.catalog_ref, c, spec) for c in index_chunks]
     with ProcessPoolExecutor(max_workers=workers) as ex:
         return list(ex.map(_parallel_entry, packed))
 

@@ -17,6 +17,7 @@ import numpy as np
 from . import coefficients as cf
 from . import verification as vf
 from .coefficients import CoefficientField
+# perfbench's tracer patches sweep_paths and map_path_chunks here by name
 from .engine import (Barrier, BRIDGE_STREAM_TAG, PathRealization, StepPolicy,
                      _float_bits, bridge_cross_probability, iter_chunks,
                      map_path_chunks, sweep_paths)
@@ -127,8 +128,8 @@ def sandwich_time(path: PathRealization, field: CoefficientField,
     to the lower threshold.  The path must start at the band's center level
     within 5% relative tolerance.
     """
-    vf._check_band_start(field, path.states[0], base_level, band_index)
-    lower, _, upper = vf._band_levels(base_level, band_index)
+    lower, upper = (b.level for b in vf._band_spec(
+        field, path.states[0], base_level, band_index, False)["barriers"])
     down = first_hitting_time(path, field, lower, method)
     up = first_hitting_time(path, field, upper, method)
     if down.censored and up.censored:
@@ -160,11 +161,7 @@ def _escape_increments(cross_times: np.ndarray) -> np.ndarray:
     return np.diff(times, axis=1, prepend=0.0)
 
 
-def _kernel_dyadic(field: CoefficientField, indices, p):
-    barriers = tuple(Barrier(lv, "down") for lv in p["levels"])
-    res = sweep_paths(field, p["start"], p["horizon"], p["policy"],
-                      p["master"], indices, barriers=barriers, stop_mode="all",
-                      bridge=p["bridge"])
+def _dyadic_increments(field: CoefficientField, spec, res):
     return _escape_increments(res.cross_times)
 
 
@@ -185,11 +182,12 @@ def dyadic_escape_batch(field: CoefficientField, start, depth: int,
     if cf.in_zero_set(field, start):
         raise InvalidInputError("start point lies in the zero set")
     lev0 = cf.level(field, start)
-    levels = [lev0 / 2.0 ** (j + 1) for j in range(depth)]
-    params = {"start": start, "horizon": horizon, "policy": policy,
-              "master": master_seed, "levels": levels, "bridge": bridge}
+    spec = {"start": start, "horizon": horizon, "policy": policy,
+            "master": master_seed, "stop_mode": "all", "bridge": bridge,
+            "barriers": tuple(Barrier(lev0 / 2.0 ** (j + 1), "down")
+                              for j in range(depth))}
     return np.concatenate(map_path_chunks(
-        _kernel_dyadic, field, iter_chunks(n_paths), params, workers))
+        _dyadic_increments, field, iter_chunks(n_paths), spec, workers))
 
 
 class _EscapeRows:

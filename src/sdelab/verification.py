@@ -14,11 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
 from . import coefficients as cf
 from .coefficients import CoefficientField
+# perfbench's tracer patches sweep_paths and map_path_chunks here by name
 from .engine import (Barrier, StepPolicy, entropy_tuple, iter_chunks,
                      map_path_chunks, sweep_paths)
 from .errors import InvalidInputError
@@ -236,18 +238,23 @@ def _unit_grid(t_grid) -> list[float]:
     return t_grid
 
 
-def _check_band_start(field: CoefficientField, x, band_level: float,
-                      band_index: int) -> float:
-    _, target, _ = _band_levels(band_level, band_index)
+def _band_spec(field: CoefficientField, x, band_level: float,
+               band_index: int, bridge) -> dict:
+    """The band checkers' sweep keywords: start x at the band's center level
+    within 5 %, stopped by the band's lower and upper barriers."""
+    lower, target, upper = _band_levels(band_level, band_index)
+    x = np.asarray(x, dtype=float)
     lev = cf.level(field, x)
     if abs(lev - target) > 0.05 * target:
         raise InvalidInputError(
             f"start level {lev:g} is not {target:g} within 5% tolerance")
-    return lev
+    return {"start": x, "barriers": (Barrier(lower, "down"),
+                                     Barrier(upper, "up")),
+            "bridge": _resolve_bridge(field, bridge)}
 
 
 def _sum_chunks(partials) -> list:
-    """Elementwise sum of the kernels' fixed-size partials, in chunk order.
+    """Elementwise sum of the reducers' fixed-size partials, in chunk order.
 
     Each partial is a tuple of numbers or count arrays.  The sum starts from
     the first partial; a running float total that started at 0.0 would get
@@ -262,38 +269,26 @@ def _sum_chunks(partials) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Parallel kernels
+# Chunk reducers: each estimator's sweep spec runs through map_path_chunks,
+# and reduce(field, spec, result) turns each chunk's SweepResult into a partial
 # ---------------------------------------------------------------------------
 
-def _band_barriers(band_level: float, band_index: int):
-    lower, _, upper = _band_levels(band_level, band_index)
-    return Barrier(lower, "down"), Barrier(upper, "up")
-
-
-def _kernel_escape_times(field, indices, p):
-    res = sweep_paths(field, p["start"], p["horizon"], p["policy"],
-                      p["master"], indices,
-                      barriers=_band_barriers(p["A"], p["k"]),
-                      stop_mode="first", bridge=p["bridge"])
-    t_grid = np.asarray(p["t_grid"])[:, None]
+def _escape_exits(field, spec, res, *, t_grid):
+    # per t, the paths that left the band by t; the paths still in it; n
     exited = res.first_barrier >= 0
-    exits = np.count_nonzero(exited & (res.end_times <= t_grid), axis=1)
-    return exits, int(np.count_nonzero(~exited)), len(indices)
+    exits = np.count_nonzero(
+        exited & (res.end_times <= np.asarray(t_grid)[:, None]), axis=1)
+    return exits, int(np.count_nonzero(~exited)), exited.size
 
 
-def _kernel_band_functionals(field, indices, p):
+def _band_functionals(field, spec, res):
     # one sweep to time 1 captures the stopped state at every t of the grid;
-    # row j of the moments holds the four sums of t_grid[j]
-    res = sweep_paths(field, p["start"], 1.0, p["policy"],
-                      p["master"], indices,
-                      barriers=_band_barriers(p["A"], p["k"]),
-                      stop_mode="first", capture_times=p["t_grid"],
-                      bridge=p["bridge"])
-    x = np.asarray(p["start"], dtype=float)
+    # row j of the moments holds the four sums of capture_times[j]
+    x = spec["start"]
     exited = res.first_barrier >= 0
     lev_x = cf.level(field, x)
-    n = len(indices)
-    moments = np.zeros((len(p["t_grid"]), 4))
+    n = exited.size
+    moments = np.zeros((len(spec["capture_times"]), 4))
     for j in range(moments.shape[0]):
         states = res.capture_state[exited, j]
         v = np.zeros(n)
@@ -306,36 +301,22 @@ def _kernel_band_functionals(field, indices, p):
     return moments, int(np.sum(~exited)), n
 
 
-def _kernel_persistence(field, indices, p):
-    res = sweep_paths(field, p["start"], p["t0"], p["policy"],
-                      p["master"], indices,
-                      barriers=(Barrier(p["barrier"], "down"),),
-                      stop_mode="first", bridge=p["bridge"])
+def _survivors(field, spec, res):
     survived = res.first_barrier < 0
-    return int(np.sum(survived)), len(indices)
+    return int(np.sum(survived)), survived.size
 
 
-def _kernel_hitting_min(field, indices, p):
-    eps_grid = np.asarray(p["eps_grid"])
-    res = sweep_paths(field, p["start"], p["horizon"], p["policy"],
-                      p["master"], indices,
-                      min_level_retire=float(eps_grid.min()),
-                      on_blowup="retire")
+def _hitting_counts(field, spec, res, *, eps_grid):
+    # per eps, the paths whose minimum level reached it; blowups; n
     counts = np.array([(res.min_levels <= e).sum() for e in eps_grid],
                       dtype=np.int64)
-    return counts, int(np.sum(res.blown_up)), len(indices)
+    return counts, int(np.sum(res.blown_up)), res.min_levels.size
 
 
-def _kernel_strong_error(field, indices, p):
-    x0 = p["start"][0]
-    sums = np.empty(len(p["h_exponents"]))
-    for j, e in enumerate(p["h_exponents"]):
-        res = sweep_paths(field, p["start"], p["horizon"],
-                          StepPolicy.fixed(2.0 ** (-e)),
-                          (*p["master"], e), indices, track_noise_sum=True)
-        exact = x0 * np.exp(-0.5 * p["horizon"] + res.noise_sum[:, 0])
-        sums[j] = np.sum(np.abs(res.end_states[:, 0] - exact))
-    return sums, len(indices)
+def _strong_error(field, spec, res):
+    exact = spec["start"][0] * np.exp(-0.5 * spec["horizon"]
+                                      + res.noise_sum[:, 0])
+    return np.sum(np.abs(res.end_states[:, 0] - exact)), exact.size
 
 
 # ---------------------------------------------------------------------------
@@ -348,14 +329,12 @@ def _band_moments(field, x, band_level, band_index, t_grid, n_paths, policy,
     t_grid = _unit_grid(t_grid)
     if n_paths < 2:
         raise InvalidInputError("need at least 2 paths")
-    _check_band_start(field, x, band_level, band_index)
-    params = {"start": np.asarray(x, dtype=float), "A": band_level,
-              "k": band_index, "t_grid": t_grid, "policy": policy,
-              "master": seed, "bridge": _resolve_bridge(field, bridge)}
+    spec = {**_band_spec(field, x, band_level, band_index, bridge),
+            "horizon": 1.0, "policy": policy, "master": seed,
+            "capture_times": t_grid}
     moments, cens, n = _sum_chunks(map_path_chunks(
-        _kernel_band_functionals, field, iter_chunks(n_paths), params,
-        workers))
-    return list(zip(t_grid, moments.tolist())), cens, n, params["bridge"]
+        _band_functionals, field, iter_chunks(n_paths), spec, workers))
+    return list(zip(t_grid, moments.tolist())), cens, n, spec["bridge"]
 
 
 def check_displacement_bound(field: CoefficientField, x, band_level: float,
@@ -428,27 +407,24 @@ def check_escape_probability_bound(field: CoefficientField, x,
     and are flagged as non-informative in the report parameters.
     """
     t_grid = _unit_grid(t_grid)
-    _check_band_start(field, x, band_level, band_index)
+    spec = {**_band_spec(field, x, band_level, band_index, bridge),
+            "horizon": max(t_grid), "policy": policy, "master": seed}
     k_bound = _require_k(field, lipschitz_k)
     c = escape_rate_constant(field.m, k_bound)
-    params = {"start": np.asarray(x, dtype=float), "A": band_level,
-              "k": band_index, "t_grid": t_grid, "horizon": max(t_grid),
-              "policy": policy, "master": seed,
-              "bridge": _resolve_bridge(field, bridge)}
     exits, censored, n = _sum_chunks(map_path_chunks(
-        _kernel_escape_times, field, iter_chunks(n_paths), params, workers))
+        partial(_escape_exits, t_grid=t_grid), field, iter_chunks(n_paths),
+        spec, workers))
     reports = []
     for t, successes in zip(t_grid, exits):
         est = estimate_with_ci(int(successes), n, "wilson",
                                censored_n=censored)
         rhs = c * math.sqrt(t)
-        rep_params = {"A": band_level, "k": band_index, "t": t,
-                      "m": field.m, "K": k_bound, "C": c,
-                      "informative": rhs < 1.0, "field": field.name,
-                      "n_paths": n, "policy": policy.to_dict(),
-                      "bridge": params["bridge"]}
+        params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
+                  "K": k_bound, "C": c, "informative": rhs < 1.0,
+                  "field": field.name, "n_paths": n,
+                  "policy": policy.to_dict(), "bridge": spec["bridge"]}
         reports.append(BoundCheckReport("escape-probability", est, rhs,
-                                        "upper", rep_params))
+                                        "upper", params))
     return reports
 
 
@@ -496,10 +472,10 @@ def check_halving_persistence(field: CoefficientField, starts,
     for s_idx, start in enumerate(valid):
         idx = np.arange(s_idx, n_paths, len(valid))
         chunks = [idx[c] for c in iter_chunks(idx.size)]
-        params = {"start": start, "t0": t0, "barrier": barrier,
-                  "policy": policy, "master": seed, "bridge": use_bridge}
-        partials += map_path_chunks(_kernel_persistence, field, chunks,
-                                    params, workers)
+        spec = {"start": start, "horizon": t0, "policy": policy,
+                "master": seed, "barriers": (Barrier(barrier, "down"),),
+                "bridge": use_bridge}
+        partials += map_path_chunks(_survivors, field, chunks, spec, workers)
     survived, n = _sum_chunks(partials)
     est = estimate_with_ci(survived, n, "wilson", censored_n=survived)
     params = {"A": band_level, "k": band_index, "t0": t0, "m": field.m,
@@ -535,10 +511,12 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
     start = np.asarray(start, dtype=float)
     if cf.in_zero_set(field, start):
         raise InvalidInputError("start point lies in the zero set")
-    params = {"start": start, "horizon": horizon, "policy": policy,
-              "master": seed, "eps_grid": eps_grid}
+    spec = {"start": start, "horizon": horizon, "policy": policy,
+            "master": seed, "min_level_retire": eps_grid[-1],
+            "on_blowup": "retire"}
     counts, _blown, n = _sum_chunks(map_path_chunks(
-        _kernel_hitting_min, field, iter_chunks(n_paths), params, workers))
+        partial(_hitting_counts, eps_grid=eps_grid), field,
+        iter_chunks(n_paths), spec, workers))
     return [estimate_with_ci(int(c), n, method, censored_n=int(n - c))
             for c in counts]
 
@@ -641,14 +619,18 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
     log error vs log h should land in STRONG_ORDER_WINDOW.
     """
     field = cf.make_field("linear-1d")
-    params = {"start": np.array([start_x]), "horizon": horizon,
-              "master": entropy_tuple(master_seed),
-              "h_exponents": list(h_exponents)}
-    # each h keeps its own master seed (*master, e); all h share one pool
-    totals, n = _sum_chunks(map_path_chunks(
-        _kernel_strong_error, field, iter_chunks(n_paths), params, workers))
-    hs = [2.0 ** (-e) for e in params["h_exponents"]]
-    errs = (totals / n).tolist()
+    master = entropy_tuple(master_seed)
+    h_exponents = list(h_exponents)
+    hs = [2.0 ** (-e) for e in h_exponents]
+    errs = []
+    for e, h in zip(h_exponents, hs):
+        # each h has its own master seed (*master, e) and chunk-order sum
+        spec = {"start": np.array([start_x]), "horizon": horizon,
+                "policy": StepPolicy.fixed(h), "master": (*master, e),
+                "track_noise_sum": True}
+        total, n = _sum_chunks(map_path_chunks(
+            _strong_error, field, iter_chunks(n_paths), spec, workers))
+        errs.append(float(total / n))
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     low, high = STRONG_ORDER_WINDOW
     return {"h_grid": hs, "strong_errors": errs, "slope": slope,

@@ -158,13 +158,14 @@ def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
 
 def test_broken_sweep_invariant_exits_1(tmp_path, capsys, monkeypatch):
     # a sweep invariant found broken is a typed error: main reports it and
-    # returns 1, not a traceback
-    from sdelab import verification
+    # returns 1, not a traceback; every estimator's sweep runs through
+    # engine.sweep_paths
+    from sdelab import engine
 
     def broken_sweep(*args, **kwargs):
         raise InvariantError("sweep lost a captured state")
 
-    monkeypatch.setattr(verification, "sweep_paths", broken_sweep)
+    monkeypatch.setattr(engine, "sweep_paths", broken_sweep)
     cfg = json.loads(_hitting_config(n_paths=200,
                                      policy={"kind": "fixed", "h_max": 1e-2}))
     cfg["experiment"] = "displacement"

@@ -103,10 +103,9 @@ GOLDEN = {
 }
 
 
-def payload_digest(config: dict, out_dir: Path, workers: int) -> str:
-    """sha256 over the sha256 of the payload bytes and of each CSV table."""
-    report = run_scenario(parse_scenario(json.dumps(config)), workers=workers)
-    write_report(report, out_dir)
+def report_digest(out_dir: Path) -> str:
+    """sha256 over the sha256 of the payload bytes and of each CSV table of
+    the report written to ``out_dir``."""
     doc = json.loads((out_dir / "report.json").read_text())
     blobs = [json.dumps(doc["payload"], indent=2, sort_keys=True).encode()]
     blobs += [(out_dir / name).read_bytes() for name in doc["tables"]]
@@ -116,12 +115,19 @@ def payload_digest(config: dict, out_dir: Path, workers: int) -> str:
     return digest.hexdigest()
 
 
+def payload_digest(config: dict, out_dir: Path, workers: int) -> str:
+    report = run_scenario(parse_scenario(json.dumps(config)), workers=workers)
+    write_report(report, out_dir)
+    return report_digest(out_dir)
+
+
 def _numpy_major_minor() -> str:
     return ".".join(np.__version__.split(".")[:2])
 
 
-# workers=2 sends every kernel through the process pool as a pickled
-# module-level function; the digests must not depend on it.
+# workers=2 sends every chunk's sweep spec and reducer through the process
+# pool, the reducer pickled as a module-level function; the digests must not
+# depend on it.
 @pytest.mark.parametrize("name, workers", [
     pytest.param(name, workers, id=name if workers == 1 else f"{name}-workers2")
     for name in sorted(SCENARIOS) for workers in (1, 2)])

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 from scipy import stats
 
 import sdelab as sl
-from sdelab import InvalidInputError, StepPolicy
+from sdelab import InvalidInputError, StepPolicy, stopping, verification
+from sdelab.engine import iter_chunks, map_path_chunks
 from sdelab.verification import (Z_95, BoundCheckReport, EstimateWithCI,
-                                  _mean_with_ci)
+                                  _mean_with_ci, _sum_chunks, _survivors)
 
 
 # ---------------------------------------------------------------------------
@@ -463,3 +464,91 @@ def test_accessibility_integral_rejects_vanishing_sigma():
         sl.accessibility_integral_1d(lambda y: y - 0.5, 1.0)
     with pytest.raises(InvalidInputError):
         sl.accessibility_integral_1d(lambda y: y, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Chunk reduction: every estimator's spec and reducer over several chunks
+# ---------------------------------------------------------------------------
+
+def _recorded_maps(monkeypatch, module):
+    """Record (reduce, field, spec, partials) of each map_path_chunks call
+    that ``module`` makes."""
+    calls = []
+    real = module.map_path_chunks
+
+    def recording(reduce, field, index_chunks, spec, workers=1):
+        partials = real(reduce, field, index_chunks, spec, workers)
+        calls.append((reduce, field, spec, partials))
+        return partials
+    monkeypatch.setattr(module, "map_path_chunks", recording)
+    return calls
+
+
+_COARSE = StepPolicy.fixed(1e-2)
+_POWER_15 = sl.make_field("power-law-1d", alpha=1.5)
+
+# each estimator, run on a few paths only to record its spec and reducer
+_ESTIMATORS = {
+    "escape-exits": (verification, lambda: sl.check_escape_probability_bound(
+        LINEAR, [1.0], 2.0, 1, [0.01, 0.1], 8, _COARSE, 5, bridge=True)),
+    "band-functionals": (verification, lambda: sl.check_displacement_bound(
+        LINEAR, [1.0], 2.0, 1, [0.2, 1.0], 8, _COARSE, 5, bridge=True)),
+    "survivors": (verification, lambda: sl.check_halving_persistence(
+        LINEAR, [[1.0], [1.5]], 2.0, 1, 8, _COARSE, 5, t0=0.1, bridge=True)),
+    "hitting-counts": (verification, lambda: sl.estimate_zero_hitting(
+        _POWER_15, [1.0], 10.0, [1e-2, 1e-4, 1e-6], 8, _COARSE, 600)),
+    "strong-error": (verification, lambda: sl.strong_order_study(
+        8, h_exponents=[3, 4], master_seed=5)),
+    "dyadic-increments": (stopping, lambda: sl.dyadic_escape_batch(
+        LINEAR, [1.0], 4, 1.0, _COARSE, 5, 8, bridge=True)),
+}
+
+
+def _bits(partials):
+    parts = [p if isinstance(p, tuple) else (p,) for p in partials]
+    return [[np.asarray(v).tobytes() for v in part] for part in parts]
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATORS))
+def test_chunked_reduction_matches_across_workers_and_one_chunk(
+        name, monkeypatch):
+    module, run = _ESTIMATORS[name]
+    calls = _recorded_maps(monkeypatch, module)
+    run()
+    assert calls
+    for reduce, field, spec, _ in calls:
+        chunked = {w: map_path_chunks(reduce, field, iter_chunks(64, 16),
+                                      spec, w) for w in (1, 2)}
+        assert len(chunked[1]) == 4
+        assert _bits(chunked[1]) == _bits(chunked[2])
+        (whole,) = map_path_chunks(reduce, field, [np.arange(64)], spec)
+        if name == "dyadic-increments":
+            assert _bits([np.concatenate(chunked[1])]) == _bits([whole])
+            continue
+        # the integer partials (counts, censored, survivors, blowups, n)
+        # sum to those of one chunk; float sums depend on the grouping
+        for total, one in zip(_sum_chunks(chunked[1]), whole):
+            if np.asarray(one).dtype.kind in "iu":
+                np.testing.assert_array_equal(total, one)
+
+
+def test_hitting_counts_blowups(monkeypatch):
+    # alpha = 1.5 with fixed h = 1e-2 blows some paths up; the reducer counts
+    # them (the payload does not report them yet)
+    calls = _recorded_maps(monkeypatch, verification)
+    sl.estimate_zero_hitting(_POWER_15, [1.0], 10.0, [1e-2, 1e-4, 1e-6],
+                             2000, _COARSE, 600)
+    ((_, _, _, partials),) = calls
+    assert sum(blown for _, blown, _ in partials) == 11
+
+
+def test_parallel_runs_need_a_catalog_field():
+    custom = sl.CoefficientField(d=1, m=1, sigma=LINEAR.sigma, b=LINEAR.b,
+                                 lipschitz_k=1.0)
+    spec = {"start": np.array([1.0]), "horizon": 0.1, "policy": _COARSE,
+            "master": 1}
+    with pytest.raises(InvalidInputError, match="catalog"):
+        map_path_chunks(_survivors, custom, iter_chunks(32, 16), spec, 2)
+    with pytest.raises(InvalidInputError, match="catalog"):
+        sl.check_escape_probability_bound(custom, [1.0], 2.0, 1, [0.01], 32,
+                                          _COARSE, 1, workers=2)
