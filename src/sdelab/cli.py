@@ -29,7 +29,7 @@ from . import coefficients as cf
 from . import stopping
 from . import verification as vf
 from .coefficients import CoefficientField
-from .engine import StepPolicy, path_entropy, simulate_path
+from .engine import StepPolicy, _resolve_bridge, path_entropy, simulate_path
 from .errors import InvalidInputError, InvariantError, NumericalBlowupError
 
 SCHEMA_VERSION = 1
@@ -52,25 +52,46 @@ def _no_leftovers(obj: dict, path: str):
         _fail(path or "<root>", f"unknown keys: {sorted(obj)}")
 
 
-def _positive(val, path: str) -> float:
+def _checked(path: str, check, /, *args, **kwargs):
+    """check(*args, **kwargs), an InvalidInputError from it naming the key
+    path.
+
+    The library's rules raise InvalidInputError without knowing the key; a
+    path ending in "." prefixes a message that names its own field, as
+    StepPolicy's do ("policy." + "h_min: ..."), any other path is the key.
+    """
+    try:
+        return check(*args, **kwargs)
+    except InvalidInputError as exc:
+        sep = "" if path.endswith(".") else ": "
+        raise InvalidInputError(f"{path}{sep}{exc}") from None
+
+
+def _positive(val) -> float:
     try:
         out = float(val)
     except (TypeError, ValueError, OverflowError):
-        _fail(path, f"expected a finite number, got {val!r}")
-    if not out > 0:
-        _fail(path, f"must be positive, got {out}")
+        raise InvalidInputError(f"expected a finite number, got {val!r}") from None
+    if not 0 < out < math.inf:
+        raise InvalidInputError(f"must be positive and finite, got {out}")
     return out
 
 
-def _pos_int(val, path: str) -> int:
+def _pos_int(val) -> int:
     if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        _fail(path, f"expected a positive integer, got {val!r}")
+        raise InvalidInputError(f"expected a positive integer, got {val!r}")
     return val
 
 
-def _seed(val, path: str) -> int:
+def _seed(val) -> int:
     if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-        _fail(path, f"expected a nonnegative integer, got {val!r}")
+        raise InvalidInputError(f"expected a nonnegative integer, got {val!r}")
+    return val
+
+
+def _list(val) -> list:
+    if not isinstance(val, list):
+        raise InvalidInputError(f"must be a list, got {val!r}")
     return val
 
 
@@ -119,67 +140,38 @@ def _parse_policy(raw, path: str) -> StepPolicy:
     raw = dict(raw)
     default = StepPolicy()
     kind = _pop(raw, "kind", path, default=default.kind)
-    if kind not in ("fixed", "level-adaptive"):
-        _fail(f"{path}.kind", f"must be 'fixed' or 'level-adaptive', got {kind!r}")
-    h_max = _positive(_pop(raw, "h_max", path, default=default.h_max),
-                      f"{path}.h_max")
+    h_max = _checked(f"{path}.h_max", _positive,
+                     _pop(raw, "h_max", path, default=default.h_max))
     default_h_min = h_max if kind == "fixed" else min(h_max, default.h_min)
-    h_min = _positive(_pop(raw, "h_min", path, default=default_h_min),
-                      f"{path}.h_min")
-    frac = _positive(_pop(raw, "level_fraction", path,
-                          default=default.level_fraction),
-                     f"{path}.level_fraction")
+    h_min = _checked(f"{path}.h_min", _positive,
+                     _pop(raw, "h_min", path, default=default_h_min))
+    frac = _checked(f"{path}.level_fraction", _positive,
+                    _pop(raw, "level_fraction", path,
+                         default=default.level_fraction))
     _no_leftovers(raw, path)
-    if h_min > h_max:
-        _fail(f"{path}.h_min", f"h_min={h_min} exceeds h_max={h_max}")
-    return StepPolicy(kind=kind, h_max=h_max, h_min=h_min, level_fraction=frac)
+    return _checked(f"{path}.", StepPolicy, kind, h_max, h_min, frac)
 
 
-def _unit_time(val, path: str) -> float:
-    out = _positive(val, path)
-    if out > 1.0:
-        _fail(path, "must be <= 1")
-    return out
-
-
-def _nonempty_list(val, path: str) -> list:
-    if not isinstance(val, list) or not val:
-        _fail(path, "must be a nonempty list")
-    return val
-
-
-def _eps_grid(val, path: str) -> list[float]:
-    grid = [_positive(e, path) for e in _nonempty_list(val, path)]
-    if any(b >= a for a, b in zip(grid, grid[1:])):
-        _fail(path, "must be strictly decreasing")
-    return grid
-
-
-def _ci_method(val, path: str) -> str:
-    if val not in ("wilson", "clopper-pearson"):
-        _fail(path, f"unknown method {val!r}")
-    return val
-
-
-def _h_exponents(val, path: str) -> list[int]:
+def _h_exponents(val) -> list[int]:
     if not isinstance(val, list) or len(val) < 2:
-        _fail(path, "must be a list of >= 2 integers")
-    return [_pos_int(e, path) for e in val]
+        raise InvalidInputError("must be a list of >= 2 integers")
+    return [_pos_int(e) for e in val]
 
 
 # Validator of each experiment param, applied in this order; an error names
-# the key as params.<key>.
+# the key as params.<key>.  The CLI's helpers check JSON types, and a rule
+# an estimator applies to a value is that estimator's own; the rules that
+# involve more than one key are in the experiments' checks.
 _PARAM_VALIDATORS = {
     "A": _positive,
     "k": _pos_int,
-    "t": _unit_time,
+    "t": lambda t: vf._unit_grid([t])[0],
     "t0": _positive,
     "depth": _pos_int,
     "a": _positive,
-    "eps_grid": _eps_grid,
-    "t_grid": lambda val, path: [_positive(t, path)
-                                 for t in _nonempty_list(val, path)],
-    "ci_method": _ci_method,
+    "eps_grid": lambda val: vf._eps_grid(_list(val)),
+    "t_grid": lambda val: vf._unit_grid(_list(val)),
+    "ci_method": vf._ci_method,
     "h_exponents": _h_exponents,
 }
 
@@ -192,7 +184,7 @@ def _parse_params(exp: Experiment, raw: dict) -> dict:
     _no_leftovers(raw, "params")
     for key, check in _PARAM_VALIDATORS.items():
         if key in out:
-            out[key] = check(out[key], f"params.{key}")
+            out[key] = _checked(f"params.{key}", check, out[key])
     return out
 
 
@@ -211,7 +203,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
     try:
         raw = json.loads(text, parse_float=_finite_number,
                          parse_constant=_finite_number)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: a syntax error, or an int of more than 4300 digits;
+        # RecursionError: lists or objects nested about 1000 deep
         raise InvalidInputError(f"config is not well-formed JSON: {exc}") from None
     if not isinstance(raw, dict):
         _fail("<root>", "config must be a JSON object")
@@ -232,10 +226,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
     _no_leftovers(field_spec, "field")
     if not isinstance(field_params, dict):
         _fail("field.params", "must be an object")
-    try:
-        field = cf.make_field(field_name, **field_params)
-    except InvalidInputError as exc:
-        _fail("field", str(exc))
+    field = _checked("field", cf.make_field, field_name, **field_params)
 
     start = _pop(raw, "start", "", required=True)
     if not isinstance(start, list) or not all(
@@ -243,18 +234,17 @@ def parse_scenario(text: str) -> ScenarioConfig:
             and abs(v) <= sys.float_info.max for v in start):
         # an int too large for a float would overflow in np.asarray
         _fail("start", "must be a list of finite numbers")
-    if len(start) != field.d:
-        _fail("start", f"dimension {len(start)} does not match field "
-                       f"dimension {field.d}")
-    try:
-        cf.level(field, start)
-    except InvalidInputError as exc:
-        _fail("start", str(exc))
+    # the state's dimension, and a finite level there
+    x0 = np.asarray(start, dtype=float)
+    _checked("start", cf.level, field, x0)
 
-    horizon = _positive(_pop(raw, "horizon", "", required=True), "horizon")
+    horizon = _checked("horizon", _positive,
+                       _pop(raw, "horizon", "", required=True))
     policy = _parse_policy(_pop(raw, "policy", "", default=None), "policy")
-    n_paths = _pos_int(_pop(raw, "n_paths", "", required=True), "n_paths")
-    master_seed = _seed(_pop(raw, "master_seed", "", required=True), "master_seed")
+    n_paths = _checked("n_paths", _pos_int,
+                       _pop(raw, "n_paths", "", required=True))
+    master_seed = _checked("master_seed", _seed,
+                           _pop(raw, "master_seed", "", required=True))
 
     experiment = _pop(raw, "experiment", "", required=True)
     if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
@@ -280,41 +270,36 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _fail("lipschitz.mode", f"must be 'declared' or 'estimated', got {mode!r}")
     lip_out = {"mode": mode}
     if mode == "estimated":
-        lip_out["samples"] = _pos_int(
-            _pop(lipschitz, "samples", "lipschitz", default=4000),
-            "lipschitz.samples")
-        lip_out["seed"] = _seed(_pop(lipschitz, "seed", "lipschitz", default=0),
-                                "lipschitz.seed")
-        lip_out["safety"] = _positive(
-            _pop(lipschitz, "safety", "lipschitz", default=1.25),
-            "lipschitz.safety")
+        lip_out["samples"] = _checked(
+            "lipschitz.samples", _pos_int,
+            _pop(lipschitz, "samples", "lipschitz", default=4000))
+        lip_out["seed"] = _checked(
+            "lipschitz.seed", _seed, _pop(lipschitz, "seed", "lipschitz", default=0))
+        lip_out["safety"] = _checked(
+            "lipschitz.safety", _positive,
+            _pop(lipschitz, "safety", "lipschitz", default=1.25))
         region = _pop(lipschitz, "region", "lipschitz", default=None)
         if region is not None:
-            if (not isinstance(region, list) or len(region) != 2):
-                _fail("lipschitz.region", "must be [lo, hi]")
-            try:
-                for bound in region:
-                    np.asarray(bound, dtype=float).reshape(field.d)
-            except (TypeError, ValueError):
-                _fail("lipschitz.region", "lo and hi must each be a number or a "
-                                          f"list of {field.d} numbers, got {region!r}")
+            _checked("lipschitz.region", _list, region)
+        _checked("lipschitz.", cf._sample_box, field,
+                 _lipschitz_region(region, x0), lip_out["samples"])
         lip_out["region"] = region
     _no_leftovers(lipschitz, "lipschitz")
 
-    floor = _pos_int(_pop(raw, "n_paths_floor", "", default=100),
-                     "n_paths_floor")
+    floor = _checked("n_paths_floor", _pos_int,
+                     _pop(raw, "n_paths_floor", "", default=100))
     if exp.ci_floor and n_paths < floor:
         _fail("n_paths", f"{experiment!r} produces confidence intervals and "
                          f"requires n_paths >= {floor}")
-    if exp.field_rule is not None and not exp.field_rule[0](field):
-        _fail("field", exp.field_rule[1])
 
     _no_leftovers(raw, "")
-    return ScenarioConfig(
+    config = ScenarioConfig(
         field_name=field_name, field_params=field_params, start=list(start),
         horizon=horizon, policy=policy, n_paths=n_paths,
         master_seed=master_seed, experiment=experiment, params=params,
         bridge=bridge, lipschitz=lip_out, n_paths_floor=floor)
+    exp.check(config, field, x0)
+    return config
 
 
 # ---------------------------------------------------------------------------
@@ -344,21 +329,31 @@ class RunReport:
                 "config": self.config}
 
 
+def _lipschitz_region(region, start: np.ndarray):
+    """The box of an estimated bound: the given [lo, hi], else the start
+    +- (|start| + 1)."""
+    if region is not None:
+        return region
+    radius = float(np.linalg.norm(start)) + 1.0
+    return (start - radius, start + radius)
+
+
+def _declared_k(config: ScenarioConfig, field: CoefficientField):
+    """The field's declared bound in declared mode, where a field without
+    one is an error; None in estimated mode."""
+    if config.lipschitz["mode"] == "declared":
+        return _checked("lipschitz.mode", vf._require_k, field, None)
+    return None
+
+
 def _resolve_lipschitz(config: ScenarioConfig, field: CoefficientField,
                        start: np.ndarray):
     """Lipschitz bound per the config: declared on the field, or estimated."""
+    k_val = _declared_k(config, field)
+    if k_val is not None:
+        return k_val, {"mode": "declared", "value": k_val}
     lip = config.lipschitz
-    if lip["mode"] == "declared":
-        if field.lipschitz_k is None:
-            raise InvalidInputError(
-                f"field {field.name!r} has no declared Lipschitz bound; "
-                "set lipschitz.mode to 'estimated'")
-        return float(field.lipschitz_k), {"mode": "declared",
-                                          "value": float(field.lipschitz_k)}
-    region = lip.get("region")
-    if region is None:
-        radius = float(np.linalg.norm(start)) + 1.0
-        region = (start - radius, start + radius)
+    region = _lipschitz_region(lip.get("region"), start)
     value = cf.estimate_lipschitz(field, region, lip["samples"], lip["seed"],
                                   lip["safety"])
     return value, {"mode": "estimated", "value": value,
@@ -398,9 +393,75 @@ def _single_check(report, **payload):
             {"bound_checks": [_bound_table_row(report)]}, [report.satisfied])
 
 
-# Each runner takes (config, field, start, workers) and returns
-# (payload, tables, checks).  Runners look estimators up on their modules at
-# call time, so wrapping a module attribute wraps every run.
+# Each check takes (config, field, start) and applies the input rules of one
+# experiment that involve more than one key, each rule the one its estimator
+# applies, so that parse_scenario rejects what a run would.  Each runner
+# takes (config, field, start, workers) and returns (payload, tables,
+# checks).  Runners look estimators up on their modules at call time, so
+# wrapping a module attribute wraps every run.
+
+def _band_center(config, field):
+    # the bridge setting, and the band's center level A/2^k once its lower
+    # and upper levels are checked
+    _checked("bridge", _resolve_bridge, field, config.bridge)
+    p = config.params
+    return _checked("params.k", vf._band_levels, p["A"], p["k"])[1]
+
+
+def _check_band(config, field, start):
+    _checked("start", vf._band_start, field, start,
+             _band_center(config, field))
+
+
+def _check_sqrt_bound(config, field, start):
+    _check_band(config, field, start)
+    _declared_k(config, field)
+
+
+def _check_displacement(config, field, start):
+    _check_band(config, field, start)
+    _checked("n_paths", vf._enough_paths, config.n_paths)
+
+
+def _check_level_change(config, field, start):
+    _check_displacement(config, field, start)
+    _declared_k(config, field)
+
+
+def _check_persistence(config, field, start):
+    _checked("start", vf._persistence_starts, field, [start],
+             _band_center(config, field))
+    if "t0" in config.params:
+        _checked("params.t0", vf._window_t0, config.params["t0"])
+    else:
+        _declared_k(config, field)
+
+
+def _check_hitting(config, field, start):
+    _checked("start", vf._off_zero_set, field, start)
+
+
+def _check_dyadic_escape(config, field, start):
+    _checked("start", vf._off_zero_set, field, start)
+    # the deepest of the halved levels
+    _checked("params.depth", vf._halved, cf.level(field, start),
+             config.params["depth"])
+    _checked("bridge", _resolve_bridge, field, config.bridge)
+    if "t0" not in config.params:
+        _declared_k(config, field)
+
+
+def _check_integral_1d(config, field, start):
+    if field.d != 1:
+        _fail("field", "integral-1d requires a 1-d field")
+
+
+def _check_engine_validation(config, field, start):
+    if field.name != "linear-1d":
+        _fail("field", "engine-validation uses the linear-1d closed form")
+    for e in config.params.get("h_exponents", ()):
+        _checked("params.h_exponents", vf._halved, 1.0, e)
+
 
 def _run_hitting(config, field, start, workers):
     p = config.params
@@ -463,7 +524,7 @@ def _run_dyadic_escape(config, field, start, workers):
     inc = stopping.dyadic_escape_batch(
         field, start, depth, config.horizon, config.policy,
         config.master_seed, config.n_paths,
-        bridge=vf._resolve_bridge(field, config.bridge), workers=workers)
+        bridge=_resolve_bridge(field, config.bridge), workers=workers)
     cen = np.isnan(inc)
     per_k = []
     for k in range(depth):
@@ -502,36 +563,34 @@ def _run_engine_validation(config, field, start, workers):
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment kind: its params, its config constraints, its runner."""
+    """One experiment kind: its params, its input checks, its runner."""
 
     run: Callable
+    check: Callable
     required: tuple = ()
     optional: tuple = ()
     # the output is a Monte Carlo estimate with a CI, so n_paths must reach
     # the configurable n_paths_floor
     ci_floor: bool = False
-    field_rule: tuple | None = None  # (predicate on the field, error message)
 
 
 EXPERIMENTS = {
-    "hitting": Experiment(_run_hitting, ("eps_grid",), ("ci_method",),
-                          ci_floor=True),
-    "sqrt-bound": Experiment(_run_sqrt_bound, ("A", "k"), ("t_grid",),
-                             ci_floor=True),
-    "displacement": Experiment(_run_displacement, ("A", "k", "t"),
-                               ci_floor=True),
-    "level-change": Experiment(_run_level_change, ("A", "k", "t"),
-                               ci_floor=True),
-    "persistence": Experiment(_run_persistence, ("A", "k"), ("t0",),
-                              ci_floor=True),
-    "dyadic-escape": Experiment(_run_dyadic_escape, ("depth",), ("t0",)),
-    "integral-1d": Experiment(
-        _run_integral_1d, ("a",),
-        field_rule=(lambda f: f.d == 1, "integral-1d requires a 1-d field")),
-    "engine-validation": Experiment(
-        _run_engine_validation, (), ("h_exponents",),
-        field_rule=(lambda f: f.name == "linear-1d",
-                    "engine-validation uses the linear-1d closed form")),
+    "hitting": Experiment(_run_hitting, _check_hitting, ("eps_grid",),
+                          ("ci_method",), ci_floor=True),
+    "sqrt-bound": Experiment(_run_sqrt_bound, _check_sqrt_bound, ("A", "k"),
+                             ("t_grid",), ci_floor=True),
+    "displacement": Experiment(_run_displacement, _check_displacement,
+                               ("A", "k", "t"), ci_floor=True),
+    "level-change": Experiment(_run_level_change, _check_level_change,
+                               ("A", "k", "t"), ci_floor=True),
+    "persistence": Experiment(_run_persistence, _check_persistence,
+                              ("A", "k"), ("t0",), ci_floor=True),
+    "dyadic-escape": Experiment(_run_dyadic_escape, _check_dyadic_escape,
+                                ("depth",), ("t0",)),
+    "integral-1d": Experiment(_run_integral_1d, _check_integral_1d, ("a",)),
+    "engine-validation": Experiment(_run_engine_validation,
+                                    _check_engine_validation, (),
+                                    ("h_exponents",)),
 }
 
 

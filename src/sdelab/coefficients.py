@@ -140,6 +140,24 @@ def in_zero_set(field: CoefficientField, x) -> bool:
     return lev <= resolved_zero_tol(field, lev)
 
 
+def _sample_box(field: CoefficientField, region, samples: int) -> tuple:
+    """The corners (lo, hi) of ``estimate_lipschitz``'s box, checked with its
+    sample count; each message starts with the argument it names."""
+    try:
+        lo, hi = (np.asarray(b, dtype=float).reshape(field.d) for b in region)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(
+            f"region: must be [lo, hi], each a number or a list of {field.d} "
+            f"numbers, got {region!r}") from None
+    # hi - lo is finite only where both corners are
+    if not np.all((hi > lo) & np.isfinite(hi - lo)):
+        raise InvalidInputError(
+            "region: must be finite with positive volume in every dimension")
+    if samples < 2:
+        raise InvalidInputError(f"samples: need at least 2, got {samples}")
+    return lo, hi
+
+
 def estimate_lipschitz(field: CoefficientField, region, samples: int,
                        rng_seed: int, safety: float = 1.25) -> float:
     """Empirical Lipschitz bound from sampled difference quotients.
@@ -149,12 +167,7 @@ def estimate_lipschitz(field: CoefficientField, region, samples: int,
     quotient of sigma (Frobenius) and b (Euclidean), and inflates it by
     ``safety``.  Fields are treated as black boxes; no derivatives are used.
     """
-    lo = np.asarray(region[0], dtype=float).reshape(field.d)
-    hi = np.asarray(region[1], dtype=float).reshape(field.d)
-    if not np.all(hi > lo):
-        raise InvalidInputError("region must have positive volume in every dimension")
-    if samples < 2:
-        raise InvalidInputError("need at least 2 samples")
+    lo, hi = _sample_box(field, region, samples)
     rng = np.random.default_rng(rng_seed)
     span = hi - lo
     xs = lo + span * rng.uniform(size=(samples, field.d))
@@ -317,7 +330,7 @@ def _finite(val) -> bool:
         return True
 
 
-def make_field(name: str, **params) -> CoefficientField:
+def make_field(name: str, /, **params) -> CoefficientField:
     """Build a catalog field by name with numeric parameters."""
     try:
         builder = _BUILDERS[name]

@@ -80,12 +80,15 @@ class StepPolicy:
     level_fraction: float = 0.01
 
     def __post_init__(self):
+        # each message starts with the field it names
         if self.kind not in ("fixed", "level-adaptive"):
-            raise InvalidInputError(f"unknown step policy kind {self.kind!r}")
+            raise InvalidInputError(
+                f"kind: must be 'fixed' or 'level-adaptive', got {self.kind!r}")
         if not (0 < self.h_min <= self.h_max):
-            raise InvalidInputError("need 0 < h_min <= h_max")
+            raise InvalidInputError(f"h_min: need 0 < h_min <= h_max, got "
+                                    f"h_min={self.h_min}, h_max={self.h_max}")
         if self.kind == "level-adaptive" and self.level_fraction <= 0:
-            raise InvalidInputError("level_fraction must be positive")
+            raise InvalidInputError("level_fraction: must be positive")
 
     @staticmethod
     def fixed(h: float) -> "StepPolicy":
@@ -186,6 +189,19 @@ def iter_chunks(n_paths: int, chunk_size: int = DEFAULT_CHUNK):
     """Fixed-size path-index blocks; the unit of work for parallel runs."""
     for lo in range(0, n_paths, chunk_size):
         yield np.arange(lo, min(lo + chunk_size, n_paths))
+
+
+def _resolve_bridge(field: CoefficientField, flag) -> bool:
+    """The bridge setting ``flag`` of a sweep of ``field``: ``"auto"`` turns
+    the correction on exactly where it applies, on 1-d fields with
+    ``abs_level_inverse``, and a true flag anywhere else is an error."""
+    applies = field.d == 1 and field.abs_level_inverse is not None
+    if flag == "auto":
+        return applies
+    if flag and not applies:
+        raise InvalidInputError(
+            "bridge correction needs a 1-d field with abs_level_inverse")
+    return bool(flag)
 
 
 def _float_bits(x: float) -> int:
@@ -408,9 +424,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     cap = np.asarray(capture_times, dtype=float)
     if cap.ndim != 1 or not np.all((0 <= cap) & (cap <= horizon)):
         raise InvalidInputError("capture_times must lie in [0, horizon]")
-    if bridge and (field.d != 1 or field.abs_level_inverse is None):
-        raise InvalidInputError(
-            "bridge correction needs a 1-d field with abs_level_inverse")
+    bridge = _resolve_bridge(field, bridge)
 
     master = entropy_tuple(master)
     indices = np.asarray(indices)

@@ -19,8 +19,8 @@ from . import verification as vf
 from .coefficients import CoefficientField
 # perfbench's tracer patches sweep_paths and map_path_chunks here by name
 from .engine import (Barrier, BRIDGE_STREAM_TAG, PathRealization, StepPolicy,
-                     _float_bits, bridge_cross_probability, iter_chunks,
-                     map_path_chunks, sweep_paths)
+                     _float_bits, _resolve_bridge, bridge_cross_probability,
+                     iter_chunks, map_path_chunks, sweep_paths)
 from .errors import InvalidInputError
 
 METHODS = ("interpolated", "bridge-corrected")
@@ -90,9 +90,7 @@ def first_hitting_time(path: PathRealization, field: CoefficientField,
     interp_t = None if found is None else found[1]
 
     if method == "bridge-corrected":
-        if field.d != 1 or field.abs_level_inverse is None:
-            raise InvalidInputError(
-                "bridge correction needs a 1-d field with abs_level_inverse")
+        _resolve_bridge(field, True)
         n_assess = interp_i  # steps strictly before the interpolated crossing
         if found is not None and found[2]:
             n_assess = 0
@@ -178,13 +176,11 @@ def dyadic_escape_batch(field: CoefficientField, start, depth: int,
     """
     if depth < 1:
         raise InvalidInputError("depth must be >= 1")
-    start = np.asarray(start, dtype=float)
-    if cf.in_zero_set(field, start):
-        raise InvalidInputError("start point lies in the zero set")
+    start = vf._off_zero_set(field, start)
     lev0 = cf.level(field, start)
     spec = {"start": start, "horizon": horizon, "policy": policy,
             "master": master_seed, "stop_mode": "all", "bridge": bridge,
-            "barriers": tuple(Barrier(lev0 / 2.0 ** (j + 1), "down")
+            "barriers": tuple(Barrier(vf._halved(lev0, j + 1), "down")
                               for j in range(depth))}
     return np.concatenate(map_path_chunks(
         _dyadic_increments, field, iter_chunks(n_paths), spec, workers))

@@ -21,8 +21,8 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientField
 # perfbench's tracer patches sweep_paths and map_path_chunks here by name
-from .engine import (Barrier, StepPolicy, entropy_tuple, iter_chunks,
-                     map_path_chunks, sweep_paths)
+from .engine import (Barrier, StepPolicy, _resolve_bridge, entropy_tuple,
+                     iter_chunks, map_path_chunks, sweep_paths)
 from .errors import InvalidInputError
 
 # Fitted strong-convergence exponent the engine is expected to reproduce.
@@ -121,12 +121,20 @@ class EstimateWithCI:
                 "censored_n": self.censored_n, "method": self.method}
 
 
+def _ci_method(method: str) -> str:
+    if method not in ("wilson", "clopper-pearson"):
+        raise InvalidInputError(f"unknown CI method {method!r}; valid: "
+                                "'wilson', 'clopper-pearson'")
+    return method
+
+
 def estimate_with_ci(successes: int, n: int, method: str = "wilson", *,
                      censored_n: int = 0) -> EstimateWithCI:
     """Binomial proportion estimate with a two-sided 95 % confidence interval.
 
     Wilson by default; Clopper-Pearson on request.
     """
+    _ci_method(method)
     if n < 1 or successes < 0 or successes > n:
         raise InvalidInputError(f"invalid counts: {successes}/{n}")
     p_hat = successes / n
@@ -137,15 +145,13 @@ def estimate_with_ci(successes: int, n: int, method: str = "wilson", *,
         half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n
                                        + z * z / (4.0 * n * n))
         low, high = center - half, center + half
-    elif method == "clopper-pearson":
+    else:
         from scipy import stats
         tail = (1.0 - 0.95) / 2.0   # six ulps above 0.025; payloads use this
         low = 0.0 if successes == 0 else float(
             stats.beta.ppf(tail, successes, n - successes + 1))
         high = 1.0 if successes == n else float(
             stats.beta.ppf(1.0 - tail, successes + 1, n - successes))
-    else:
-        raise InvalidInputError(f"unknown CI method {method!r}")
     low = min(max(low, 0.0), p_hat)
     high = max(min(high, 1.0), p_hat)
     return EstimateWithCI(p_hat, low, high, n, method, censored_n)
@@ -205,11 +211,6 @@ class BoundCheckReport:
 # Shared helpers
 # ---------------------------------------------------------------------------
 
-def _resolve_bridge(field: CoefficientField, flag) -> bool:
-    if flag == "auto":
-        return field.d == 1 and field.abs_level_inverse is not None
-    return bool(flag)
-
 def _require_k(field: CoefficientField, override) -> float:
     k = override if override is not None else field.lipschitz_k
     if k is None:
@@ -219,18 +220,36 @@ def _require_k(field: CoefficientField, override) -> float:
     return float(k)
 
 
+def _halved(level: float, j: int) -> float:
+    """level / 2^j, which must be positive and finite.
+
+    math.ldexp is bit-equal to the division wherever that is finite and
+    normal, and unlike 2.0 ** j it does not overflow for j >= 1024.
+    """
+    out = math.ldexp(level, -j)
+    if not 0.0 < out < math.inf:
+        raise InvalidInputError(
+            f"level {level:g} / 2^{j} is {out:g}, not positive and finite")
+    return out
+
+
 def _band_levels(band_level: float, band_index: int) -> tuple:
     """The band's lower, center and upper levels A/2^(k+1), A/2^k, A/2^(k-1)."""
-    if band_level <= 0:
-        raise InvalidInputError("band_level must be positive")
     if band_index < 1:
         raise InvalidInputError("band_index must be >= 1")
-    return tuple(band_level / 2.0 ** (band_index + j) for j in (1, 0, -1))
+    return tuple(_halved(band_level, band_index + j) for j in (1, 0, -1))
+
+
+def _floats(values) -> list[float]:
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError(f"expected numbers, got {values!r}") from None
 
 
 def _unit_grid(t_grid) -> list[float]:
     """The checkers' times as floats, each in (0, 1]."""
-    t_grid = [float(t) for t in t_grid]
+    t_grid = _floats(t_grid)
     if not t_grid:
         raise InvalidInputError("t_grid must be nonempty")
     if any(not (0.0 < t <= 1.0) for t in t_grid):
@@ -238,19 +257,63 @@ def _unit_grid(t_grid) -> list[float]:
     return t_grid
 
 
-def _band_spec(field: CoefficientField, x, band_level: float,
-               band_index: int, bridge) -> dict:
-    """The band checkers' sweep keywords: start x at the band's center level
-    within 5 %, stopped by the band's lower and upper barriers."""
-    lower, target, upper = _band_levels(band_level, band_index)
+def _eps_grid(eps_grid) -> list[float]:
+    """The hitting levels as floats: positive, finite, strictly decreasing."""
+    eps_grid = _floats(eps_grid)
+    if not eps_grid or any(not 0.0 < e < math.inf for e in eps_grid):
+        raise InvalidInputError("eps_grid must be nonempty, positive and finite")
+    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
+        raise InvalidInputError("eps_grid must be strictly decreasing")
+    return eps_grid
+
+
+def _enough_paths(n_paths: int):
+    # a mean's confidence interval needs two samples
+    if n_paths < 2:
+        raise InvalidInputError("need at least 2 paths")
+
+
+def _off_zero_set(field: CoefficientField, start) -> np.ndarray:
+    start = np.asarray(start, dtype=float)
+    if cf.in_zero_set(field, start):
+        raise InvalidInputError("start point lies in the zero set")
+    return start
+
+
+def _band_start(field: CoefficientField, x, target: float) -> np.ndarray:
+    """x, which must lie at the band's center level within 5 %."""
     x = np.asarray(x, dtype=float)
     lev = cf.level(field, x)
     if abs(lev - target) > 0.05 * target:
         raise InvalidInputError(
             f"start level {lev:g} is not {target:g} within 5% tolerance")
-    return {"start": x, "barriers": (Barrier(lower, "down"),
-                                     Barrier(upper, "up")),
+    return x
+
+
+def _band_spec(field: CoefficientField, x, band_level: float,
+               band_index: int, bridge) -> dict:
+    """The band checkers' sweep keywords: start x at the band's center level
+    within 5 %, stopped by the band's lower and upper barriers."""
+    lower, target, upper = _band_levels(band_level, band_index)
+    return {"start": _band_start(field, x, target),
+            "barriers": (Barrier(lower, "down"), Barrier(upper, "up")),
             "bridge": _resolve_bridge(field, bridge)}
+
+
+def _persistence_starts(field: CoefficientField, starts,
+                        floor_level: float) -> list:
+    """The starts with level >= floor_level, of which there must be one."""
+    starts = [np.asarray(s, dtype=float) for s in starts]
+    valid = [s for s in starts
+             if cf.level(field, s) >= floor_level * (1 - 1e-12)]
+    if not valid:
+        raise InvalidInputError("no start points with level >= A/2^k")
+    return valid
+
+
+def _window_t0(t0: float):
+    if not 0.0 < t0 < 1.0:
+        raise InvalidInputError("t0 must lie in (0, 1)")
 
 
 def _sum_chunks(partials) -> list:
@@ -327,8 +390,7 @@ def _band_moments(field, x, band_level, band_index, t_grid, n_paths, policy,
                   seed, bridge, workers):
     # (t, its sums of v, v^2, w, w^2) per t, the censored count, n, the bridge
     t_grid = _unit_grid(t_grid)
-    if n_paths < 2:
-        raise InvalidInputError("need at least 2 paths")
+    _enough_paths(n_paths)
     spec = {**_band_spec(field, x, band_level, band_index, bridge),
             "horizon": 1.0, "policy": policy, "master": seed,
             "capture_times": t_grid}
@@ -380,10 +442,11 @@ def check_level_change_bound(field: CoefficientField, x, band_level: float,
     per_t, cens, n, used_bridge = _band_moments(
         field, x, band_level, band_index, t_grid, n_paths, policy, seed,
         bridge, workers)
+    center = _band_levels(band_level, band_index)[1]
     reports = []
     for t, (sv, sv2, sw, sw2) in per_t:
         disp = _mean_with_ci(sv, sv2, n, cens)
-        rhs = (2.0 * math.sqrt(3.0 * band_level / 2.0 ** band_index)
+        rhs = (2.0 * math.sqrt(3.0 * center)
                * k_bound * math.sqrt(max(disp.ci_high, 0.0)))
         params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
                   "K": k_bound, "field": field.name, "n_paths": n,
@@ -460,13 +523,9 @@ def check_halving_persistence(field: CoefficientField, starts,
     example ``persistence_t0`` of the field's Lipschitz bound.
     """
     barrier, floor_level, _ = _band_levels(band_level, band_index)
-    starts = [np.asarray(s, dtype=float) for s in starts]
-    valid = [s for s in starts if cf.level(field, s) >= floor_level * (1 - 1e-12)]
+    valid = _persistence_starts(field, starts, floor_level)
     dropped = len(starts) - len(valid)
-    if not valid:
-        raise InvalidInputError("no start points with level >= A/2^k")
-    if not (0.0 < t0 < 1.0):
-        raise InvalidInputError("t0 must lie in (0, 1)")
+    _window_t0(t0)
     use_bridge = _resolve_bridge(field, bridge)
     partials = []
     for s_idx, start in enumerate(valid):
@@ -503,17 +562,11 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
     unless their minimum had already reached eps.  Their number is summed
     but not reported yet.
     """
-    eps_grid = [float(e) for e in eps_grid]
-    if not eps_grid or any(e <= 0 for e in eps_grid):
-        raise InvalidInputError("eps_grid must be positive")
-    if any(b >= a for a, b in zip(eps_grid, eps_grid[1:])):
-        raise InvalidInputError("eps_grid must be strictly decreasing")
-    start = np.asarray(start, dtype=float)
-    if cf.in_zero_set(field, start):
-        raise InvalidInputError("start point lies in the zero set")
-    spec = {"start": start, "horizon": horizon, "policy": policy,
-            "master": seed, "min_level_retire": eps_grid[-1],
-            "on_blowup": "retire"}
+    eps_grid = _eps_grid(eps_grid)
+    _ci_method(method)
+    spec = {"start": _off_zero_set(field, start), "horizon": horizon,
+            "policy": policy, "master": seed,
+            "min_level_retire": eps_grid[-1], "on_blowup": "retire"}
     counts, _blown, n = _sum_chunks(map_path_chunks(
         partial(_hitting_counts, eps_grid=eps_grid), field,
         iter_chunks(n_paths), spec, workers))
@@ -621,7 +674,7 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
     field = cf.make_field("linear-1d")
     master = entropy_tuple(master_seed)
     h_exponents = list(h_exponents)
-    hs = [2.0 ** (-e) for e in h_exponents]
+    hs = [_halved(1.0, e) for e in h_exponents]
     errs = []
     for e, h in zip(h_exponents, hs):
         # each h has its own master seed (*master, e) and chunk-order sum

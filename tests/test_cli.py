@@ -1,16 +1,24 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import sdelab as sl
 from sdelab import InvalidInputError, InvariantError
 from sdelab.cli import main, run_scenario, write_report
+from test_golden_payloads import SCENARIOS
 
 
 def _hitting_config(**overrides):
@@ -145,6 +153,10 @@ def test_not_json_and_bad_seed():
     ("start", {"start": [10 ** 400]}),
     # finite, but its level overflows to inf
     ("start", {"start": [1e200]}),
+    # a string float() reads as inf
+    ("horizon", {"horizon": "inf"}),
+    # a field parameter named like make_field's own argument
+    ("field", {"field": {"name": "power-law-1d", "params": {"name": 1}}}),
 ])
 def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
     cfg = _hitting_config(**override)
@@ -154,6 +166,155 @@ def test_malformed_values_name_their_key(tmp_path, capsys, key, override):
     cfg_path.write_text(cfg)
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 1
     assert key in capsys.readouterr().err
+
+
+def _main(argv):
+    """main(argv)'s exit code and the lines it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+_BASE = {"field": {"name": "linear-1d"}, "start": [1.0], "horizon": 1.0,
+         "n_paths": 120, "master_seed": 1,
+         "policy": {"kind": "fixed", "h_max": 1e-2}}
+_POWER = {"field": {"name": "power-law-1d", "params": {"alpha": 0.5}}}
+_SQRT = {"experiment": "sqrt-bound", "params": {"A": 2.0, "k": 1}}
+
+
+# Each input is well typed key by key, and only a rule of the estimators
+# rejects it: validate applies that rule as run does, naming the key.
+@pytest.mark.parametrize("key, override", [
+    # A/2^(k+1) or L0/2^depth is below the smallest float
+    ("params.k", {"experiment": "displacement",
+                  "params": {"A": 2.0, "k": 2000, "t": 0.5}}),
+    ("params.k", {"experiment": "sqrt-bound", "params": {"A": 2.0, "k": 1500}}),
+    ("params.k", {"experiment": "persistence", "params": {"A": 2.0, "k": 3000}}),
+    ("params.depth", {"experiment": "dyadic-escape", "params": {"depth": 1100}}),
+    # level 1 is not the band's center level A/2^k
+    ("start", {"experiment": "displacement",
+               "params": {"A": 2.0, "k": 2, "t": 0.5}}),
+    ("start", {"experiment": "displacement",
+               "params": {"A": 1e-300, "k": 1, "t": 0.5}}),
+    ("start", {"experiment": "level-change",
+               "params": {"A": 8.0, "k": 1, "t": 0.5}}),
+    ("params.t_grid", {**_SQRT, "params": {"A": 2.0, "k": 1,
+                                           "t_grid": [0.01, 2.0]}}),
+    ("params.t0", {"experiment": "persistence",
+                   "params": {"A": 2.0, "k": 1, "t0": 5}}),
+    # level 1 is below A/2^k = 4
+    ("start", {"experiment": "persistence", "params": {"A": 8.0, "k": 1}}),
+    ("start", {"experiment": "hitting", "start": [0.0],
+               "params": {"eps_grid": [1e-2]}}),
+    ("start", {"experiment": "dyadic-escape", "start": [0.0],
+               "params": {"depth": 2}}),
+    # power-law-1d with alpha < 1 declares no Lipschitz bound
+    ("lipschitz.mode", {**_POWER, **_SQRT}),
+    ("lipschitz.mode", {**_POWER, "experiment": "level-change",
+                        "params": {"A": 2.0, "k": 1, "t": 0.5}}),
+    ("lipschitz.mode", {**_POWER, "experiment": "persistence",
+                        "params": {"A": 2.0, "k": 1}}),
+    ("lipschitz.region", {**_SQRT, "lipschitz": {
+        "mode": "estimated", "region": [[1.0], [0.0]]}}),
+    ("lipschitz.samples", {**_SQRT, "lipschitz": {"mode": "estimated",
+                                                  "samples": 1}}),
+    ("bridge", {"field": {"name": "diag-linear", "params": {"d": 2}},
+                "start": [1.0, 1.0], "experiment": "dyadic-escape",
+                "params": {"depth": 2}, "bridge": True}),
+    # the step 2^-1100 is 0
+    ("params.h_exponents", {"experiment": "engine-validation", "n_paths": 16,
+                            "params": {"h_exponents": [3, 1100]}}),
+])
+def test_validate_rejects_what_run_rejects(tmp_path, key, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_BASE, **override}))
+    for argv in (["validate", str(cfg_path)],
+                 ["run", str(cfg_path), "--out", str(tmp_path / "out")]):
+        code, err = _main(argv)
+        assert code == 1 and len(err) == 1, (argv[0], err)
+        assert err[0].startswith(f"error: {key}: "), (argv[0], err)
+
+
+@pytest.mark.parametrize("text", [
+    # int() and str() refuse more than 4300 digits
+    _hitting_config().replace('"n_paths": 400', '"n_paths": ' + "9" * 5000),
+    # the decoder's recursion limit
+    _hitting_config().replace('"start": [1.0]',
+                              '"start": ' + "[" * 5000 + "]" * 5000),
+])
+def test_json_past_the_decoders_limits_is_an_error(tmp_path, text):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(text)
+    code, err = _main(["validate", str(cfg_path)])
+    assert code == 1 and len(err) == 1
+    assert err[0].startswith("error: config is not well-formed JSON: ")
+
+
+_TOP_KEYS = {"schema_version", "field", "start", "horizon", "policy",
+             "n_paths", "master_seed", "experiment", "params", "bridge",
+             "lipschitz", "n_paths_floor"}
+_ERROR = re.compile(r"error: (?:config is not (?:strict|well-formed) JSON|"
+                    r"(<root>|\w+)(?:\.\w+)*): ")
+
+
+def _key_paths(doc, path=()):
+    """Every key path of a JSON document: object keys and list indices."""
+    yield path
+    items = (doc.items() if isinstance(doc, dict)
+             else enumerate(doc) if isinstance(doc, list) else ())
+    for key, val in items:
+        yield from _key_paths(val, path + (key,))
+
+
+def _wrong_values():
+    return st.one_of(
+        st.none(), st.booleans(), st.text(max_size=6),
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.sampled_from([float("nan"), float("inf"), -float("inf")]),
+        st.integers(-2 ** 70, 2 ** 70),
+        st.sampled_from([10 ** 400, -10 ** 400, 2 ** 64, -1]),
+        st.recursive(st.integers(-3, 3), lambda inner: st.lists(inner, max_size=3),
+                     max_leaves=8),
+        st.dictionaries(st.text(max_size=4), st.integers(), max_size=2))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_validate_on_mutated_scenarios(data):
+    # ROADMAP aim 3: whatever a scenario holds, validate returns 0 or 1, and
+    # 1 comes with one error line that names a key path or the JSON fault
+    doc = copy.deepcopy(SCENARIOS[data.draw(st.sampled_from(sorted(SCENARIOS)))])
+    path = data.draw(st.sampled_from(list(_key_paths(doc))))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    target = parent[path[-1]] if path else doc
+    kinds = ["value"] if path else []
+    if isinstance(target, dict):
+        kinds += ["unknown key"] + ["delete key"] * bool(target)
+    kind = data.draw(st.sampled_from(kinds))
+    if kind == "value":
+        parent[path[-1]] = data.draw(_wrong_values())
+    elif kind == "unknown key":
+        # keys of other objects too, which a keyword argument may meet
+        target[data.draw(st.one_of(st.sampled_from(sorted(_TOP_KEYS | {
+            "name", "kind", "mode", "alpha", "d"})),
+            st.text(min_size=1, max_size=6)))] = 1
+    else:
+        del target[data.draw(st.sampled_from(sorted(target)))]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg_path = Path(tmp) / "cfg.json"
+        cfg_path.write_text(json.dumps(doc))
+        code, err = _main(["validate", str(cfg_path)])
+    assert code in (0, 1)
+    if code == 1:
+        assert len(err) == 1, err
+        match = _ERROR.match(err[0])
+        assert match, err
+        assert match.group(1) in (None, "<root>") or match.group(1) in _TOP_KEYS
 
 
 def test_broken_sweep_invariant_exits_1(tmp_path, capsys, monkeypatch):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -267,6 +268,22 @@ def test_band_checkers_validate_inputs():
     with pytest.raises(InvalidInputError):  # no Lipschitz bound anywhere
         sl.check_level_change_bound(sl.make_field("power-law-1d", alpha=0.5),
                                     [1.0], 2.0, 1, [0.1], 200, POL, 0)
+
+
+def test_halved_levels_past_the_float_range():
+    # A/2^j is math.ldexp(A, -j): the division's bits wherever that is
+    # normal, and an InvalidInputError, not 2.0 ** j's OverflowError, where
+    # no positive float is left
+    for a in (2.0, 3.7e300, 1e-300, 0.1):
+        for j in (0, 1, 7, 60, 1000, 1023):
+            exact = a / 2.0 ** j
+            if exact >= sys.float_info.min:
+                assert verification._halved(a, j) == exact
+    with pytest.raises(InvalidInputError):
+        sl.check_displacement_bound(LINEAR, [1.0], 2.0, 2000, [0.1], 200,
+                                    POL, 0)
+    with pytest.raises(InvalidInputError):
+        stopping.dyadic_escape_batch(LINEAR, [1.0], 1100, 1.0, POL, 0, 10)
 
 
 def test_escape_bound_vacuous_times():
