@@ -365,12 +365,19 @@ def _resolve_lipschitz(config: ScenarioConfig, field: CoefficientField,
 
 def _resolve_t0(config: ScenarioConfig, field: CoefficientField,
                 start: np.ndarray):
-    """params.t0 if given, else the persistence window of the Lipschitz bound."""
+    """params.t0 if given, else the persistence window of the Lipschitz
+    bound, which must lie in (0, 1): it is 0 once C^2 overflows."""
     t0 = config.params.get("t0")
     if t0 is not None:
         return t0, None
     k_val, k_source = _resolve_lipschitz(config, field, start)
-    return vf.persistence_t0(field.m, k_val), k_source
+    return _checked("field", vf._window_t0,
+                    vf.persistence_t0(field.m, k_val)), k_source
+
+
+def _default_t_grid(c: float) -> list[float]:
+    """The default t grid of the constant c, which must be nonempty."""
+    return _checked("field", vf._unit_grid, vf.default_escape_time_grid(c))
 
 
 def _bound_table_row(report):
@@ -415,7 +422,9 @@ def _check_band(config, field, start):
 
 def _check_sqrt_bound(config, field, start):
     _check_band(config, field, start)
-    _declared_k(config, field)
+    k_val = _declared_k(config, field)
+    if k_val is not None and "t_grid" not in config.params:
+        _default_t_grid(vf.escape_rate_constant(field.m, k_val))
 
 
 def _check_displacement(config, field, start):
@@ -433,8 +442,9 @@ def _check_persistence(config, field, start):
              _band_center(config, field))
     if "t0" in config.params:
         _checked("params.t0", vf._window_t0, config.params["t0"])
-    else:
-        _declared_k(config, field)
+    elif config.lipschitz["mode"] == "declared":
+        # an estimated bound's t0 is checked by the run that estimates it
+        _resolve_t0(config, field, start)
 
 
 def _check_hitting(config, field, start):
@@ -447,13 +457,20 @@ def _check_dyadic_escape(config, field, start):
     _checked("params.depth", vf._halved, cf.level(field, start),
              config.params["depth"])
     _checked("bridge", _resolve_bridge, field, config.bridge)
-    if "t0" not in config.params:
-        _declared_k(config, field)
+    if config.lipschitz["mode"] == "declared":
+        _resolve_t0(config, field, start)
+
+
+def _sigma_1d(field):
+    return lambda y: float(field.sigma(np.array([[y]]))[0, 0, 0])
 
 
 def _check_integral_1d(config, field, start):
     if field.d != 1:
         _fail("field", "integral-1d requires a 1-d field")
+    # the integral's first window [a/2, a]; a deeper one is checked by the run
+    a = config.params["a"]
+    _checked("field", vf._window_sigma, _sigma_1d(field), a / 2.0, a)
 
 
 def _check_engine_validation(config, field, start):
@@ -479,7 +496,7 @@ def _run_sqrt_bound(config, field, start, workers):
     p = config.params
     k_val, k_source = _resolve_lipschitz(config, field, start)
     c = vf.escape_rate_constant(field.m, k_val)
-    t_grid = p.get("t_grid") or vf.default_escape_time_grid(c)
+    t_grid = p.get("t_grid") or _default_t_grid(c)
     reports = vf.check_escape_probability_bound(
         field, start, p["A"], p["k"], t_grid, config.n_paths, config.policy,
         config.master_seed, lipschitz_k=k_val, bridge=config.bridge,
@@ -544,8 +561,8 @@ def _run_dyadic_escape(config, field, start, workers):
 
 
 def _run_integral_1d(config, field, start, workers):
-    sigma_1d = lambda y: float(field.sigma(np.array([[y]]))[0, 0, 0])
-    verdict = vf.accessibility_integral_1d(sigma_1d, config.params["a"])
+    verdict = _checked("field", vf.accessibility_integral_1d,
+                       _sigma_1d(field), config.params["a"])
     payload = {"verdict": verdict.kind, "value": verdict.value,
                "error": verdict.error, "windows": verdict.windows}
     return payload, {"integral": [payload.copy()]}, []

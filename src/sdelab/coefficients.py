@@ -61,16 +61,6 @@ class CoefficientField:
             raise InvalidInputError("zero_tol must be nonnegative")
 
 
-def frobenius_norm(mat) -> float:
-    """Square root of the sum of squared matrix entries."""
-    arr = np.asarray(mat, dtype=float)
-    if arr.ndim != 2:
-        raise InvalidInputError(f"expected a matrix, got ndim={arr.ndim}")
-    if not np.all(np.isfinite(arr)):
-        raise InvalidInputError("matrix has non-finite entries")
-    return float(np.sqrt(np.sum(arr * arr)))
-
-
 def _check_state(field: CoefficientField, x) -> np.ndarray:
     arr = np.asarray(x, dtype=float)
     if arr.shape != (field.d,):

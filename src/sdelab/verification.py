@@ -50,21 +50,6 @@ def escape_rate_constant(noise_dim: int, lipschitz_bound: float) -> float:
     return 4.0 * math.sqrt(6.0) * lipschitz_bound * math.sqrt(noise_dim + 1.0)
 
 
-def escape_rate_product(band_level: float, band_index: int, t: float,
-                        noise_dim: int, lipschitz_bound: float) -> float:
-    """Band-specific escape bound before simplification.
-
-    (2^(k+1)/A) * 2 (3A/2^k)^(1/2) * K * sqrt((m+1) (A/2^(k-1)) t); dividing
-    by sqrt(t) must reproduce :func:`escape_rate_constant` for every
-    (A, k, t).  Kept unsimplified on purpose as the independent route.
-    """
-    a, k = band_level, band_index
-    return ((2.0 ** (k + 1) / a)
-            * 2.0 * math.sqrt(3.0 * a / 2.0 ** k)
-            * lipschitz_bound
-            * math.sqrt((noise_dim + 1.0) * (a / 2.0 ** (k - 1)) * t))
-
-
 def persistence_window(c: float) -> float:
     """Largest capped time window t0 in (0, 1) with C sqrt(t0) <= 1/2.
 
@@ -311,9 +296,10 @@ def _persistence_starts(field: CoefficientField, starts,
     return valid
 
 
-def _window_t0(t0: float):
+def _window_t0(t0: float) -> float:
     if not 0.0 < t0 < 1.0:
         raise InvalidInputError("t0 must lie in (0, 1)")
+    return t0
 
 
 def _sum_chunks(partials) -> list:
@@ -597,6 +583,17 @@ class IntegralVerdict:
         return self.kind == "finite"
 
 
+def _window_sigma(sigma_1d, lo: float, hi: float):
+    """sigma at the ends and the midpoint of the window [lo, hi], where it
+    must be nonzero and finite."""
+    for y in (lo, 0.5 * (lo + hi), hi):
+        s = sigma_1d(y)
+        if s == 0:
+            raise InvalidInputError(f"sigma vanishes at y={y:g} inside (0, a]")
+        if not np.isfinite(s):
+            raise InvalidInputError(f"sigma non-finite at y={y:g}")
+
+
 def accessibility_integral_1d(sigma_1d, a: float) -> IntegralVerdict:
     """Classify the integral of y / sigma(y)^2 over (0, a] near the origin.
 
@@ -622,12 +619,7 @@ def accessibility_integral_1d(sigma_1d, a: float) -> IntegralVerdict:
     for j in range(_MAX_WINDOWS):
         hi = a / 2.0 ** j
         lo = a / 2.0 ** (j + 1)
-        for y in (lo, 0.5 * (lo + hi), hi):
-            s = sigma_1d(y)
-            if s == 0:
-                raise InvalidInputError(f"sigma vanishes at y={y:g} inside (0, a]")
-            if not np.isfinite(s):
-                raise InvalidInputError(f"sigma non-finite at y={y:g}")
+        _window_sigma(sigma_1d, lo, hi)
         val, err = integrate.quad(integrand, lo, hi, limit=200)
         winsums.append(val)
         quad_err += err

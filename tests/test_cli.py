@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import sdelab as sl
 from sdelab import InvalidInputError, InvariantError
-from sdelab.cli import main, run_scenario, write_report
+from sdelab.cli import main, parse_scenario, run_scenario, write_report
 from test_golden_payloads import SCENARIOS
 
 
@@ -182,6 +182,10 @@ _BASE = {"field": {"name": "linear-1d"}, "start": [1.0], "horizon": 1.0,
          "policy": {"kind": "fixed", "h_max": 1e-2}}
 _POWER = {"field": {"name": "power-law-1d", "params": {"alpha": 0.5}}}
 _SQRT = {"experiment": "sqrt-bound", "params": {"A": 2.0, "k": 1}}
+# a declared K whose C^2 overflows: the derived t0 is 0, the default t grid
+# empty
+_HUGE_K = {"field": {"name": "power-law-1d",
+                     "params": {"alpha": 1.0, "lipschitz_k": 1e200}}}
 
 
 # Each input is well typed key by key, and only a rule of the estimators
@@ -226,6 +230,17 @@ _SQRT = {"experiment": "sqrt-bound", "params": {"A": 2.0, "k": 1}}
     # the step 2^-1100 is 0
     ("params.h_exponents", {"experiment": "engine-validation", "n_paths": 16,
                             "params": {"h_exponents": [3, 1100]}}),
+    ("field", {**_HUGE_K, "experiment": "persistence",
+               "params": {"A": 2.0, "k": 1}}),
+    ("field", {**_HUGE_K, **_SQRT}),
+    ("field", {**_HUGE_K, "experiment": "dyadic-escape", "n_paths": 16,
+               "params": {"depth": 2}}),
+    # sigma vanishes in the integral's first window [a/2, a]
+    ("field", {"field": {"name": "decay-1d"}, "experiment": "integral-1d",
+               "params": {"a": 1.0}}),
+    ("field", {"field": {"name": "constant",
+                         "params": {"sigma0": 0.0, "b0": 1.0}},
+               "experiment": "integral-1d", "params": {"a": 1.0}}),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"
@@ -235,6 +250,13 @@ def test_validate_rejects_what_run_rejects(tmp_path, key, override):
         code, err = _main(argv)
         assert code == 1 and len(err) == 1, (argv[0], err)
         assert err[0].startswith(f"error: {key}: "), (argv[0], err)
+
+
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_validate_echo_is_a_fixed_point(name):
+    # the normalized scenario validate prints parses back to itself
+    echo = parse_scenario(json.dumps(SCENARIOS[name])).to_dict()
+    assert parse_scenario(json.dumps(echo)).to_dict() == echo
 
 
 @pytest.mark.parametrize("text", [

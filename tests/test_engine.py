@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from oracles import first_hitting_time
 import sdelab as sl
 from sdelab import (InvalidInputError, InvariantError, NumericalBlowupError,
                     StepPolicy)
@@ -15,7 +16,6 @@ from sdelab import coefficients as cf
 from sdelab.engine import (Barrier, SweepResult, _BlockStreams,
                            bridge_candidates, bridge_cross_probability,
                            path_entropy, sweep_paths)
-from sdelab.stopping import first_hitting_time
 
 
 def test_em_step_examples():
