@@ -270,14 +270,11 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _fail("lipschitz.mode", f"must be 'declared' or 'estimated', got {mode!r}")
     lip_out = {"mode": mode}
     if mode == "estimated":
-        lip_out["samples"] = _checked(
-            "lipschitz.samples", _pos_int,
-            _pop(lipschitz, "samples", "lipschitz", default=4000))
-        lip_out["seed"] = _checked(
-            "lipschitz.seed", _seed, _pop(lipschitz, "seed", "lipschitz", default=0))
-        lip_out["safety"] = _checked(
-            "lipschitz.safety", _positive,
-            _pop(lipschitz, "safety", "lipschitz", default=1.25))
+        for key, check, default in (("samples", _pos_int, 4000),
+                                    ("seed", _seed, 0),
+                                    ("safety", _positive, 1.25)):
+            lip_out[key] = _checked(f"lipschitz.{key}", check, _pop(
+                lipschitz, key, "lipschitz", default=default))
         region = _pop(lipschitz, "region", "lipschitz", default=None)
         if region is not None:
             _checked("lipschitz.region", _list, region)
@@ -298,7 +295,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         horizon=horizon, policy=policy, n_paths=n_paths,
         master_seed=master_seed, experiment=experiment, params=params,
         bridge=bridge, lipschitz=lip_out, n_paths_floor=floor)
-    exp.check(config, field, x0)
+    exp.prepare(config, field, x0)
     return config
 
 
@@ -338,29 +335,19 @@ def _lipschitz_region(region, start: np.ndarray):
     return (start - radius, start + radius)
 
 
-def _declared_k(config: ScenarioConfig, field: CoefficientField):
-    """The field's declared bound in declared mode, where a field without
-    one is an error; None in estimated mode."""
-    if config.lipschitz["mode"] == "declared":
-        return _checked("lipschitz.mode", vf._require_k, field, None)
-    return None
-
-
 def _resolve_lipschitz(config: ScenarioConfig, field: CoefficientField,
                        start: np.ndarray):
     """Lipschitz bound per the config: declared on the field, or estimated."""
-    k_val = _declared_k(config, field)
-    if k_val is not None:
-        return k_val, {"mode": "declared", "value": k_val}
     lip = config.lipschitz
+    if lip["mode"] == "declared":
+        k_val = _checked("lipschitz.mode", vf._require_k, field, None)
+        return k_val, {"mode": "declared", "value": k_val}
     region = _lipschitz_region(lip.get("region"), start)
-    value = cf.estimate_lipschitz(field, region, lip["samples"], lip["seed"],
-                                  lip["safety"])
-    return value, {"mode": "estimated", "value": value,
-                   "samples": lip["samples"], "seed": lip["seed"],
-                   "safety": lip["safety"],
-                   "region": [np.asarray(region[0]).tolist(),
-                              np.asarray(region[1]).tolist()]}
+    value = _checked("lipschitz.", cf.estimate_lipschitz, field, region,
+                     lip["samples"], lip["seed"], lip["safety"])
+    # the config's block, with the value and the box it was estimated on
+    return value, {**lip, "value": value,
+                   "region": [np.asarray(r).tolist() for r in region]}
 
 
 def _resolve_t0(config: ScenarioConfig, field: CoefficientField,
@@ -373,11 +360,6 @@ def _resolve_t0(config: ScenarioConfig, field: CoefficientField,
     k_val, k_source = _resolve_lipschitz(config, field, start)
     return _checked("field", vf._window_t0,
                     vf.persistence_t0(field.m, k_val)), k_source
-
-
-def _default_t_grid(c: float) -> list[float]:
-    """The default t grid of the constant c, which must be nonempty."""
-    return _checked("field", vf._unit_grid, vf.default_escape_time_grid(c))
 
 
 def _bound_table_row(report):
@@ -400,12 +382,13 @@ def _single_check(report, **payload):
             {"bound_checks": [_bound_table_row(report)]}, [report.satisfied])
 
 
-# Each check takes (config, field, start) and applies the input rules of one
-# experiment that involve more than one key, each rule the one its estimator
-# applies, so that parse_scenario rejects what a run would.  Each runner
-# takes (config, field, start, workers) and returns (payload, tables,
-# checks).  Runners look estimators up on their modules at call time, so
-# wrapping a module attribute wraps every run.
+# Each experiment is one function of (config, field, start).  It applies the
+# experiment's input rules that involve more than one key, each the rule its
+# estimator applies, named by its key; it resolves the Lipschitz bound, t0
+# and the t grid; and it returns run(workers), which calls the estimator and
+# returns (payload, tables, checks).  parse_scenario drops run, so validate
+# rejects what run rejects.  run looks estimators up on their modules at call
+# time, so wrapping a module attribute wraps every run.
 
 def _band_center(config, field):
     # the bridge setting, and the band's center level A/2^k once its lower
@@ -420,170 +403,162 @@ def _check_band(config, field, start):
              _band_center(config, field))
 
 
-def _check_sqrt_bound(config, field, start):
-    _check_band(config, field, start)
-    k_val = _declared_k(config, field)
-    if k_val is not None and "t_grid" not in config.params:
-        _default_t_grid(vf.escape_rate_constant(field.m, k_val))
-
-
-def _check_displacement(config, field, start):
-    _check_band(config, field, start)
-    _checked("n_paths", vf._enough_paths, config.n_paths)
-
-
-def _check_level_change(config, field, start):
-    _check_displacement(config, field, start)
-    _declared_k(config, field)
-
-
-def _check_persistence(config, field, start):
-    _checked("start", vf._persistence_starts, field, [start],
-             _band_center(config, field))
-    if "t0" in config.params:
-        _checked("params.t0", vf._window_t0, config.params["t0"])
-    elif config.lipschitz["mode"] == "declared":
-        # an estimated bound's t0 is checked by the run that estimates it
-        _resolve_t0(config, field, start)
-
-
-def _check_hitting(config, field, start):
+def _hitting(config, field, start):
     _checked("start", vf._off_zero_set, field, start)
-
-
-def _check_dyadic_escape(config, field, start):
-    _checked("start", vf._off_zero_set, field, start)
-    # the deepest of the halved levels
-    _checked("params.depth", vf._halved, cf.level(field, start),
-             config.params["depth"])
-    _checked("bridge", _resolve_bridge, field, config.bridge)
-    if config.lipschitz["mode"] == "declared":
-        _resolve_t0(config, field, start)
-
-
-def _sigma_1d(field):
-    return lambda y: float(field.sigma(np.array([[y]]))[0, 0, 0])
-
-
-def _check_integral_1d(config, field, start):
-    if field.d != 1:
-        _fail("field", "integral-1d requires a 1-d field")
-    # the integral's first window [a/2, a]; a deeper one is checked by the run
-    a = config.params["a"]
-    _checked("field", vf._window_sigma, _sigma_1d(field), a / 2.0, a)
-
-
-def _check_engine_validation(config, field, start):
-    if field.name != "linear-1d":
-        _fail("field", "engine-validation uses the linear-1d closed form")
-    for e in config.params.get("h_exponents", ()):
-        _checked("params.h_exponents", vf._halved, 1.0, e)
-
-
-def _run_hitting(config, field, start, workers):
     p = config.params
-    ests = vf.estimate_zero_hitting(
-        field, start, config.horizon, p["eps_grid"], config.n_paths,
-        config.policy, config.master_seed, workers=workers,
-        method=p.get("ci_method", "wilson"))
-    payload = {"eps_grid": p["eps_grid"],
-               "estimates": [e.to_dict() for e in ests]}
-    rows = [{"eps": e, **est.to_dict()} for e, est in zip(p["eps_grid"], ests)]
-    return payload, {"hitting": rows}, []
+
+    def run(workers):
+        ests = vf.estimate_zero_hitting(
+            field, start, config.horizon, p["eps_grid"], config.n_paths,
+            config.policy, config.master_seed, workers=workers,
+            method=p.get("ci_method", "wilson"))
+        payload = {"eps_grid": p["eps_grid"],
+                   "estimates": [e.to_dict() for e in ests]}
+        rows = [{"eps": e, **est.to_dict()}
+                for e, est in zip(p["eps_grid"], ests)]
+        return payload, {"hitting": rows}, []
+    return run
 
 
-def _run_sqrt_bound(config, field, start, workers):
+def _sqrt_bound(config, field, start):
+    _check_band(config, field, start)
     p = config.params
     k_val, k_source = _resolve_lipschitz(config, field, start)
     c = vf.escape_rate_constant(field.m, k_val)
-    t_grid = p.get("t_grid") or _default_t_grid(c)
-    reports = vf.check_escape_probability_bound(
-        field, start, p["A"], p["k"], t_grid, config.n_paths, config.policy,
-        config.master_seed, lipschitz_k=k_val, bridge=config.bridge,
-        workers=workers)
-    slope = vf.fitted_escape_exponent(reports)
-    payload = {"constant": c, "t0": vf.persistence_window(c),
-               "t_grid": t_grid, "k_source": k_source,
-               "fitted_exponent": slope,
-               "reports": [r.to_json_dict() for r in reports]}
-    return (payload, {"sqrt_bound": [_bound_table_row(r) for r in reports]},
-            [r.satisfied for r in reports])
+    # the default grid of c, which must be nonempty
+    t_grid = p.get("t_grid") or _checked(
+        "field", vf._unit_grid, vf.default_escape_time_grid(c))
+
+    def run(workers):
+        reports = vf.check_escape_probability_bound(
+            field, start, p["A"], p["k"], t_grid, config.n_paths,
+            config.policy, config.master_seed, lipschitz_k=k_val,
+            bridge=config.bridge, workers=workers)
+        slope = vf.fitted_escape_exponent(reports)
+        payload = {"constant": c, "t0": vf.persistence_window(c),
+                   "t_grid": t_grid, "k_source": k_source,
+                   "fitted_exponent": slope,
+                   "reports": [r.to_json_dict() for r in reports]}
+        rows = [_bound_table_row(r) for r in reports]
+        return payload, {"sqrt_bound": rows}, [r.satisfied for r in reports]
+    return run
 
 
-def _run_displacement(config, field, start, workers):
+def _displacement(config, field, start):
+    _check_band(config, field, start)
+    _checked("n_paths", vf._enough_paths, config.n_paths)
     p = config.params
-    return _single_check(vf.check_displacement_bound(
-        field, start, p["A"], p["k"], [p["t"]], config.n_paths, config.policy,
-        config.master_seed, bridge=config.bridge, workers=workers)[0])
+
+    def run(workers):
+        return _single_check(vf.check_displacement_bound(
+            field, start, p["A"], p["k"], [p["t"]], config.n_paths,
+            config.policy, config.master_seed, bridge=config.bridge,
+            workers=workers)[0])
+    return run
 
 
-def _run_level_change(config, field, start, workers):
+def _level_change(config, field, start):
+    _displacement(config, field, start)  # its input rules; its run is dropped
     p = config.params
     k_val, k_source = _resolve_lipschitz(config, field, start)
-    return _single_check(vf.check_level_change_bound(
-        field, start, p["A"], p["k"], [p["t"]], config.n_paths, config.policy,
-        config.master_seed, lipschitz_k=k_val, bridge=config.bridge,
-        workers=workers)[0], k_source=k_source)
+
+    def run(workers):
+        return _single_check(vf.check_level_change_bound(
+            field, start, p["A"], p["k"], [p["t"]], config.n_paths,
+            config.policy, config.master_seed, lipschitz_k=k_val,
+            bridge=config.bridge, workers=workers)[0], k_source=k_source)
+    return run
 
 
-def _run_persistence(config, field, start, workers):
+def _persistence(config, field, start):
+    _checked("start", vf._persistence_starts, field, [start],
+             _band_center(config, field))
     p = config.params
+    if "t0" in p:
+        _checked("params.t0", vf._window_t0, p["t0"])
     t0, k_source = _resolve_t0(config, field, start)
-    return _single_check(vf.check_halving_persistence(
-        field, [start], p["A"], p["k"], config.n_paths, config.policy,
-        config.master_seed, t0=t0, bridge=config.bridge, workers=workers),
-        t0=t0, k_source=k_source)
+
+    def run(workers):
+        return _single_check(vf.check_halving_persistence(
+            field, [start], p["A"], p["k"], config.n_paths, config.policy,
+            config.master_seed, t0=t0, bridge=config.bridge,
+            workers=workers), t0=t0, k_source=k_source)
+    return run
 
 
-def _run_dyadic_escape(config, field, start, workers):
+def _dyadic_escape(config, field, start):
+    _checked("start", vf._off_zero_set, field, start)
     depth = config.params["depth"]
+    start_level = cf.level(field, start)
+    # the deepest of the halved levels
+    _checked("params.depth", vf._halved, start_level, depth)
+    bridge = _checked("bridge", _resolve_bridge, field, config.bridge)
     t0, k_source = _resolve_t0(config, field, start)
-    inc = stopping.dyadic_escape_batch(
-        field, start, depth, config.horizon, config.policy,
-        config.master_seed, config.n_paths,
-        bridge=_resolve_bridge(field, config.bridge), workers=workers)
-    cen = np.isnan(inc)
-    per_k = []
-    for k in range(depth):
-        live = ~cen[:, k]
-        per_k.append({
-            "k": k,
-            "n_censored": int(cen[:, k].sum()),
-            "mean_increment": (float(np.mean(inc[live, k]))
-                               if live.any() else None),
-            "count_ge_t0": int(np.sum(inc[:, k] >= t0)),
-        })
-    payload = {"depth": depth, "t0": t0, "n_paths": config.n_paths,
-               "start_level": cf.level(field, start),
-               "count_ge_t0_total": int(np.sum(inc >= t0)),
-               "per_band": per_k, "k_source": k_source}
-    return payload, {"dyadic_escape": stopping.escape_csv_rows(inc, t0)}, []
+
+    def run(workers):
+        inc = stopping.dyadic_escape_batch(
+            field, start, depth, config.horizon, config.policy,
+            config.master_seed, config.n_paths, bridge=bridge, workers=workers)
+        cen = np.isnan(inc)
+        per_k = []
+        for k in range(depth):
+            live = ~cen[:, k]
+            per_k.append({
+                "k": k,
+                "n_censored": int(cen[:, k].sum()),
+                "mean_increment": (float(np.mean(inc[live, k]))
+                                   if live.any() else None),
+                "count_ge_t0": int(np.sum(inc[:, k] >= t0)),
+            })
+        payload = {"depth": depth, "t0": t0, "n_paths": config.n_paths,
+                   "start_level": start_level,
+                   "count_ge_t0_total": int(np.sum(inc >= t0)),
+                   "per_band": per_k, "k_source": k_source}
+        return (payload, {"dyadic_escape": stopping.escape_csv_rows(inc, t0)},
+                [])
+    return run
 
 
-def _run_integral_1d(config, field, start, workers):
-    verdict = _checked("field", vf.accessibility_integral_1d,
-                       _sigma_1d(field), config.params["a"])
-    payload = {"verdict": verdict.kind, "value": verdict.value,
-               "error": verdict.error, "windows": verdict.windows}
-    return payload, {"integral": [payload.copy()]}, []
+def _integral_1d(config, field, start):
+    if field.d != 1:
+        _fail("field", "integral-1d requires a 1-d field")
+    a = config.params["a"]
+
+    def sigma(y):
+        return float(field.sigma(np.array([[y]]))[0, 0, 0])
+    # the integral's first window [a/2, a]; a deeper one is checked by run
+    _checked("field", vf._window_sigma, sigma, a / 2.0, a)
+
+    def run(workers):
+        verdict = _checked("field", vf.accessibility_integral_1d, sigma, a)
+        payload = {"verdict": verdict.kind, "value": verdict.value,
+                   "error": verdict.error, "windows": verdict.windows}
+        return payload, {"integral": [payload.copy()]}, []
+    return run
 
 
-def _run_engine_validation(config, field, start, workers):
-    res = vf.strong_order_study(
-        config.n_paths, config.params.get("h_exponents", list(range(4, 11))),
-        config.horizon, start_x=float(start[0]),
-        master_seed=config.master_seed, workers=workers)
-    rows = [{"h": h, "strong_error": e, "n": config.n_paths}
-            for h, e in zip(res["h_grid"], res["strong_errors"])]
-    return res, {"strong_order": rows}, [res["satisfied"]]
+def _engine_validation(config, field, start):
+    if field.name != "linear-1d":
+        _fail("field", "engine-validation uses the linear-1d closed form")
+    h_exponents = config.params.get("h_exponents", list(range(4, 11)))
+    for e in h_exponents:
+        _checked("params.h_exponents", vf._halved, 1.0, e)
+
+    def run(workers):
+        res = vf.strong_order_study(
+            config.n_paths, h_exponents, config.horizon, start_x=float(start[0]),
+            master_seed=config.master_seed, workers=workers)
+        rows = [{"h": h, "strong_error": e, "n": config.n_paths}
+                for h, e in zip(res["h_grid"], res["strong_errors"])]
+        return res, {"strong_order": rows}, [res["satisfied"]]
+    return run
 
 
 @dataclass(frozen=True)
 class Experiment:
-    """One experiment kind: its params, its input checks, its runner."""
+    """One experiment kind: its params and its function."""
 
-    run: Callable
-    check: Callable
+    prepare: Callable
     required: tuple = ()
     optional: tuple = ()
     # the output is a Monte Carlo estimate with a CI, so n_paths must reach
@@ -592,22 +567,16 @@ class Experiment:
 
 
 EXPERIMENTS = {
-    "hitting": Experiment(_run_hitting, _check_hitting, ("eps_grid",),
-                          ("ci_method",), ci_floor=True),
-    "sqrt-bound": Experiment(_run_sqrt_bound, _check_sqrt_bound, ("A", "k"),
-                             ("t_grid",), ci_floor=True),
-    "displacement": Experiment(_run_displacement, _check_displacement,
-                               ("A", "k", "t"), ci_floor=True),
-    "level-change": Experiment(_run_level_change, _check_level_change,
-                               ("A", "k", "t"), ci_floor=True),
-    "persistence": Experiment(_run_persistence, _check_persistence,
-                              ("A", "k"), ("t0",), ci_floor=True),
-    "dyadic-escape": Experiment(_run_dyadic_escape, _check_dyadic_escape,
-                                ("depth",), ("t0",)),
-    "integral-1d": Experiment(_run_integral_1d, _check_integral_1d, ("a",)),
-    "engine-validation": Experiment(_run_engine_validation,
-                                    _check_engine_validation, (),
-                                    ("h_exponents",)),
+    "hitting": Experiment(_hitting, ("eps_grid",), ("ci_method",),
+                          ci_floor=True),
+    "sqrt-bound": Experiment(_sqrt_bound, ("A", "k"), ("t_grid",),
+                             ci_floor=True),
+    "displacement": Experiment(_displacement, ("A", "k", "t"), ci_floor=True),
+    "level-change": Experiment(_level_change, ("A", "k", "t"), ci_floor=True),
+    "persistence": Experiment(_persistence, ("A", "k"), ("t0",), ci_floor=True),
+    "dyadic-escape": Experiment(_dyadic_escape, ("depth",), ("t0",)),
+    "integral-1d": Experiment(_integral_1d, ("a",)),
+    "engine-validation": Experiment(_engine_validation, (), ("h_exponents",)),
 }
 
 
@@ -616,8 +585,8 @@ def run_scenario(config: ScenarioConfig, workers: int = 1) -> RunReport:
     t_start = time.perf_counter()
     field = config.build_field()
     start = np.asarray(config.start, dtype=float)
-    payload, tables, checks = EXPERIMENTS[config.experiment].run(
-        config, field, start, workers)
+    run = EXPERIMENTS[config.experiment].prepare(config, field, start)
+    payload, tables, checks = run(workers)
     return RunReport(
         config=config.to_dict(), version=__version__,
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
@@ -767,7 +736,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        # each value reported is checked where it is used, not by a warning
+        with np.errstate(all="ignore"):
+            return args.fn(args)
     except InvalidInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -143,8 +143,10 @@ def _sample_box(field: CoefficientField, region, samples: int) -> tuple:
     if not np.all((hi > lo) & np.isfinite(hi - lo)):
         raise InvalidInputError(
             "region: must be finite with positive volume in every dimension")
-    if samples < 2:
-        raise InvalidInputError(f"samples: need at least 2, got {samples}")
+    # at most a sweep chunk of samples, so no block outgrows a chunk's sigma
+    from .engine import DEFAULT_CHUNK  # here, since engine imports this module
+    if not 2 <= samples <= DEFAULT_CHUNK:
+        raise InvalidInputError(f"samples: need 2 to {DEFAULT_CHUNK}, got {samples}")
     return lo, hi
 
 
@@ -172,6 +174,14 @@ def estimate_lipschitz(field: CoefficientField, region, samples: int,
             continue
         ds = sigma_batch(field, left[keep]) - sigma_batch(field, right[keep])
         db = b_batch(field, left[keep]) - b_batch(field, right[keep])
+        # a difference is NaN or inf where sigma or b is (or is within a
+        # factor 2 of the largest float); max() below would skip a NaN
+        bad = ~(np.isfinite(ds).all(axis=(1, 2)) & np.isfinite(db).all(axis=1))
+        if bad.any():
+            i = np.flatnonzero(keep)[np.argmax(bad)]
+            raise InvalidInputError(
+                f"region: sigma or b is not finite at {left[i].tolist()} or "
+                f"{right[i].tolist()}")
         sig_quot = np.sqrt(np.einsum("ijk,ijk->i", ds, ds)) / dx[keep]
         b_quot = np.linalg.norm(db, axis=1) / dx[keep]
         worst = max(worst, float(np.max(sig_quot)), float(np.max(b_quot)))

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -186,6 +187,10 @@ _SQRT = {"experiment": "sqrt-bound", "params": {"A": 2.0, "k": 1}}
 # empty
 _HUGE_K = {"field": {"name": "power-law-1d",
                      "params": {"alpha": 1.0, "lipschitz_k": 1e200}}}
+_ALPHA_12 = {"field": {"name": "power-law-1d", "params": {"alpha": 12.0}}}
+# an estimated K whose C^2 overflows
+_FAR_K = {**_ALPHA_12, "lipschitz": {"mode": "estimated",
+                                     "region": [[1e20], [2e20]]}}
 
 
 # Each input is well typed key by key, and only a rule of the estimators
@@ -241,6 +246,21 @@ _HUGE_K = {"field": {"name": "power-law-1d",
     ("field", {"field": {"name": "constant",
                          "params": {"sigma0": 0.0, "b0": 1.0}},
                "experiment": "integral-1d", "params": {"a": 1.0}}),
+    ("field", {**_FAR_K, "experiment": "persistence",
+               "params": {"A": 2.0, "k": 1}}),
+    ("field", {**_FAR_K, **_SQRT}),
+    ("field", {**_FAR_K, "experiment": "dyadic-escape", "n_paths": 16,
+               "params": {"depth": 2}}),
+    # the estimate's (samples, d, m) block would not fit in memory
+    ("lipschitz.samples", {**_SQRT, "params": {"A": 2.0, "k": 1,
+                                               "t_grid": [0.01]},
+                           "lipschitz": {"mode": "estimated",
+                                         "samples": 2 ** 62}}),
+    # sigma overflows to inf on the box, so every quotient would be NaN
+    ("lipschitz.region", {**_ALPHA_12, **_SQRT,
+                          "params": {"A": 2.0, "k": 1, "t_grid": [0.01]},
+                          "lipschitz": {"mode": "estimated",
+                                        "region": [[1e26], [2e26]]}}),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"
@@ -250,6 +270,21 @@ def test_validate_rejects_what_run_rejects(tmp_path, key, override):
         code, err = _main(argv)
         assert code == 1 and len(err) == 1, (argv[0], err)
         assert err[0].startswith(f"error: {key}: "), (argv[0], err)
+
+
+def test_numpy_warnings_leave_one_error_line(tmp_path):
+    # sigma overflows in np.power at y = 5e299: the warning is no output
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_BASE, **_ALPHA_12,
+                                    "experiment": "integral-1d",
+                                    "params": {"a": 1e300}}))
+    for argv in (["validate", str(cfg_path)],
+                 ["run", str(cfg_path), "--out", str(tmp_path / "out")]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _main(argv)
+        assert code == 1 and len(err) == 1, (argv[0], err)
+        assert err[0].startswith("error: field: sigma non-finite"), err
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))
