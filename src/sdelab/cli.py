@@ -1,10 +1,11 @@
 """Declarative experiment runner: JSON scenarios in, JSON report and CSV tables out.
 
-The config schema is strict: unknown keys are errors, every validation
-failure names the offending key, and the normalized config (defaults filled)
-is echoed in the report header.  Numeric payloads are deterministic given the
-config, independent of worker count; run-varying data (timestamp, wall clock,
-output directory) lives only in the report header.
+A scenario is parsed once: one table of (key, rule, default) rows per object
+rejects unknown keys and names the key of each failure, and the parse builds
+the field and the experiment's run, which run_scenario calls.  The normalized
+config (defaults filled) is echoed in the report header.  Payloads depend on
+the config alone, not on the worker count; run-varying data (timestamp, wall
+clock, output directory) lives only in the report header.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass, field as dc_field
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,17 +41,8 @@ def _fail(path: str, msg: str):
     raise InvalidInputError(f"{path}: {msg}")
 
 
-def _pop(obj: dict, key: str, path: str, required: bool = False, default=None):
-    if key in obj:
-        return obj.pop(key)
-    if required:
-        _fail(f"{path}.{key}" if path else key, "missing required key")
-    return default
-
-
-def _no_leftovers(obj: dict, path: str):
-    if obj:
-        _fail(path or "<root>", f"unknown keys: {sorted(obj)}")
+REQUIRED = object()   # a row default: the key must be given
+OPTIONAL = object()   # a row default: an absent key stays absent
 
 
 def _checked(path: str, check, /, *args, **kwargs):
@@ -67,6 +60,26 @@ def _checked(path: str, check, /, *args, **kwargs):
         raise InvalidInputError(f"{path}{sep}{exc}") from None
 
 
+def _walk(path: str, raw: dict, rows) -> dict:
+    """Pop the keys of the object ``raw`` at ``path``, one per (key, rule,
+    default) row, in row order: a given value or else the default becomes
+    rule(value), an error naming <path>.<key>.  A REQUIRED key must be given,
+    an absent OPTIONAL key stays absent, and a key no row names is an error.
+    """
+    out = {}
+    for key, rule, default in rows:
+        key_path = f"{path}.{key}" if path else key
+        if key in raw:
+            out[key] = _checked(key_path, rule, raw.pop(key))
+        elif default is REQUIRED:
+            _fail(key_path, "missing required key")
+        elif default is not OPTIONAL:
+            out[key] = _checked(key_path, rule, default)
+    if raw:
+        _fail(path or "<root>", f"unknown keys: {sorted(raw)}")
+    return out
+
+
 def _positive(val) -> float:
     try:
         out = float(val)
@@ -77,79 +90,116 @@ def _positive(val) -> float:
     return out
 
 
-def _pos_int(val) -> int:
-    if not isinstance(val, int) or isinstance(val, bool) or val < 1:
-        raise InvalidInputError(f"expected a positive integer, got {val!r}")
+def _rule(test, msg: str):
+    """The rule that passes on a value for which test is true and rejects
+    any other with msg, its {!r} the value."""
+    def rule(val):
+        if not test(val):
+            raise InvalidInputError(msg.format(val))
+        return val
+    return rule
+
+
+def _finite_numbers(val) -> bool:
+    # an int too large for a float would overflow in np.asarray
+    return isinstance(val, list) and all(
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in val)
+
+
+# json.loads makes exact ints and floats, and a bool is not an int here
+_pos_int = _rule(lambda val: type(val) is int and val >= 1,
+                 "expected a positive integer, got {!r}")
+_seed = _rule(lambda val: type(val) is int and val >= 0,
+              "expected a nonnegative integer, got {!r}")
+_list = _rule(lambda val: isinstance(val, list), "must be a list, got {!r}")
+
+
+def _object(val, msg: str = "must be an object") -> dict:
+    if not isinstance(val, dict):
+        raise InvalidInputError(msg)
+    return dict(val)
+
+
+def _schema_version(val) -> int:
+    if val != SCHEMA_VERSION:
+        raise InvalidInputError(f"unsupported version {val!r}")
+    return SCHEMA_VERSION
+
+
+def _experiment(val) -> str:
+    if not isinstance(val, str) or val not in EXPERIMENTS:
+        raise InvalidInputError(
+            f"unknown experiment {val!r}; valid: {list(EXPERIMENTS)}")
     return val
 
 
-def _seed(val) -> int:
-    if not isinstance(val, int) or isinstance(val, bool) or val < 0:
-        raise InvalidInputError(f"expected a nonnegative integer, got {val!r}")
-    return val
-
-
-def _list(val) -> list:
-    if not isinstance(val, list):
-        raise InvalidInputError(f"must be a list, got {val!r}")
-    return val
+# The scenario's keys, one (key, rule, default) row each; _walk applies them.
+# The objects field, policy, lipschitz and params are walked next, each with
+# its own rows, and the rules that read two keys come after the walks.
+_ROOT_KEYS = (
+    ("schema_version", _schema_version, SCHEMA_VERSION),
+    ("field", partial(_object, msg="must be an object {name, params}"),
+     REQUIRED),
+    ("start", _rule(_finite_numbers, "must be a list of finite numbers"),
+     REQUIRED),
+    ("horizon", _positive, REQUIRED),
+    ("policy", lambda val: _object({} if val is None else val,
+                                   "policy must be an object"), None),
+    ("n_paths", _pos_int, REQUIRED),
+    ("master_seed", _seed, REQUIRED),
+    ("experiment", _experiment, REQUIRED),
+    ("params", _object, {}),
+    ("bridge", _rule(lambda val: val in ("auto", True, False),
+                     "must be 'auto', true, or false, got {!r}"), "auto"),
+    ("lipschitz", _object, {}),
+    ("n_paths_floor", _pos_int, 100),
+)
+_FIELD_KEYS = (
+    ("name", _rule(lambda val: isinstance(val, str),
+                   "must be a string, got {!r}"), REQUIRED),
+    ("params", _object, {}),
+)
+# StepPolicy applies the policy's rules, and h_min's default depends on kind
+_DEFAULT_POLICY = StepPolicy()
+_POLICY_KEYS = (
+    ("kind", lambda val: val, _DEFAULT_POLICY.kind),
+    ("h_max", _positive, _DEFAULT_POLICY.h_max),
+    ("h_min", _positive, OPTIONAL),
+    ("level_fraction", _positive, _DEFAULT_POLICY.level_fraction),
+)
+# an estimated bound takes its sampling keys, a declared one none; a null
+# region is the default box around the start
+_LIPSCHITZ_MODE = ("mode", _rule(
+    lambda val: val in ("declared", "estimated"),
+    "must be 'declared' or 'estimated', got {!r}"), "declared")
+_LIPSCHITZ_KEYS = {
+    "declared": (_LIPSCHITZ_MODE,),
+    "estimated": (_LIPSCHITZ_MODE, ("samples", _pos_int, 4000),
+                  ("seed", _seed, 0), ("safety", _positive, 1.25),
+                  ("region", lambda val: val if val is None else _list(val),
+                   None)),
+}
 
 
 @dataclass
 class ScenarioConfig:
-    """Fully validated experiment description with defaults recorded."""
+    """A validated scenario: each key's value (``config.<key>``, defaults
+    filled, ``policy`` a StepPolicy), the field it names, and
+    ``run(workers)``, which runs its experiment."""
 
-    field_name: str
-    field_params: dict
-    start: list[float]
-    horizon: float
-    policy: StepPolicy
-    n_paths: int
-    master_seed: int
-    experiment: str
-    params: dict
-    bridge: object = "auto"
-    lipschitz: dict = dc_field(default_factory=lambda: {"mode": "declared"})
-    n_paths_floor: int = 100
+    values: dict
+    field: CoefficientField = dc_field(compare=False, repr=False)
+    run: Callable = dc_field(default=None, compare=False, repr=False)
 
-    def build_field(self) -> CoefficientField:
-        return cf.make_field(self.field_name, **self.field_params)
+    def __getattr__(self, key):
+        try:
+            return self.__dict__["values"][key]
+        except KeyError:
+            raise AttributeError(key) from None
 
     def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "field": {"name": self.field_name, "params": self.field_params},
-            "start": self.start,
-            "horizon": self.horizon,
-            "policy": self.policy.to_dict(),
-            "n_paths": self.n_paths,
-            "master_seed": self.master_seed,
-            "experiment": self.experiment,
-            "params": self.params,
-            "bridge": self.bridge,
-            "lipschitz": self.lipschitz,
-            "n_paths_floor": self.n_paths_floor,
-        }
-
-
-def _parse_policy(raw, path: str) -> StepPolicy:
-    if raw is None:
-        raw = {}
-    if not isinstance(raw, dict):
-        _fail(path, "policy must be an object")
-    raw = dict(raw)
-    default = StepPolicy()
-    kind = _pop(raw, "kind", path, default=default.kind)
-    h_max = _checked(f"{path}.h_max", _positive,
-                     _pop(raw, "h_max", path, default=default.h_max))
-    default_h_min = h_max if kind == "fixed" else min(h_max, default.h_min)
-    h_min = _checked(f"{path}.h_min", _positive,
-                     _pop(raw, "h_min", path, default=default_h_min))
-    frac = _checked(f"{path}.level_fraction", _positive,
-                    _pop(raw, "level_fraction", path,
-                         default=default.level_fraction))
-    _no_leftovers(raw, path)
-    return _checked(f"{path}.", StepPolicy, kind, h_max, h_min, frac)
+        """The normalized scenario, as validate echoes it."""
+        return {**self.values, "policy": self.policy.to_dict()}
 
 
 def _h_exponents(val) -> list[int]:
@@ -158,10 +208,10 @@ def _h_exponents(val) -> list[int]:
     return [_pos_int(e) for e in val]
 
 
-# Validator of each experiment param, applied in this order; an error names
-# the key as params.<key>.  The CLI's helpers check JSON types, and a rule
-# an estimator applies to a value is that estimator's own; the rules that
-# involve more than one key are in the experiments' checks.
+# The rule of each experiment param; an error names the key as
+# params.<key>.  The CLI's helpers check JSON types, and a rule an estimator
+# applies to a value is that estimator's own; the rules that involve more
+# than one key are in the experiments' functions.
 _PARAM_VALIDATORS = {
     "A": _positive,
     "k": _pos_int,
@@ -176,18 +226,6 @@ _PARAM_VALIDATORS = {
 }
 
 
-def _parse_params(exp: Experiment, raw: dict) -> dict:
-    raw = dict(raw)
-    out = {key: _pop(raw, key, "params", required=True)
-           for key in exp.required}
-    out.update({key: raw.pop(key) for key in exp.optional if key in raw})
-    _no_leftovers(raw, "params")
-    for key, check in _PARAM_VALIDATORS.items():
-        if key in out:
-            out[key] = _checked(f"params.{key}", check, out[key])
-    return out
-
-
 def _finite_number(text: str) -> float:
     # json.loads hook for number literals: bare NaN and +-Infinity are not
     # JSON, and a literal such as 1e999 would overflow to inf
@@ -199,7 +237,8 @@ def _finite_number(text: str) -> float:
 
 
 def parse_scenario(text: str) -> ScenarioConfig:
-    """Parse and fully validate a JSON scenario document."""
+    """Parse and fully validate a JSON scenario document, build its field and
+    prepare its experiment's run."""
     try:
         raw = json.loads(text, parse_float=_finite_number,
                          parse_constant=_finite_number)
@@ -209,93 +248,40 @@ def parse_scenario(text: str) -> ScenarioConfig:
         raise InvalidInputError(f"config is not well-formed JSON: {exc}") from None
     if not isinstance(raw, dict):
         _fail("<root>", "config must be a JSON object")
-    raw = dict(raw)
+    values = _walk("", raw, _ROOT_KEYS)
 
-    version = _pop(raw, "schema_version", "", default=SCHEMA_VERSION)
-    if version != SCHEMA_VERSION:
-        _fail("schema_version", f"unsupported version {version!r}")
-
-    field_spec = _pop(raw, "field", "", required=True)
-    if not isinstance(field_spec, dict):
-        _fail("field", "must be an object {name, params}")
-    field_spec = dict(field_spec)
-    field_name = _pop(field_spec, "name", "field", required=True)
-    if not isinstance(field_name, str):
-        _fail("field.name", f"must be a string, got {field_name!r}")
-    field_params = _pop(field_spec, "params", "field", default={})
-    _no_leftovers(field_spec, "field")
-    if not isinstance(field_params, dict):
-        _fail("field.params", "must be an object")
-    field = _checked("field", cf.make_field, field_name, **field_params)
-
-    start = _pop(raw, "start", "", required=True)
-    if not isinstance(start, list) or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool)
-            and abs(v) <= sys.float_info.max for v in start):
-        # an int too large for a float would overflow in np.asarray
-        _fail("start", "must be a list of finite numbers")
+    spec = values["field"] = _walk("field", values["field"], _FIELD_KEYS)
+    field = _checked("field", cf.make_field, spec["name"], **spec["params"])
     # the state's dimension, and a finite level there
-    x0 = np.asarray(start, dtype=float)
+    x0 = np.asarray(values["start"], dtype=float)
     _checked("start", cf.level, field, x0)
 
-    horizon = _checked("horizon", _positive,
-                       _pop(raw, "horizon", "", required=True))
-    policy = _parse_policy(_pop(raw, "policy", "", default=None), "policy")
-    n_paths = _checked("n_paths", _pos_int,
-                       _pop(raw, "n_paths", "", required=True))
-    master_seed = _checked("master_seed", _seed,
-                           _pop(raw, "master_seed", "", required=True))
+    pol = _walk("policy", values["policy"], _POLICY_KEYS)
+    h_min = pol.get("h_min", pol["h_max"] if pol["kind"] == "fixed"
+                    else min(pol["h_max"], _DEFAULT_POLICY.h_min))
+    values["policy"] = _checked("policy.", StepPolicy, pol["kind"],
+                                pol["h_max"], h_min, pol["level_fraction"])
 
-    experiment = _pop(raw, "experiment", "", required=True)
-    if not isinstance(experiment, str) or experiment not in EXPERIMENTS:
-        _fail("experiment",
-              f"unknown experiment {experiment!r}; valid: {list(EXPERIMENTS)}")
-    exp = EXPERIMENTS[experiment]
+    exp = EXPERIMENTS[values["experiment"]]
+    values["params"] = _walk(
+        "params", values["params"],
+        [(key, _PARAM_VALIDATORS[key], REQUIRED) for key in exp.required]
+        + [(key, _PARAM_VALIDATORS[key], OPTIONAL) for key in exp.optional])
 
-    params_raw = _pop(raw, "params", "", default={})
-    if not isinstance(params_raw, dict):
-        _fail("params", "must be an object")
-    params = _parse_params(exp, params_raw)
-
-    bridge = _pop(raw, "bridge", "", default="auto")
-    if bridge not in ("auto", True, False):
-        _fail("bridge", f"must be 'auto', true, or false, got {bridge!r}")
-
-    lipschitz = _pop(raw, "lipschitz", "", default={"mode": "declared"})
-    if not isinstance(lipschitz, dict):
-        _fail("lipschitz", "must be an object")
-    lipschitz = dict(lipschitz)
-    mode = _pop(lipschitz, "mode", "lipschitz", default="declared")
-    if mode not in ("declared", "estimated"):
-        _fail("lipschitz.mode", f"must be 'declared' or 'estimated', got {mode!r}")
-    lip_out = {"mode": mode}
-    if mode == "estimated":
-        for key, check, default in (("samples", _pos_int, 4000),
-                                    ("seed", _seed, 0),
-                                    ("safety", _positive, 1.25)):
-            lip_out[key] = _checked(f"lipschitz.{key}", check, _pop(
-                lipschitz, key, "lipschitz", default=default))
-        region = _pop(lipschitz, "region", "lipschitz", default=None)
-        if region is not None:
-            _checked("lipschitz.region", _list, region)
+    lip = values["lipschitz"]
+    lip = values["lipschitz"] = _walk("lipschitz", lip, _LIPSCHITZ_KEYS[
+        "estimated" if lip.get("mode") == "estimated" else "declared"])
+    if lip["mode"] == "estimated":
         _checked("lipschitz.", cf._sample_box, field,
-                 _lipschitz_region(region, x0), lip_out["samples"])
-        lip_out["region"] = region
-    _no_leftovers(lipschitz, "lipschitz")
+                 _lipschitz_region(lip["region"], x0), lip["samples"])
 
-    floor = _checked("n_paths_floor", _pos_int,
-                     _pop(raw, "n_paths_floor", "", default=100))
-    if exp.ci_floor and n_paths < floor:
-        _fail("n_paths", f"{experiment!r} produces confidence intervals and "
-                         f"requires n_paths >= {floor}")
+    floor = values["n_paths_floor"]
+    if exp.ci_floor and values["n_paths"] < floor:
+        _fail("n_paths", f"{values['experiment']!r} produces confidence "
+                         f"intervals and requires n_paths >= {floor}")
 
-    _no_leftovers(raw, "")
-    config = ScenarioConfig(
-        field_name=field_name, field_params=field_params, start=list(start),
-        horizon=horizon, policy=policy, n_paths=n_paths,
-        master_seed=master_seed, experiment=experiment, params=params,
-        bridge=bridge, lipschitz=lip_out, n_paths_floor=floor)
-    exp.prepare(config, field, x0)
+    config = ScenarioConfig(values, field)
+    config.run = exp.prepare(config, field, x0)
     return config
 
 
@@ -382,13 +368,21 @@ def _single_check(report, **payload):
             {"bound_checks": [_bound_table_row(report)]}, [report.satisfied])
 
 
+def _finite_constant(config, name: str, value: float):
+    # a constant of the Lipschitz bound K: the key is where K comes from
+    if not math.isfinite(value):
+        _fail("field" if config.lipschitz["mode"] == "declared"
+              else "lipschitz", f"{name} is {value}, not finite")
+
+
 # Each experiment is one function of (config, field, start).  It applies the
 # experiment's input rules that involve more than one key, each the rule its
 # estimator applies, named by its key; it resolves the Lipschitz bound, t0
 # and the t grid; and it returns run(workers), which calls the estimator and
-# returns (payload, tables, checks).  parse_scenario drops run, so validate
-# rejects what run rejects.  run looks estimators up on their modules at call
-# time, so wrapping a module attribute wraps every run.
+# returns (payload, tables, checks).  parse_scenario keeps run on the config
+# and run_scenario calls it, again and again if asked, so validate rejects
+# what run rejects and each is computed once.  run looks estimators up on
+# their modules at call time, so wrapping a module attribute wraps every run.
 
 def _band_center(config, field):
     # the bridge setting, and the band's center level A/2^k once its lower
@@ -396,11 +390,6 @@ def _band_center(config, field):
     _checked("bridge", _resolve_bridge, field, config.bridge)
     p = config.params
     return _checked("params.k", vf._band_levels, p["A"], p["k"])[1]
-
-
-def _check_band(config, field, start):
-    _checked("start", vf._band_start, field, start,
-             _band_center(config, field))
 
 
 def _hitting(config, field, start):
@@ -421,13 +410,14 @@ def _hitting(config, field, start):
 
 
 def _sqrt_bound(config, field, start):
-    _check_band(config, field, start)
+    _checked("start", vf._band_start, field, start, _band_center(config, field))
     p = config.params
     k_val, k_source = _resolve_lipschitz(config, field, start)
     c = vf.escape_rate_constant(field.m, k_val)
     # the default grid of c, which must be nonempty
     t_grid = p.get("t_grid") or _checked(
         "field", vf._unit_grid, vf.default_escape_time_grid(c))
+    _finite_constant(config, "escape-rate constant C", c)
 
     def run(workers):
         reports = vf.check_escape_probability_bound(
@@ -445,7 +435,7 @@ def _sqrt_bound(config, field, start):
 
 
 def _displacement(config, field, start):
-    _check_band(config, field, start)
+    _checked("start", vf._band_start, field, start, _band_center(config, field))
     _checked("n_paths", vf._enough_paths, config.n_paths)
     p = config.params
 
@@ -461,6 +451,8 @@ def _level_change(config, field, start):
     _displacement(config, field, start)  # its input rules; its run is dropped
     p = config.params
     k_val, k_source = _resolve_lipschitz(config, field, start)
+    _finite_constant(config, "level-change factor 2 (3 A/2^k)^(1/2) K",
+                     vf._level_change_factor(_band_center(config, field), k_val))
 
     def run(workers):
         return _single_check(vf.check_level_change_bound(
@@ -581,12 +573,9 @@ EXPERIMENTS = {
 
 
 def run_scenario(config: ScenarioConfig, workers: int = 1) -> RunReport:
-    """Execute the configured experiment and assemble the in-memory report."""
+    """Run the parsed experiment and assemble the in-memory report."""
     t_start = time.perf_counter()
-    field = config.build_field()
-    start = np.asarray(config.start, dtype=float)
-    run = EXPERIMENTS[config.experiment].prepare(config, field, start)
-    payload, tables, checks = run(workers)
+    payload, tables, checks = config.run(workers)
     return RunReport(
         config=config.to_dict(), version=__version__,
         timestamp_utc=datetime.now(timezone.utc).isoformat(),
@@ -638,23 +627,28 @@ def write_report(report: RunReport, out_dir) -> list[str]:
 
     Returns the file names, report.json first.  report.json is the index of
     the tables, so it is removed first and written last: a write that fails
-    leaves no report.json, and no file is ever left half-written.
+    leaves no report.json, and no file is ever left half-written.  A report
+    that is not strict JSON (a NaN or an infinity) is an InvariantError, as
+    validate rejects every input that would produce one.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     report_path = out / "report.json"
     report_path.unlink(missing_ok=True)
+    doc = {"header": report.header_dict(str(out.resolve())),
+           "payload": report.payload,
+           "tables": sorted(f"table_{name}.csv" for name in report.tables)}
+    try:
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise InvariantError(f"report is not strict JSON: {exc}") from None
     files = {f"table_{name}.csv": rows
              for name, rows in sorted(report.tables.items())}
     for name, rows in files.items():
         with _replacing(out / name) as fh:
             _write_csv(fh, rows)
-
-    doc = {"header": report.header_dict(str(out.resolve())),
-           "payload": report.payload,
-           "tables": sorted(f"table_{name}.csv" for name in report.tables)}
     with _replacing(report_path) as fh:
-        fh.write(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+        fh.write(text + "\n")
     report.output_files = [str(report_path)] + [str(out / n) for n in files]
     return report.output_files
 
@@ -693,10 +687,9 @@ def _cmd_catalog(_args) -> int:
 def _cmd_replay(args) -> int:
     config = parse_scenario(Path(args.config).read_text())
     master = args.seed if args.seed is not None else config.master_seed
-    field = config.build_field()
-    path = simulate_path(field, config.start, config.horizon, config.policy,
-                         path_entropy(master, args.path))
-    rows = _path_rows(field, path)
+    path = simulate_path(config.field, config.start, config.horizon,
+                         config.policy, path_entropy(master, args.path))
+    rows = _path_rows(config.field, path)
     if args.out_file is None:
         _write_csv(sys.stdout, rows)
     else:

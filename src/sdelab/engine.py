@@ -744,7 +744,8 @@ def map_path_chunks(reduce, field: CoefficientField, index_chunks,
             "parallel execution requires a catalog field (picklable reference)")
     from concurrent.futures import ProcessPoolExecutor
     packed = [(reduce, field.catalog_ref, c, spec) for c in index_chunks]
-    with ProcessPoolExecutor(max_workers=workers) as ex:
+    # the pool forks all its workers at the first submit: one a chunk at most
+    with ProcessPoolExecutor(max_workers=min(workers, len(packed)) or 1) as ex:
         return list(ex.map(_parallel_entry, packed))
 
 

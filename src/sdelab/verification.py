@@ -296,6 +296,11 @@ def _persistence_starts(field: CoefficientField, starts,
     return valid
 
 
+def _level_change_factor(center: float, k_bound: float) -> float:
+    """2 (3 A/2^k)^(1/2) K, the level-change bound over sqrt(displacement)."""
+    return 2.0 * math.sqrt(3.0 * center) * k_bound
+
+
 def _window_t0(t0: float) -> float:
     if not 0.0 < t0 < 1.0:
         raise InvalidInputError("t0 must lie in (0, 1)")
@@ -428,12 +433,12 @@ def check_level_change_bound(field: CoefficientField, x, band_level: float,
     per_t, cens, n, used_bridge = _band_moments(
         field, x, band_level, band_index, t_grid, n_paths, policy, seed,
         bridge, workers)
-    center = _band_levels(band_level, band_index)[1]
+    factor = _level_change_factor(_band_levels(band_level, band_index)[1],
+                                  k_bound)
     reports = []
     for t, (sv, sv2, sw, sw2) in per_t:
         disp = _mean_with_ci(sv, sv2, n, cens)
-        rhs = (2.0 * math.sqrt(3.0 * center)
-               * k_bound * math.sqrt(max(disp.ci_high, 0.0)))
+        rhs = factor * math.sqrt(max(disp.ci_high, 0.0))
         params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
                   "K": k_bound, "field": field.name, "n_paths": n,
                   "policy": policy.to_dict(), "bridge": used_bridge,

@@ -18,6 +18,8 @@ from hypothesis import strategies as st
 
 import sdelab as sl
 from sdelab import InvalidInputError, InvariantError
+from sdelab import cli
+from sdelab import coefficients as cf
 from sdelab.cli import main, parse_scenario, run_scenario, write_report
 from test_golden_payloads import SCENARIOS
 
@@ -261,6 +263,12 @@ _FAR_K = {**_ALPHA_12, "lipschitz": {"mode": "estimated",
                           "params": {"A": 2.0, "k": 1, "t_grid": [0.01]},
                           "lipschitz": {"mode": "estimated",
                                         "region": [[1e26], [2e26]]}}),
+    # C = 4 sqrt(6) K sqrt(m+1) and 2 (3 A/2^k)^(1/2) K overflow to inf
+    ("field", {"field": {"name": "power-law-1d",
+                         "params": {"alpha": 1.0, "lipschitz_k": 1e308}},
+               **_SQRT, "params": {"A": 2.0, "k": 1, "t_grid": [0.01]}}),
+    ("lipschitz", {**_FAR_K, "experiment": "level-change",
+                   "params": {"A": 2.0, "k": 1, "t": 0.5}}),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"
@@ -309,9 +317,12 @@ def test_json_past_the_decoders_limits_is_an_error(tmp_path, text):
     assert err[0].startswith("error: config is not well-formed JSON: ")
 
 
-_TOP_KEYS = {"schema_version", "field", "start", "horizon", "policy",
-             "n_paths", "master_seed", "experiment", "params", "bridge",
-             "lipschitz", "n_paths_floor"}
+# the keys of cli's tables, so a new key is fuzzed without new test code
+_TOP_KEYS = {key for key, _rule, _default in cli._ROOT_KEYS}
+_TABLE_KEYS = _TOP_KEYS | set(cli._PARAM_VALIDATORS) | {
+    key for rows in (cli._FIELD_KEYS, cli._POLICY_KEYS,
+                     *cli._LIPSCHITZ_KEYS.values())
+    for key, _rule, _default in rows}
 _ERROR = re.compile(r"error: (?:config is not (?:strict|well-formed) JSON|"
                     r"(<root>|\w+)(?:\.\w+)*): ")
 
@@ -351,15 +362,16 @@ def test_validate_on_mutated_scenarios(data):
     target = parent[path[-1]] if path else doc
     kinds = ["value"] if path else []
     if isinstance(target, dict):
-        kinds += ["unknown key"] + ["delete key"] * bool(target)
+        kinds += ["add key"] + ["delete key"] * bool(target)
     kind = data.draw(st.sampled_from(kinds))
     if kind == "value":
         parent[path[-1]] = data.draw(_wrong_values())
-    elif kind == "unknown key":
-        # keys of other objects too, which a keyword argument may meet
-        target[data.draw(st.one_of(st.sampled_from(sorted(_TOP_KEYS | {
-            "name", "kind", "mode", "alpha", "d"})),
-            st.text(min_size=1, max_size=6)))] = 1
+    elif kind == "add key":
+        # a key of any table or of a field's params, which a keyword
+        # argument may meet, or an unknown one
+        target[data.draw(st.one_of(
+            st.sampled_from(sorted(_TABLE_KEYS | {"alpha", "d"})),
+            st.text(min_size=1, max_size=6)))] = data.draw(_wrong_values())
     else:
         del target[data.draw(st.sampled_from(sorted(target)))]
     with tempfile.TemporaryDirectory() as tmp:
@@ -421,17 +433,50 @@ def test_run_writes_report_and_tables(tmp_path):
     assert len(files) == 2
 
 
-def test_rerun_is_byte_identical(tmp_path):
-    config = sl.parse_scenario(_hitting_config())
+@pytest.mark.parametrize("name", sorted(SCENARIOS))
+def test_rerun_is_byte_identical(tmp_path, name):
+    # one parsed config runs again and again, as perfbench repeats it
+    config = parse_scenario(json.dumps(SCENARIOS[name]))
     payloads = []
     tables = []
     for sub in ("a", "b"):
         report = run_scenario(config)
-        write_report(report, tmp_path / sub)
+        files = write_report(report, tmp_path / sub)
         payloads.append(json.dumps(report.payload, sort_keys=True))
-        tables.append((tmp_path / sub / "table_hitting.csv").read_bytes())
+        tables.append([Path(f).read_bytes() for f in files[1:]])
     assert payloads[0] == payloads[1]
     assert tables[0] == tables[1]
+
+
+def test_a_run_builds_its_field_and_estimate_once(tmp_path, monkeypatch):
+    # parse_scenario builds the field and resolves the estimated bound;
+    # run_scenario runs what the parse prepared
+    calls = {"make_field": 0, "estimate_lipschitz": 0}
+
+    def counting(name):
+        real = getattr(cf, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(cf, name, counting(name))
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **_BASE, **_SQRT, "params": {"A": 2.0, "k": 1, "t_grid": [0.01]},
+        "lipschitz": {"mode": "estimated"}}))
+    assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
+    assert calls == {"make_field": 1, "estimate_lipschitz": 1}
+
+
+def test_a_report_that_is_not_strict_json_is_not_written(tmp_path):
+    report = run_scenario(sl.parse_scenario(_hitting_config()))
+    report.payload["estimates"][0]["point"] = float("inf")
+    with pytest.raises(InvariantError, match="not strict JSON"):
+        write_report(report, tmp_path)
+    assert not (tmp_path / "report.json").exists()
 
 
 def test_worker_count_does_not_change_payload():
@@ -564,7 +609,7 @@ def test_replay_path_is_row_of_the_run(tmp_path, path):
     with open(out, newline="") as fh:
         replayed = min(float(row["level"]) for row in csv.DictReader(fh))
     config = sl.parse_scenario(cfg_path.read_text())
-    field = config.build_field()
+    field = config.field
     one = sl.sweep_paths(field, config.start, config.horizon, config.policy,
                          config.master_seed, [path])
     run = sl.sweep_paths(field, config.start, config.horizon, config.policy,

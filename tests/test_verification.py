@@ -560,6 +560,37 @@ def test_hitting_counts_blowups(monkeypatch):
     assert sum(blown for _, blown, _ in partials) == 11
 
 
+def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
+    # a ProcessPoolExecutor forks all max_workers processes at its first
+    # submit; this fake records the count and maps in this process, so no
+    # process starts
+    import concurrent.futures
+    started = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor",
+                        RecordingPool)
+    spec = {"start": np.array([1.0]), "horizon": 0.1, "policy": _COARSE,
+            "master": 1}
+    pooled = map_path_chunks(_survivors, LINEAR, [np.arange(16)], spec,
+                             10 ** 6)
+    assert started == [1]
+    serial = map_path_chunks(_survivors, LINEAR, [np.arange(16)], spec)
+    assert _bits(pooled) == _bits(serial)
+
+
 def test_parallel_runs_need_a_catalog_field():
     custom = sl.CoefficientField(d=1, m=1, sigma=LINEAR.sigma, b=LINEAR.b,
                                  lipschitz_k=1.0)
