@@ -298,7 +298,6 @@ class RunReport:
     payload: dict
     tables: dict          # table name -> iterable of row dicts
     checks: list          # satisfied flags of all bound checks in the run
-    output_files: list = dc_field(default_factory=list)
 
     @property
     def all_satisfied(self) -> bool:
@@ -463,7 +462,7 @@ def _level_change(config, field, start):
 
 
 def _persistence(config, field, start):
-    _checked("start", vf._persistence_starts, field, [start],
+    _checked("start", vf._persistence_start, field, start,
              _band_center(config, field))
     p = config.params
     if "t0" in p:
@@ -472,7 +471,7 @@ def _persistence(config, field, start):
 
     def run(workers):
         return _single_check(vf.check_halving_persistence(
-            field, [start], p["A"], p["k"], config.n_paths, config.policy,
+            field, start, p["A"], p["k"], config.n_paths, config.policy,
             config.master_seed, t0=t0, bridge=config.bridge,
             workers=workers), t0=t0, k_source=k_source)
     return run
@@ -533,8 +532,8 @@ def _engine_validation(config, field, start):
     if field.name != "linear-1d":
         _fail("field", "engine-validation uses the linear-1d closed form")
     h_exponents = config.params.get("h_exponents", list(range(4, 11)))
-    for e in h_exponents:
-        _checked("params.h_exponents", vf._halved, 1.0, e)
+    _checked("params.h_exponents", vf._study_steps, config.n_paths,
+             h_exponents, config.horizon)
 
     def run(workers):
         res = vf.strong_order_study(
@@ -649,8 +648,7 @@ def write_report(report: RunReport, out_dir) -> list[str]:
             _write_csv(fh, rows)
     with _replacing(report_path) as fh:
         fh.write(text + "\n")
-    report.output_files = [str(report_path)] + [str(out / n) for n in files]
-    return report.output_files
+    return [str(report_path)] + [str(out / n) for n in files]
 
 
 # ---------------------------------------------------------------------------

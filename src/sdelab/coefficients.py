@@ -12,6 +12,7 @@ one state is the sweep's step on one row.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -337,7 +338,13 @@ def make_field(name: str, /, **params) -> CoefficientField:
     except KeyError:
         raise InvalidInputError(
             f"unknown field {name!r}; catalog: {sorted(_BUILDERS)}") from None
+    # a name is repr'd until it is known: it may hold a line break
+    accepted = inspect.signature(builder).parameters
     for key, val in params.items():
+        if key not in accepted:
+            raise InvalidInputError(
+                f"bad parameters for field {name!r}: unknown parameter "
+                f"{key!r}; valid: {list(accepted)}")
         if val is not None and not _finite(val):
             raise InvalidInputError(
                 f"bad parameters for field {name!r}: {key} must be finite, got {val!r}")

@@ -285,15 +285,15 @@ def _band_spec(field: CoefficientField, x, band_level: float,
             "bridge": _resolve_bridge(field, bridge)}
 
 
-def _persistence_starts(field: CoefficientField, starts,
-                        floor_level: float) -> list:
-    """The starts with level >= floor_level, of which there must be one."""
-    starts = [np.asarray(s, dtype=float) for s in starts]
-    valid = [s for s in starts
-             if cf.level(field, s) >= floor_level * (1 - 1e-12)]
-    if not valid:
-        raise InvalidInputError("no start points with level >= A/2^k")
-    return valid
+def _persistence_start(field: CoefficientField, start,
+                       floor_level: float) -> np.ndarray:
+    """start, whose level must be at least floor_level = A/2^k."""
+    start = np.asarray(start, dtype=float)
+    lev = cf.level(field, start)
+    if lev < floor_level * (1 - 1e-12):
+        raise InvalidInputError(
+            f"start level {lev:g} is below A/2^k = {floor_level:g}")
+    return start
 
 
 def _level_change_factor(center: float, k_bound: float) -> float:
@@ -353,11 +353,6 @@ def _band_functionals(field, spec, res):
             w[exited] = np.abs(lev_x - cf.level_batch(field, states))
         moments[j] = np.sum(v), np.sum(v * v), np.sum(w), np.sum(w * w)
     return moments, int(np.sum(~exited)), n
-
-
-def _survivors(field, spec, res):
-    survived = res.first_barrier < 0
-    return int(np.sum(survived)), survived.size
 
 
 def _hitting_counts(field, spec, res, *, eps_grid):
@@ -501,37 +496,30 @@ def fitted_escape_exponent(reports: list[BoundCheckReport]) -> float | None:
     return float(slope)
 
 
-def check_halving_persistence(field: CoefficientField, starts,
+def check_halving_persistence(field: CoefficientField, start,
                               band_level: float, band_index: int,
                               n_paths: int, policy: StepPolicy, seed, *,
                               t0: float, bridge="auto", workers: int = 1
                               ) -> BoundCheckReport:
     """P[level does not halve within t0] against the 1/2 lower bound.
 
-    Start points must have level >= band_level / 2**band_index; paths are
-    assigned to starts round-robin.  The barrier is the next halved level
-    band_level / 2**(band_index+1).  ``t0`` is given by the caller, for
+    The start must have level >= band_level / 2**band_index.  The barrier is
+    the next halved level band_level / 2**(band_index+1), and a path that
+    has not reached it by t0 survives.  ``t0`` is given by the caller, for
     example ``persistence_t0`` of the field's Lipschitz bound.
     """
     barrier, floor_level, _ = _band_levels(band_level, band_index)
-    valid = _persistence_starts(field, starts, floor_level)
-    dropped = len(starts) - len(valid)
-    _window_t0(t0)
-    use_bridge = _resolve_bridge(field, bridge)
-    partials = []
-    for s_idx, start in enumerate(valid):
-        idx = np.arange(s_idx, n_paths, len(valid))
-        chunks = [idx[c] for c in iter_chunks(idx.size)]
-        spec = {"start": start, "horizon": t0, "policy": policy,
-                "master": seed, "barriers": (Barrier(barrier, "down"),),
-                "bridge": use_bridge}
-        partials += map_path_chunks(_survivors, field, chunks, spec, workers)
-    survived, n = _sum_chunks(partials)
+    spec = {"start": _persistence_start(field, start, floor_level),
+            "horizon": _window_t0(t0), "policy": policy, "master": seed,
+            "barriers": (Barrier(barrier, "down"),),
+            "bridge": _resolve_bridge(field, bridge)}
+    _, survived, n = _sum_chunks(map_path_chunks(
+        partial(_escape_exits, t_grid=[t0]), field, iter_chunks(n_paths),
+        spec, workers))
     est = estimate_with_ci(survived, n, "wilson", censored_n=survived)
     params = {"A": band_level, "k": band_index, "t0": t0, "m": field.m,
-              "field": field.name, "n_paths": n, "n_starts": len(valid),
-              "dropped_starts": dropped, "policy": policy.to_dict(),
-              "bridge": use_bridge}
+              "field": field.name, "n_paths": n, "policy": policy.to_dict(),
+              "bridge": spec["bridge"]}
     return BoundCheckReport("halving-persistence", est, 0.5, "lower", params)
 
 
@@ -659,6 +647,23 @@ def accessibility_integral_1d(sigma_1d, a: float) -> IntegralVerdict:
 # Engine validation
 # ---------------------------------------------------------------------------
 
+# The most path-steps a strong-order study may take, n_paths x
+# sum_e ceil(horizon 2^e): 2^36 path-steps run 1.3-3.6 h at 70-190 ns each.
+MAX_STUDY_PATH_STEPS = 2 ** 36
+
+
+def _study_steps(n_paths: int, h_exponents, horizon: float) -> list[float]:
+    """The study's steps 2^-e, if its path-steps are at most
+    MAX_STUDY_PATH_STEPS."""
+    hs = [_halved(1.0, e) for e in h_exponents]
+    # horizon / h is exact, or inf; capping it keeps the count an exact int
+    steps = n_paths * sum(math.ceil(min(horizon / h, 2.0 ** 64)) for h in hs)
+    if steps > MAX_STUDY_PATH_STEPS:
+        raise InvalidInputError(
+            f"the study takes {steps:.3g} path-steps, more than 2^36")
+    return hs
+
+
 def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
                        horizon: float = 1.0, start_x: float = 1.0,
                        master_seed=0, workers: int = 1) -> dict:
@@ -666,12 +671,13 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
 
     For each h = 2^-e the Euler paths and the closed form
     x exp(B_T - T/2) are built from the same increments; the fitted slope of
-    log error vs log h should land in STRONG_ORDER_WINDOW.
+    log error vs log h should land in STRONG_ORDER_WINDOW.  A study of more
+    than MAX_STUDY_PATH_STEPS path-steps is rejected before it starts.
     """
     field = cf.make_field("linear-1d")
     master = entropy_tuple(master_seed)
     h_exponents = list(h_exponents)
-    hs = [_halved(1.0, e) for e in h_exponents]
+    hs = _study_steps(n_paths, h_exponents, horizon)
     errs = []
     for e, h in zip(h_exponents, hs):
         # each h has its own master seed (*master, e) and chunk-order sum

@@ -113,7 +113,7 @@ def test_criterion_5_halving_persistence():
     t0 = sl.persistence_window(sl.escape_rate_constant(1, 1.0))
     ok_t0 = abs(t0 - 1.0 / 768.0) <= 1e-12 / 768.0
     rep = sl.check_halving_persistence(
-        sl.make_field("linear-1d"), [[1.0]], 2.0, 1, 10_000,
+        sl.make_field("linear-1d"), [1.0], 2.0, 1, 10_000,
         StepPolicy.fixed(1e-6), 500, t0=t0)
     ok = ok_t0 and rep.satisfied and rep.lhs_estimate.ci_low >= 0.9
     _verdict(5, "halving-persistence", ok,

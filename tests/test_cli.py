@@ -269,6 +269,14 @@ _FAR_K = {**_ALPHA_12, "lipschitz": {"mode": "estimated",
                **_SQRT, "params": {"A": 2.0, "k": 1, "t_grid": [0.01]}}),
     ("lipschitz", {**_FAR_K, "experiment": "level-change",
                    "params": {"A": 2.0, "k": 1, "t": 0.5}}),
+    # 16 x 2^70 path-steps, more than a study may take
+    ("params.h_exponents", {"experiment": "engine-validation", "n_paths": 16,
+                            "params": {"h_exponents": [3, 70]}}),
+    # a parameter name that breaks a line is named by its repr
+    ("field", {"field": {"name": "power-law-1d",
+                         "params": {"alpha": 0.5, "\x1e": 1}}, **_SQRT}),
+    ("field", {"field": {"name": "power-law-1d",
+                         "params": {"alpha": 0.5, "\r": 1}}, **_SQRT}),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"

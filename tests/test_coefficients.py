@@ -204,6 +204,12 @@ def test_make_field_errors():
         sl.make_field("power-law-1d", alpha=-1.0)
     with pytest.raises(InvalidInputError):
         sl.make_field("linear-1d", bogus=3)
+    # a name the builder does not take is named by its repr, on one line
+    with pytest.raises(InvalidInputError) as exc:
+        sl.make_field("power-law-1d", alpha=0.5, **{"\n": 1.0})
+    assert str(exc.value) == (
+        "bad parameters for field 'power-law-1d': unknown parameter '\\n'; "
+        "valid: ['alpha', 'lipschitz_k']")
 
 
 @pytest.mark.parametrize("name, params", [

@@ -95,7 +95,7 @@ GOLDEN = {
     "level-change-2d":
         "b71edf3837c80f23de4557c091a7ec76829e65ba495fe0e155d190ab6685fb85",
     "persistence":
-        "71b85c3aa2e48cf7b74975c2c456bd5debb29577037b594559e2c444b3d89a4f",
+        "c495b23070416f95e7ec75f1304bc18e0f6ab8ef9894aab624f54468269a1fac",
     "sqrt-bound-bridge":
         "bd634f854acf487e81461350c504ea533a335862e5d90d5cd8e2017995cbfbee",
     "sqrt-bound-default-grid":

@@ -1,5 +1,6 @@
 import math
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ import sdelab as sl
 from sdelab import InvalidInputError, StepPolicy, stopping, verification
 from sdelab.engine import iter_chunks, map_path_chunks
 from sdelab.verification import (Z_95, BoundCheckReport, EstimateWithCI,
-                                  _mean_with_ci, _sum_chunks, _survivors)
+                                  _escape_exits, _mean_with_ci, _sum_chunks)
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +360,7 @@ def test_fitted_escape_exponent_on_observable_grid():
 
 
 def test_halving_persistence_constant_field():
-    rep = sl.check_halving_persistence(CONST_FIELD, [[3.0]], 2.0, 1, 300,
+    rep = sl.check_halving_persistence(CONST_FIELD, [3.0], 2.0, 1, 300,
                                        StepPolicy.fixed(1e-3), 2, t0=0.01)
     assert rep.lhs_estimate.point == 1.0
     assert rep.satisfied
@@ -368,7 +369,7 @@ def test_halving_persistence_constant_field():
 
 def test_halving_persistence_gbm():
     t0 = sl.persistence_window(sl.escape_rate_constant(1, 1.0))
-    rep = sl.check_halving_persistence(LINEAR, [[1.0]], 2.0, 1, 2000,
+    rep = sl.check_halving_persistence(LINEAR, [1.0], 2.0, 1, 2000,
                                        StepPolicy.fixed(1e-6), 9, t0=t0)
     assert rep.satisfied
     assert rep.lhs_estimate.ci_low > 0.9
@@ -380,7 +381,7 @@ def test_halving_persistence_negative_control():
     t0 = 1.0 / 768.0
     field = sl.make_field("decay-1d", rate=math.log(2.0) / t0)
     lev = sl.level(field, [1.0])
-    rep = sl.check_halving_persistence(field, [[1.0]], 2 * lev, 1, 200,
+    rep = sl.check_halving_persistence(field, [1.0], 2 * lev, 1, 200,
                                        StepPolicy.fixed(t0 / 2000), 4, t0=t0)
     assert rep.lhs_estimate.point == 0.0
     assert not rep.satisfied
@@ -388,7 +389,7 @@ def test_halving_persistence_negative_control():
 
 def test_halving_persistence_rejects_low_starts():
     with pytest.raises(InvalidInputError):
-        sl.check_halving_persistence(LINEAR, [[0.1]], 2.0, 1, 200, POL, 1,
+        sl.check_halving_persistence(LINEAR, [0.1], 2.0, 1, 200, POL, 1,
                                      t0=0.001)
 
 
@@ -484,6 +485,18 @@ def test_accessibility_integral_rejects_vanishing_sigma():
         sl.accessibility_integral_1d(lambda y: y, 0.0)
 
 
+def test_strong_order_study_caps_its_path_steps():
+    # n_paths x sum_e ceil(horizon 2^e) may reach 2^36 and not pass it; the
+    # cap is checked before any path is swept
+    assert verification._study_steps(1, [36], 1.0) == [2.0 ** -36]
+    assert verification._study_steps(1, [34, 35], 0.75) == [2.0 ** -34,
+                                                            2.0 ** -35]
+    for n_paths, h_exponents, horizon in [(2, [36], 1.0), (16, [3, 70], 1.0),
+                                          (1, [4], 1e300), (1, [1074], 1.0)]:
+        with pytest.raises(InvalidInputError, match="more than 2"):
+            sl.strong_order_study(n_paths, h_exponents, horizon)
+
+
 # ---------------------------------------------------------------------------
 # Chunk reduction: every estimator's spec and reducer over several chunks
 # ---------------------------------------------------------------------------
@@ -511,8 +524,8 @@ _ESTIMATORS = {
         LINEAR, [1.0], 2.0, 1, [0.01, 0.1], 8, _COARSE, 5, bridge=True)),
     "band-functionals": (verification, lambda: sl.check_displacement_bound(
         LINEAR, [1.0], 2.0, 1, [0.2, 1.0], 8, _COARSE, 5, bridge=True)),
-    "survivors": (verification, lambda: sl.check_halving_persistence(
-        LINEAR, [[1.0], [1.5]], 2.0, 1, 8, _COARSE, 5, t0=0.1, bridge=True)),
+    "persistence": (verification, lambda: sl.check_halving_persistence(
+        LINEAR, [1.0], 2.0, 1, 8, _COARSE, 5, t0=0.1, bridge=True)),
     "hitting-counts": (verification, lambda: sl.estimate_zero_hitting(
         _POWER_15, [1.0], 10.0, [1e-2, 1e-4, 1e-6], 8, _COARSE, 600)),
     "strong-error": (verification, lambda: sl.strong_order_study(
@@ -560,6 +573,26 @@ def test_hitting_counts_blowups(monkeypatch):
     assert sum(blown for _, blown, _ in partials) == 11
 
 
+def test_halving_persistence_is_one_escape_sweep(monkeypatch):
+    # one sweep to t0 with one down barrier at A/2^(k+1), reduced by the
+    # escape checker's reducer: its never-exited count is the survivor count
+    calls = _recorded_maps(monkeypatch, verification)
+    rep = sl.check_halving_persistence(LINEAR, [1.0], 2.0, 1, 20_000,
+                                       _COARSE, 5, t0=0.1)
+    ((reduce, _, spec, partials),) = calls
+    assert reduce.func is _escape_exits and reduce.keywords == {"t_grid": [0.1]}
+    assert spec["horizon"] == 0.1
+    assert spec["barriers"] == (sl.Barrier(0.5, "down"),)
+    assert len(partials) == 3
+    survived = sum(never for _, never, _ in partials)
+    assert rep.lhs_estimate.censored_n == survived == round(
+        rep.lhs_estimate.point * 20_000)
+    assert 0 < survived < 20_000
+
+
+_EXITS_BY_01 = partial(_escape_exits, t_grid=[0.1])
+
+
 def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
     # a ProcessPoolExecutor forks all max_workers processes at its first
     # submit; this fake records the count and maps in this process, so no
@@ -584,10 +617,10 @@ def test_pool_starts_no_more_workers_than_chunks(monkeypatch):
                         RecordingPool)
     spec = {"start": np.array([1.0]), "horizon": 0.1, "policy": _COARSE,
             "master": 1}
-    pooled = map_path_chunks(_survivors, LINEAR, [np.arange(16)], spec,
+    pooled = map_path_chunks(_EXITS_BY_01, LINEAR, [np.arange(16)], spec,
                              10 ** 6)
     assert started == [1]
-    serial = map_path_chunks(_survivors, LINEAR, [np.arange(16)], spec)
+    serial = map_path_chunks(_EXITS_BY_01, LINEAR, [np.arange(16)], spec)
     assert _bits(pooled) == _bits(serial)
 
 
@@ -597,7 +630,7 @@ def test_parallel_runs_need_a_catalog_field():
     spec = {"start": np.array([1.0]), "horizon": 0.1, "policy": _COARSE,
             "master": 1}
     with pytest.raises(InvalidInputError, match="catalog"):
-        map_path_chunks(_survivors, custom, iter_chunks(32, 16), spec, 2)
+        map_path_chunks(_EXITS_BY_01, custom, iter_chunks(32, 16), spec, 2)
     with pytest.raises(InvalidInputError, match="catalog"):
         sl.check_escape_probability_bound(custom, [1.0], 2.0, 1, [0.01], 32,
                                           _COARSE, 1, workers=2)
