@@ -659,8 +659,9 @@ def _study_steps(n_paths: int, h_exponents, horizon: float) -> list[float]:
     # horizon / h is exact, or inf; capping it keeps the count an exact int
     steps = n_paths * sum(math.ceil(min(horizon / h, 2.0 ** 64)) for h in hs)
     if steps > MAX_STUDY_PATH_STEPS:
+        # steps is an exact int that may not fit a float, so it is not shown
         raise InvalidInputError(
-            f"the study takes {steps:.3g} path-steps, more than 2^36")
+            "n_paths x sum_e ceil(horizon 2^e) is more than 2^36 path-steps")
     return hs
 
 

@@ -277,6 +277,10 @@ _FAR_K = {**_ALPHA_12, "lipschitz": {"mode": "estimated",
                          "params": {"alpha": 0.5, "\x1e": 1}}, **_SQRT}),
     ("field", {"field": {"name": "power-law-1d",
                          "params": {"alpha": 0.5, "\r": 1}}, **_SQRT}),
+    # a path-step count past every float, which the cap compares exactly
+    ("params.h_exponents", {"experiment": "engine-validation",
+                            "n_paths": 10 ** 400,
+                            "params": {"h_exponents": [3, 4, 5]}}),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"

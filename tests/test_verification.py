@@ -492,7 +492,8 @@ def test_strong_order_study_caps_its_path_steps():
     assert verification._study_steps(1, [34, 35], 0.75) == [2.0 ** -34,
                                                             2.0 ** -35]
     for n_paths, h_exponents, horizon in [(2, [36], 1.0), (16, [3, 70], 1.0),
-                                          (1, [4], 1e300), (1, [1074], 1.0)]:
+                                          (1, [4], 1e300), (1, [1074], 1.0),
+                                          (10 ** 400, [4], 1.0)]:
         with pytest.raises(InvalidInputError, match="more than 2"):
             sl.strong_order_study(n_paths, h_exponents, horizon)
 
