@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import inspect
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -208,7 +208,6 @@ def _linear_1d() -> CoefficientField:
         lipschitz_k=1.0,
         name="linear-1d",
         abs_level_inverse=lambda ell: float(np.sqrt(ell)),
-        catalog_ref=("linear-1d", {}),
     )
 
 
@@ -216,14 +215,22 @@ def _power_law_1d(alpha: float = 0.5,
                   lipschitz_k: float | None = None) -> CoefficientField:
     if lipschitz_k is None and alpha == 1.0:
         lipschitz_k = 1.0
+
+    def abs_level_inverse(ell):
+        # inf where the power overflows: for a small alpha the |x| of a
+        # level above 1 is past the largest float
+        try:
+            return float(ell ** (1.0 / (2.0 * alpha)))
+        except OverflowError:
+            return math.inf
+
     return CoefficientField(
         d=1, m=1,
         sigma=lambda X: (np.abs(X) ** alpha)[:, :, None],
         b=lambda X: np.zeros_like(X),
         lipschitz_k=lipschitz_k,
         name=f"power-law-1d(alpha={alpha})",
-        abs_level_inverse=lambda ell: float(ell ** (1.0 / (2.0 * alpha))),
-        catalog_ref=("power-law-1d", {"alpha": alpha, "lipschitz_k": lipschitz_k}),
+        abs_level_inverse=abs_level_inverse,
     )
 
 
@@ -244,7 +251,6 @@ def _diag_linear(d: int = 2) -> CoefficientField:
         b=lambda X: -X,
         lipschitz_k=1.0,
         name=f"diag-linear(d={d})",
-        catalog_ref=("diag-linear", {"d": d}),
     )
 
 
@@ -262,7 +268,6 @@ def _constant(sigma0=1.0, b0=0.0) -> CoefficientField:
         b=lambda X: np.broadcast_to(bb0, (X.shape[0], d)),
         lipschitz_k=0.0,
         name="constant",
-        catalog_ref=("constant", {"sigma0": sig0.tolist(), "b0": bb0.tolist()}),
     )
 
 
@@ -275,48 +280,40 @@ def _decay_1d(rate: float = 1.0) -> CoefficientField:
         b=lambda X: -rate * X,
         lipschitz_k=rate,
         name=f"decay-1d(rate={rate})",
-        catalog_ref=("decay-1d", {"rate": rate}),
     )
 
 
-_BUILDERS: dict[str, Callable[..., CoefficientField]] = {
-    "linear-1d": _linear_1d,
-    "power-law-1d": _power_law_1d,
-    "diag-linear": _diag_linear,
-    "constant": _constant,
-    "decay-1d": _decay_1d,
-}
-
-_NOTES = {
-    "linear-1d": ("dX = X dB with zero drift; exact solution "
-                  "x*exp(B_t - t/2); Lipschitz constant 1; level(x) = x^2; "
-                  "zero set {0}."),
-    "power-law-1d": ("sigma(y) = |y|^alpha (0 at y = 0), zero drift; "
-                     "0 < alpha <= 12; "
-                     "level |y|^(2 alpha); zero set {0}. Not Lipschitz near 0 "
-                     "for alpha < 1 and unbounded slope at infinity for "
-                     "alpha > 1: a counterexample family. The origin is "
-                     "reachable iff alpha < 1 by the 1-d integral test."),
-    "diag-linear": ("sigma(x) = diag(x), b(x) = -x, 0 < d <= 16; componentwise "
-                    "dX_i = -X_i dt + X_i dB_i; Lipschitz constant 1; "
-                    "level 2*|x|^2; zero set {0}."),
-    "constant": ("sigma and b constant; level constant; zero set empty "
-                 "unless both vanish; Lipschitz constant 0."),
-    "decay-1d": ("Deterministic exponential decay: sigma = 0, b(x) = "
-                 "-rate*x; level rate^2*x^2 halves every ln(2)/(2*rate); "
-                 "Lipschitz constant rate; zero set {0}."),
-}
-
-
-# Documented parameter ranges (low, high], checked by make_field.
+# name -> (builder, notes, documented ranges (low, high] of numeric
+# parameters, checked by make_field).
 # alpha <= 12 keeps the level |y|^(2 alpha) finite for every state within
 # the sweep's blowup limit of 1e12.  diag-linear's sigma is an (n, d, d)
 # block per step, 16.8 MB for a chunk of 8192 paths at d = 16; its noise
 # buffer of 128 normals per path is 8 MiB there (256 MiB while a block was
 # 256 steps of d normals).
-_PARAM_RANGES = {
-    ("power-law-1d", "alpha"): (0, 12),
-    ("diag-linear", "d"): (0, 16),
+_CATALOG: dict[str, tuple[Callable[..., CoefficientField], str, dict]] = {
+    "linear-1d": (_linear_1d,
+                  ("dX = X dB with zero drift; exact solution "
+                   "x*exp(B_t - t/2); Lipschitz constant 1; level(x) = x^2; "
+                   "zero set {0}."), {}),
+    "power-law-1d": (_power_law_1d,
+                     ("sigma(y) = |y|^alpha (0 at y = 0), zero drift; "
+                      "0 < alpha <= 12; "
+                      "level |y|^(2 alpha); zero set {0}. Not Lipschitz near 0 "
+                      "for alpha < 1 and unbounded slope at infinity for "
+                      "alpha > 1: a counterexample family. The origin is "
+                      "reachable iff alpha < 1 by the 1-d integral test."),
+                     {"alpha": (0, 12)}),
+    "diag-linear": (_diag_linear,
+                    ("sigma(x) = diag(x), b(x) = -x, 0 < d <= 16; componentwise "
+                     "dX_i = -X_i dt + X_i dB_i; Lipschitz constant 1; "
+                     "level 2*|x|^2; zero set {0}."), {"d": (0, 16)}),
+    "constant": (_constant,
+                 ("sigma and b constant; level constant; zero set empty "
+                  "unless both vanish; Lipschitz constant 0."), {}),
+    "decay-1d": (_decay_1d,
+                 ("Deterministic exponential decay: sigma = 0, b(x) = "
+                  "-rate*x; level rate^2*x^2 halves every ln(2)/(2*rate); "
+                  "Lipschitz constant rate; zero set {0}."), {}),
 }
 
 
@@ -334,10 +331,10 @@ def _finite(val) -> bool:
 def make_field(name: str, /, **params) -> CoefficientField:
     """Build a catalog field by name with numeric parameters."""
     try:
-        builder = _BUILDERS[name]
+        builder, _, ranges = _CATALOG[name]
     except KeyError:
         raise InvalidInputError(
-            f"unknown field {name!r}; catalog: {sorted(_BUILDERS)}") from None
+            f"unknown field {name!r}; catalog: {sorted(_CATALOG)}") from None
     # a name is repr'd until it is known: it may hold a line break
     accepted = inspect.signature(builder).parameters
     for key, val in params.items():
@@ -348,8 +345,8 @@ def make_field(name: str, /, **params) -> CoefficientField:
         if val is not None and not _finite(val):
             raise InvalidInputError(
                 f"bad parameters for field {name!r}: {key} must be finite, got {val!r}")
-        if (name, key) in _PARAM_RANGES:
-            low, high = _PARAM_RANGES[name, key]
+        if key in ranges:
+            low, high = ranges[key]
             real = (isinstance(val, (int, float, np.integer, np.floating))
                     and not isinstance(val, bool))
             if not (real and low < val <= high):
@@ -357,14 +354,16 @@ def make_field(name: str, /, **params) -> CoefficientField:
                     f"bad parameters for field {name!r}: {key} must be finite "
                     f"and satisfy {low} < {key} <= {high}, got {val!r}")
     try:
-        return builder(**params)
+        field = builder(**params)
     except InvalidInputError:
         raise
     except (TypeError, ValueError) as exc:
         raise InvalidInputError(f"bad parameters for field {name!r}: {exc}") from None
+    # pool workers rebuild the field with make_field(*catalog_ref)
+    return replace(field, catalog_ref=(name, params))
 
 
 def catalog() -> list[FieldCatalogEntry]:
     """Default-parameter instance of every built-in field, with notes."""
-    return [FieldCatalogEntry(name, make_field(name), _NOTES[name])
-            for name in sorted(_BUILDERS)]
+    return [FieldCatalogEntry(name, make_field(name), _CATALOG[name][1])
+            for name in sorted(_CATALOG)]

@@ -13,6 +13,7 @@ the accessibility integral.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field as dc_field
 from functools import partial
 
@@ -603,7 +604,12 @@ def accessibility_integral_1d(sigma_1d, a: float) -> IntegralVerdict:
 
     def integrand(y):
         s = sigma_1d(y)
-        return y / (s * s)
+        s2 = s * s
+        # below the normal floats (0 too) y / s2 divides by 0 or by a value
+        # of few bits, where quad warns of roundoff
+        if s2 < sys.float_info.min:
+            raise InvalidInputError(f"sigma^2 underflows at y={y:g}")
+        return y / s2
 
     winsums: list[float] = []
     quad_err = 0.0
@@ -673,7 +679,9 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
     For each h = 2^-e the Euler paths and the closed form
     x exp(B_T - T/2) are built from the same increments; the fitted slope of
     log error vs log h should land in STRONG_ORDER_WINDOW.  A study of more
-    than MAX_STUDY_PATH_STEPS path-steps is rejected before it starts.
+    than MAX_STUDY_PATH_STEPS path-steps is rejected before it starts, and
+    one with a strong error that is not positive, through which no order
+    can be fitted, when that error is found.
     """
     field = cf.make_field("linear-1d")
     master = entropy_tuple(master_seed)
@@ -688,6 +696,9 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
         total, n = _sum_chunks(map_path_chunks(
             _strong_error, field, iter_chunks(n_paths), spec, workers))
         errs.append(float(total / n))
+        if not errs[-1] > 0:
+            raise InvalidInputError(
+                f"the strong error at h = 2^-{e} is {errs[-1]!r}, not positive")
     slope = float(np.polyfit(np.log(hs), np.log(errs), 1)[0])
     low, high = STRONG_ORDER_WINDOW
     return {"h_grid": hs, "strong_errors": errs, "slope": slope,

@@ -281,6 +281,9 @@ _FAR_K = {**_ALPHA_12, "lipschitz": {"mode": "estimated",
     ("params.h_exponents", {"experiment": "engine-validation",
                             "n_paths": 10 ** 400,
                             "params": {"h_exponents": [3, 4, 5]}}),
+    # the zero set, where every strong error is 0 and no order is fitted
+    ("start", {"experiment": "engine-validation", "start": [0.0],
+               "params": {"h_exponents": [3, 4, 5]}}),
 ])
 def test_validate_rejects_what_run_rejects(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"
@@ -305,6 +308,46 @@ def test_numpy_warnings_leave_one_error_line(tmp_path):
             code, err = _main(argv)
         assert code == 1 and len(err) == 1, (argv[0], err)
         assert err[0].startswith("error: field: sigma non-finite"), err
+
+
+# Inputs validate accepts whose error only the run can find: a horizon so
+# short that every strong error is 0, and sigma^2 below the normal floats in
+# a window deeper than the first
+@pytest.mark.parametrize("key, override", [
+    ("horizon", {"experiment": "engine-validation", "horizon": 1e-300,
+                 "params": {"h_exponents": [3, 4, 5]}}),
+    ("field", {**_ALPHA_12, "experiment": "integral-1d",
+               "params": {"a": 1e-10}}),
+    ("field", {"field": {"name": "power-law-1d", "params": {"alpha": 6.0}},
+               "experiment": "integral-1d", "params": {"a": 1e-40}}),
+])
+def test_run_errors_leave_one_error_line(tmp_path, key, override):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({**_BASE, **override}))
+    assert _main(["validate", str(cfg_path)]) == (0, [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith(f"error: {key}: "), err
+
+
+@pytest.mark.parametrize("experiment, params", [
+    ("sqrt-bound", {"A": 2.0, "k": 1}),
+    ("displacement", {"A": 2.0, "k": 1, "t": 0.2}),
+    ("level-change", {"A": 2.0, "k": 1, "t": 0.2}),
+])
+def test_band_run_with_tiny_alpha(tmp_path, experiment, params):
+    # alpha < 1/2048 puts the |x| of the upper band level 2 past the
+    # largest float: the bridge sees a barrier at inf, which no step crosses
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **_BASE, "experiment": experiment, "params": params,
+        "field": {"name": "power-law-1d",
+                  "params": {"alpha": 4e-4, "lipschitz_k": 1}}}))
+    code, err = _main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
+    assert code in (0, 2) and err == [], err
+    assert (tmp_path / "out" / "report.json").is_file()
 
 
 @pytest.mark.parametrize("name", sorted(SCENARIOS))

@@ -397,6 +397,19 @@ def test_bridge_prefilter_keeps_every_pair_above_2_pow_minus_53():
     assert not cand.all()
 
 
+def test_bridge_ignores_a_barrier_at_infinity():
+    # a power-law field with a small alpha puts a band level's |x| at inf:
+    # no step crosses it, on either side, and no step is a candidate for it
+    x0 = np.array([0.5, -1.0, 3.0])
+    x1 = np.array([0.7, -0.9, 2.0])
+    sigma = np.array([1.0, 2.0, 0.0])
+    h = np.full(3, 1e-2)
+    for down in (True, False):
+        p = bridge_cross_probability(x0, x1, sigma, h, np.inf, down)
+        assert np.array_equal(p, np.zeros(3))
+    assert not bridge_candidates(x0, x1, sigma, h, -np.inf, np.inf).any()
+
+
 def test_single_path_matches_batch_row():
     field = sl.make_field("linear-1d")
     pol = StepPolicy.adaptive(h_max=1e-2, h_min=1e-4, level_fraction=0.05)
