@@ -10,7 +10,9 @@ once per call, shared by every index.  ``seeded_state`` turns the words into
 PCG64's seeded 128-bit ``(state, inc)``, and ``kth_uniform`` jumps each
 stream straight to its k-th output, so the k-th ``Generator.uniform()`` draw
 of a stream costs O(log k) without building the stream (O'Neill 2014).
-``generator`` builds the ordinary numpy Generator from precomputed words.
+``SeedTable`` holds a chunk's words once, and ``generator(seeds, row)``
+builds the ordinary numpy Generator of one row from it, so every generator
+of a chunk shares one seed object.
 Every function reproduces numpy's own results bit for bit; the unit tests
 compare them with numpy directly.
 
@@ -130,22 +132,26 @@ def hash_words(master, indices, tag=()) -> np.ndarray:
     return out
 
 
-class _Words(ISeedSequence):
-    """A seed sequence that hands PCG64 precomputed state words."""
+class SeedTable(ISeedSequence):
+    """``hash_words`` rows that PCG64 reads one row at a time: ``generator``
+    points the table at the row it builds, PCG64 reads it once, and every
+    generator keeps the one table as its ``seed_seq``."""
 
-    __slots__ = ("_words",)
+    __slots__ = ("_words", "_row")
 
     def __init__(self, words: np.ndarray):
-        self._words = words
+        self._words = np.ascontiguousarray(words, dtype=np.uint64)
+        self._row = 0
 
     def generate_state(self, n_words, dtype=np.uint32):
-        return self._words
+        return self._words[self._row]
 
 
-def generator(words: np.ndarray) -> np.random.Generator:
-    """``np.random.default_rng(e)`` from the ``hash_words`` row of ``e``."""
-    return np.random.default_rng(
-        np.random.PCG64(_Words(np.ascontiguousarray(words, dtype=np.uint64))))
+def generator(seeds: SeedTable, row: int) -> np.random.Generator:
+    """``np.random.default_rng(e)`` from row ``row`` of ``seeds``, the
+    ``hash_words`` row of ``e``."""
+    seeds._row = row
+    return np.random.default_rng(np.random.PCG64(seeds))
 
 
 # -- 128-bit arithmetic on (hi, lo) uint64 pairs ----------------------------

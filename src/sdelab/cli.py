@@ -659,8 +659,12 @@ def write_report(report: RunReport, out_dir) -> list[str]:
 # Command line
 # ---------------------------------------------------------------------------
 
+def _read_scenario(path) -> ScenarioConfig:
+    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+
+
 def _cmd_run(args) -> int:
-    config = parse_scenario(Path(args.config).read_text())
+    config = _read_scenario(args.config)
     report = run_scenario(config, workers=args.workers)
     written = write_report(report, args.out)
     for path in written:
@@ -672,7 +676,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    config = parse_scenario(Path(args.config).read_text())
+    config = _read_scenario(args.config)
     print(json.dumps(config.to_dict(), indent=2, sort_keys=True))
     return 0
 
@@ -687,7 +691,7 @@ def _cmd_catalog(_args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    config = parse_scenario(Path(args.config).read_text())
+    config = _read_scenario(args.config)
     master = args.seed if args.seed is not None else config.master_seed
     path = simulate_path(config.field, config.start, config.horizon,
                          config.policy, path_entropy(master, args.path))
@@ -734,7 +738,7 @@ def main(argv=None) -> int:
         # each value reported is checked where it is used, not by a warning
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except InvalidInputError as exc:
+    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

@@ -16,25 +16,23 @@ Noise is numpy's own: each path's increments are
 ``default_rng((*master, index))`` normals, and each (path, barrier) bridge
 uniform stream is the PCG64 stream of
 ``(*master, index, BRIDGE_STREAM_TAG, level bits)``, so enabling the bridge
-never perturbs the increments.  The sweep builds one generator per path for
-the normals, at step 0, and keeps it only if the step budget
-``horizon / h_min`` outruns one normal block: a sweep that fits in one
-block draws each generator once and drops it at once.  A block holds at
-most 128 normals per path, floor(128 / m) steps of an m-dimensional noise,
-so the buffer does not grow with the noise dimension.  Live paths advance in
-lockstep, so one step counter locates every path in its stream.  A
-chunk's streams are seeded from its master and its index array in one
-vectorized hash (``_pcg64.hash_words``), which hashes the master once per
-chunk.  The bridge uniforms are not buffered but evaluated directly at the
-step index (``_pcg64.kth_uniform``), and only where the bridge probability
-exceeds 2^-53: a 53-bit uniform is a multiple of 2^-53, so a smaller
-probability could trigger only on a uniform of exactly 0.  Each sweep step
-is one pass over compact live-path arrays, and sigma and b are evaluated
-once per state: the values at a step's end state serve its level and the
-next step's update.  All barriers are tested at once
-as a (barrier, candidate path) matrix, where a candidate is a live path
-whose new level reaches its nearest uncrossed barrier or, with the bridge,
-whose bridge probability may exceed 2^-53 for one (``bridge_candidates``).
+never perturbs the increments.  One object owns a chunk's normal streams
+(``_BlockStreams``): it hashes the chunk's seed words once
+(``_pcg64.hash_words``) into one seed table that builds every generator,
+works out its block, floor(128 / m) steps and at least one, from the noise
+dimension m and the step budget ``horizon / h_min``, and keeps a generator
+past its step-0 draw only if that budget outruns one block.  Live paths advance in
+lockstep, so one step counter locates every path in its stream.  The
+bridge uniforms are not buffered but evaluated directly at the step index
+(``_pcg64.kth_uniform``), and only where the bridge probability exceeds
+2^-53: a 53-bit uniform is a multiple of 2^-53, so a smaller probability
+could trigger only on a uniform of exactly 0.  Each sweep step is one pass
+over compact live-path arrays, and sigma and b are evaluated once per
+state: the values at a step's end state serve its level and the next
+step's update.  All barriers are tested at once as a (barrier, candidate
+path) matrix, where a candidate is a live path whose new level reaches its
+nearest uncrossed barrier or, with the bridge, whose bridge probability may
+exceed 2^-53 for one (``bridge_candidates``).
 """
 
 from __future__ import annotations
@@ -208,66 +206,60 @@ def _float_bits(x: float) -> int:
     return int(np.float64(x).view(np.uint64))
 
 
-def _normal_block(m: int, budget: float) -> int:
-    """Steps per normal block of an m-dimensional noise.
-
-    A block holds at most ``_NORMAL_BLOCK`` normals per path, and never more
-    steps than ``ceil(budget)``, the most a sweep with step budget ``budget``
-    can take.
-    """
-    return math.ceil(min(max(1, _NORMAL_BLOCK // m), budget))
-
-
 class _BlockStreams:
-    """Per-path normal generators drained in lockstep blocks.
+    """A chunk's per-path normal generators, drained in lockstep blocks.
 
-    numpy Generators yield the same values whether drawn one at a time or in
-    blocks, and whether or not they are drawn into ``out``, so each path's
-    draws are exactly "one draw per step".  Paths start together and every
-    live path takes every step, so all of them sit at the same buffer
-    position: one step counter serves them all.  At each multiple of
-    ``block`` each live path draws straight into its own contiguous row of a
-    path-major ``(n, block, m)`` buffer, and step k reads column k of the
-    live rows.  The sweep takes ``block`` from ``_normal_block``, so a row
-    holds at most 128 normals whatever m is.  ``words`` are the paths'
-    ``_pcg64.hash_words(master, indices)`` rows, so each generator is
-    ``default_rng((*master, index))``.
+    Path i's stream is ``default_rng((*master, indices[i]))``.  The chunk's
+    seed words are hashed once (``_pcg64.hash_words``) into one
+    ``_pcg64.SeedTable``, and every generator is built from a row of it, so
+    no generator holds a seed object of its own.  numpy Generators yield the
+    same values whether drawn one at a time or in blocks, and whether or not
+    they are drawn into ``out``, so each path's draws are exactly "one draw
+    per step".  Paths start together and every live path takes every step,
+    so all of them sit at the same buffer position: one step counter serves
+    them all.  At each multiple of the block each live path draws straight
+    into its own contiguous row of a path-major ``(n, block, m)`` buffer,
+    and step k reads column k of the live rows.  A block is floor(128 / m)
+    steps of the m-dimensional noise and at least one, so a row holds at
+    most 128 normals unless one step needs more, and at most
+    ``ceil(budget)`` steps, the most a sweep with step budget ``budget``
+    (``horizon / h_min``) can take.
 
     A path's generator is built at its first refill, step 0, and kept only
-    while it can still refill: when ``budget``, the sweep's step budget
-    ``horizon / h_min``, fits in one block, each generator is built, drawn
-    into its row and dropped in the same pass, and a later refill raises
-    InvariantError rather than restart a stream.
+    while it can still refill: when the budget fits in one block, each
+    generator is built, drawn into its row and dropped in the same pass, and
+    a later refill raises InvariantError rather than restart a stream.
     """
 
-    def __init__(self, words, shape_per_draw, block, budget):
-        self._words = words
-        self._gens = [None] * len(words) if budget > block else None
-        self._step_shape = shape_per_draw
-        self._buf = np.empty((len(words), block) + shape_per_draw)
+    def __init__(self, master, indices, m, budget):
+        n = len(indices)
+        block = math.ceil(min(max(1, _NORMAL_BLOCK // m), budget))
+        self._seeds = _pcg64.SeedTable(_pcg64.hash_words(master, indices))
+        self._gens = [None] * n if budget > block else None
+        self._buf = np.empty((n, block, m))
         # the same memory as one opaque record per (path, step): a step then
         # gathers whole draws, not m floats at a time per row, which is
         # several times faster for m = 2
-        record = np.dtype((np.void, self._buf.itemsize * math.prod(shape_per_draw)))
-        self._records = self._buf.view(record).reshape(self._buf.shape[:2])
+        record = np.dtype((np.void, self._buf.itemsize * m))
+        self._records = self._buf.view(record).reshape(n, block)
 
     def draw(self, rows: np.ndarray, step: int) -> np.ndarray:
         buf, gens = self._buf, self._gens
-        k = step % buf.shape[1]
+        _, block, m = buf.shape
+        k = step % block
         if k == 0:
             if step and gens is None:
                 raise InvariantError(
                     f"step {step} refills a stream dropped after its one block")
-            words = self._words
+            seeds = self._seeds
             # one Python iteration per live path: plain ints and locals keep
             # its overhead small next to the draw
             for i in rows.tolist():
-                gen = gens[i] if step else _pcg64.generator(words[i])
+                gen = gens[i] if step else _pcg64.generator(seeds, i)
                 gen.standard_normal(out=buf[i])
                 if gens is not None:
                     gens[i] = gen
-        return self._records[:, k][rows].view(np.float64).reshape(
-            (rows.size,) + self._step_shape)
+        return self._records[:, k][rows].view(np.float64).reshape(rows.size, m)
 
 
 def bridge_cross_probability(x0, x1, sigma, h, barrier_x, down) -> np.ndarray:
@@ -403,14 +395,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     matrices.  Only pairs whose bridge probability exceeds 2^-53 draw a
     uniform: a smaller one could trigger only on a uniform of exactly 0,
     which a pair meets with probability 2^-53 per step.  Normals come in
-    lockstep blocks of at most 128 normals, floor(128 / m) steps, and at
-    most ``ceil(horizon / h_min)`` steps (``_normal_block``), drawn into one
-    contiguous row per path (``_BlockStreams``); a path's generator outlives
-    the step-0 draw only when that budget outruns one block.  Sigma and b
-    are evaluated once per state: a step evaluates them at its end states,
-    for their level and for the next step's update, and carries them with
-    the live state; the start block's values come from ``field.sigma`` and
-    ``field.b`` directly, so ``cf.sigma_batch`` is called once per step.
+    lockstep blocks, one contiguous row per path (``_BlockStreams``).  Sigma
+    and b are evaluated once per state: a step evaluates them at its end
+    states, for their level and for the next step's update, and carries
+    them with the live state; the start block's values come from
+    ``field.sigma`` and ``field.b`` directly, so ``cf.sigma_batch`` is called
+    once per step.
     """
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
@@ -458,9 +448,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     # path takes its end state there when it retires
     cap = np.where(cap >= horizon - horizon_eps, np.inf, cap)[:, None]
 
-    budget = horizon / policy.h_min
-    streams = _BlockStreams(_pcg64.hash_words(master, indices), (m,),
-                            _normal_block(m, budget), budget)
+    streams = _BlockStreams(master, indices, m, horizon / policy.h_min)
     # per-path nearest uncrossed barrier values: levels, and with the bridge
     # also the barriers' |x| positions
     ladder_values = levels[None]

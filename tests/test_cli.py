@@ -180,9 +180,9 @@ def _main(argv):
     return code, err.getvalue().splitlines()
 
 
-_BASE = {"field": {"name": "linear-1d"}, "start": [1.0], "horizon": 1.0,
-         "n_paths": 120, "master_seed": 1,
-         "policy": {"kind": "fixed", "h_max": 1e-2}}
+BASE = {"field": {"name": "linear-1d"}, "start": [1.0], "horizon": 1.0,
+        "n_paths": 120, "master_seed": 1,
+        "policy": {"kind": "fixed", "h_max": 1e-2}}
 _POWER = {"field": {"name": "power-law-1d", "params": {"alpha": 0.5}}}
 _SQRT = {"experiment": "sqrt-bound", "params": {"A": 2.0, "k": 1}}
 # a declared K whose C^2 overflows: the derived t0 is 0, the default t grid
@@ -195,9 +195,16 @@ _FAR_K = {**_ALPHA_12, "lipschitz": {"mode": "estimated",
                                      "region": [[1e20], [2e20]]}}
 
 
+# sigma overflows in np.power at y = 5e299
+_SIGMA_OVERFLOW = {**_ALPHA_12, "experiment": "integral-1d",
+                   "params": {"a": 1e300}}
+
+
 # Each input is well typed key by key, and only a rule of the estimators
-# rejects it: validate applies that rule as run does, naming the key.
-@pytest.mark.parametrize("key, override", [
+# rejects it: validate applies that rule as run does, naming the key.  The
+# inputs are BASE updated by each override; CI runs them through the
+# installed script too.
+VALIDATE_ERRORS = [
     # A/2^(k+1) or L0/2^depth is below the smallest float
     ("params.k", {"experiment": "displacement",
                   "params": {"A": 2.0, "k": 2000, "t": 0.5}}),
@@ -284,23 +291,27 @@ _FAR_K = {**_ALPHA_12, "lipschitz": {"mode": "estimated",
     # the zero set, where every strong error is 0 and no order is fitted
     ("start", {"experiment": "engine-validation", "start": [0.0],
                "params": {"h_exponents": [3, 4, 5]}}),
-])
+    ("field", _SIGMA_OVERFLOW),
+]
+
+
+@pytest.mark.parametrize("key, override", VALIDATE_ERRORS)
 def test_validate_rejects_what_run_rejects(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**_BASE, **override}))
+    cfg_path.write_text(json.dumps({**BASE, **override}))
     for argv in (["validate", str(cfg_path)],
                  ["run", str(cfg_path), "--out", str(tmp_path / "out")]):
-        code, err = _main(argv)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, err = _main(argv)
         assert code == 1 and len(err) == 1, (argv[0], err)
         assert err[0].startswith(f"error: {key}: "), (argv[0], err)
 
 
 def test_numpy_warnings_leave_one_error_line(tmp_path):
-    # sigma overflows in np.power at y = 5e299: the warning is no output
+    # the overflow's warning is no output
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**_BASE, **_ALPHA_12,
-                                    "experiment": "integral-1d",
-                                    "params": {"a": 1e300}}))
+    cfg_path.write_text(json.dumps({**BASE, **_SIGMA_OVERFLOW}))
     for argv in (["validate", str(cfg_path)],
                  ["run", str(cfg_path), "--out", str(tmp_path / "out")]):
         with warnings.catch_warnings():
@@ -312,24 +323,58 @@ def test_numpy_warnings_leave_one_error_line(tmp_path):
 
 # Inputs validate accepts whose error only the run can find: a horizon so
 # short that every strong error is 0, and sigma^2 below the normal floats in
-# a window deeper than the first
-@pytest.mark.parametrize("key, override", [
+# a window deeper than the first.  BASE updated by each override, as above.
+RUN_ERRORS = [
     ("horizon", {"experiment": "engine-validation", "horizon": 1e-300,
                  "params": {"h_exponents": [3, 4, 5]}}),
     ("field", {**_ALPHA_12, "experiment": "integral-1d",
                "params": {"a": 1e-10}}),
     ("field", {"field": {"name": "power-law-1d", "params": {"alpha": 6.0}},
                "experiment": "integral-1d", "params": {"a": 1e-40}}),
-])
+]
+
+
+@pytest.mark.parametrize("key, override", RUN_ERRORS)
 def test_run_errors_leave_one_error_line(tmp_path, key, override):
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({**_BASE, **override}))
+    cfg_path.write_text(json.dumps({**BASE, **override}))
     assert _main(["validate", str(cfg_path)]) == (0, [])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, err = _main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
     assert code == 1 and len(err) == 1, err
     assert err[0].startswith(f"error: {key}: "), err
+
+
+# Command lines whose files the operating system refuses, run in a directory
+# that make_io_error_files has filled: a missing config, a directory, a
+# config that is not UTF-8, --out naming a file or a path under one, and
+# --out-file in a missing directory
+IO_ERRORS = [
+    ["validate", "missing.json"],
+    ["validate", "."],
+    ["validate", "latin-1.json"],
+    ["run", "cfg.json", "--out", "cfg.json"],
+    ["run", "cfg.json", "--out", "cfg.json/out"],
+    ["replay", "cfg.json", "--path", "0", "--out-file", "missing/path.csv"],
+]
+
+
+def make_io_error_files(root):
+    """The files IO_ERRORS names, in ``root``: a scenario that runs, and a
+    config in Latin-1."""
+    root = Path(root)
+    (root / "cfg.json").write_text(_hitting_config(n_paths=100))
+    (root / "latin-1.json").write_bytes('{"experiment": "\xe9"}'.encode("latin-1"))
+
+
+@pytest.mark.parametrize("argv", IO_ERRORS, ids="-".join)
+def test_file_errors_leave_one_error_line(tmp_path, monkeypatch, argv):
+    make_io_error_files(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    code, err = _main(argv)
+    assert code == 1 and len(err) == 1, err
+    assert err[0].startswith("error: "), err
 
 
 @pytest.mark.parametrize("experiment, params", [
@@ -342,7 +387,7 @@ def test_band_run_with_tiny_alpha(tmp_path, experiment, params):
     # largest float: the bridge sees a barrier at inf, which no step crosses
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        **_BASE, "experiment": experiment, "params": params,
+        **BASE, "experiment": experiment, "params": params,
         "field": {"name": "power-law-1d",
                   "params": {"alpha": 4e-4, "lipschitz_k": 1}}}))
     code, err = _main(["run", str(cfg_path), "--out", str(tmp_path / "out")])
@@ -520,7 +565,7 @@ def test_a_run_builds_its_field_and_estimate_once(tmp_path, monkeypatch):
         monkeypatch.setattr(cf, name, counting(name))
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps({
-        **_BASE, **_SQRT, "params": {"A": 2.0, "k": 1, "t_grid": [0.01]},
+        **BASE, **_SQRT, "params": {"A": 2.0, "k": 1, "t_grid": [0.01]},
         "lipschitz": {"mode": "estimated"}}))
     assert main(["run", str(cfg_path), "--out", str(tmp_path / "out")]) == 0
     assert calls == {"make_field": 1, "estimate_lipschitz": 1}

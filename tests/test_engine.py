@@ -444,13 +444,13 @@ def _live_generators():
 
 def test_block_streams_follow_each_path_stream():
     # rows retire as the steps go on, across refills; a live row's draw at
-    # step k is the k-th normal of its path's default_rng(entropy)
-    ref = [np.random.default_rng(path_entropy(3, i)).standard_normal((11, 2))
+    # step k is the k-th normal of its path's default_rng(entropy).  m = 32
+    # makes a block of 128 // 32 = 4 steps
+    ref = [np.random.default_rng(path_entropy(3, i)).standard_normal((11, 32))
            for i in range(6)]
-    words = _pcg64.hash_words((3,), np.arange(6))
     before = _live_generators()
     # a budget of 11 steps outruns the 4-step block: generators are kept
-    streams = _BlockStreams(words, (2,), 4, 11)
+    streams = _BlockStreams((3,), np.arange(6), 32, 11)
     rows = np.arange(6)
     retire_at = {2: 1, 4: 0, 7: 2}   # step -> position of the row that goes
     for step in range(11):
@@ -460,12 +460,17 @@ def test_block_streams_follow_each_path_stream():
         assert np.array_equal(got, np.stack([ref[i][step] for i in rows]))
         if step == 0:
             assert _live_generators() == before + 6
+            # every kept generator names the chunk's one seed table
+            seeds = {id(g.bit_generator.seed_seq) for g in streams._gens}
+            assert len(seeds) == 1
+            assert isinstance(streams._gens[0].bit_generator.seed_seq,
+                              _pcg64.SeedTable)
     del streams
 
     # one block covers the budget: each generator is built, drawn into its
     # row and dropped at step 0, and a second refill is an error rather than
     # a restarted stream
-    streams = _BlockStreams(words, (2,), 4, 4)
+    streams = _BlockStreams((3,), np.arange(6), 32, 4)
     rows = np.arange(6)
     for step in range(4):
         got = streams.draw(rows, step)
@@ -548,14 +553,19 @@ def test_sweep_matches_an_em_step_loop(name, params, h, horizon, retire, n,
         assert res.min_levels[i] == lo
 
 
-@pytest.mark.parametrize("name, params, shape", [
-    pytest.param("linear-1d", {}, (3, 128, 1), id="linear-1d"),
-    pytest.param("diag-linear", {"d": 2}, (3, 64, 2), id="diag-linear-2"),
-    pytest.param("diag-linear", {"d": 16}, (3, 8, 16), id="diag-linear-16")])
+@pytest.mark.parametrize("name, params, horizon, shape", [
+    pytest.param("linear-1d", {}, 0.3, (3, 128, 1), id="linear-1d"),
+    pytest.param("diag-linear", {"d": 2}, 0.3, (3, 64, 2), id="diag-linear-2"),
+    pytest.param("diag-linear", {"d": 16}, 0.3, (3, 8, 16),
+                 id="diag-linear-16"),
+    pytest.param("constant", {"sigma0": [[1e-3] * 300], "b0": [0.0]}, 0.3,
+                 (3, 1, 300), id="constant-m300"),
+    pytest.param("linear-1d", {}, 0.1, (3, 100, 1), id="linear-1d-budget-100")])
 def test_sweep_buffer_holds_at_most_128_normals_per_path(monkeypatch, name,
-                                                         params, shape):
-    # a block is floor(128 / m) steps of m normals, however large m is; the
-    # 300-step budget does not cap it
+                                                         params, horizon,
+                                                         shape):
+    # a block is floor(128 / m) steps of m normals, and one step where m is
+    # above 128; a step budget horizon / h_min below that caps it
     field = sl.make_field(name, **params)
     shapes = []
 
@@ -565,12 +575,9 @@ def test_sweep_buffer_holds_at_most_128_normals_per_path(monkeypatch, name,
             shapes.append(self._buf.shape)
 
     monkeypatch.setattr(engine, "_BlockStreams", Recording)
-    sweep_paths(field, np.ones(field.d), 0.3, StepPolicy.fixed(1e-3), 4,
+    sweep_paths(field, np.ones(field.d), horizon, StepPolicy.fixed(1e-3), 4,
                 np.arange(3))
-    m = field.m
     assert shapes == [shape]
-    assert engine._normal_block(m, 100.0) == min(128 // m, 100)
-    assert engine._normal_block(300, 1e7) == 1
 
 
 @pytest.mark.parametrize("mode", ["first", "all"])

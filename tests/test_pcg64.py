@@ -117,9 +117,11 @@ def test_kth_uniform_equals_default_rng(streams):
 
 
 def test_generator_equals_default_rng_normals(streams):
-    words = _words(streams)
-    for (m, i), row in zip(streams, words):
-        gen = _pcg64.generator(row)
+    # every generator is built before any draws: pointing the table at a
+    # later row does not move a generator already built
+    seeds = _pcg64.SeedTable(_words(streams))
+    gens = [_pcg64.generator(seeds, row) for row in range(len(streams))]
+    for (m, i), gen in zip(streams, gens):
         ref = np.random.default_rng((*m, i))
         assert np.array_equal(gen.standard_normal((300, 2)),
                               ref.standard_normal((300, 2)))
