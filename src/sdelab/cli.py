@@ -615,10 +615,16 @@ def _write_csv(fh, rows):
 @contextmanager
 def _replacing(path: Path):
     """Text handle on a temporary file beside ``path``, renamed onto it on
-    success and deleted on failure."""
+    success and deleted on failure.  A temporary file that cannot be opened
+    is an OSError naming ``path``."""
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        fh = open(tmp, "w", newline="")
+    except OSError as exc:
+        exc.filename = str(path)
+        raise
+    try:
+        with fh:
             yield fh
         os.replace(tmp, path)
     finally:
@@ -665,6 +671,8 @@ def _read_scenario(path) -> ScenarioConfig:
 
 def _cmd_run(args) -> int:
     config = _read_scenario(args.config)
+    # an --out that cannot be a directory fails before the sweep
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     report = run_scenario(config, workers=args.workers)
     written = write_report(report, args.out)
     for path in written:

@@ -4,13 +4,14 @@ The module has two layers.  ``em_step``/``simulate_path`` are the scalar API:
 one explicit Euler-Maruyama update and one fully recorded trajectory.  Under
 both sits ``sweep_paths``, a vectorized driver that advances a block of paths
 simultaneously, detects level-threshold crossings incrementally, and retires
-paths as they stop.  Its ``SweepResult`` records each fact once: a path that
-a crossing stops ends there, so that crossing's time and state are the
-path's end time and end state, and the capture at a time t is the stopped
-state X(t ^ end time), for any number of times.  Every estimator in the
-package runs on the same driver, so a path's realization depends only on
-its name, the pair (master seed, path index), and the step policy, never on
-batch size, worker count, or which functional is being accumulated.
+paths at the end of the step they stop in, a zero step for a path that blows
+up.  Its ``SweepResult`` records each fact once: a path that a crossing stops
+ends there, so that crossing's time and state are the path's end time and
+end state, and the capture at a time t is the stopped state X(t ^ end time),
+for any number of times.  Every estimator in the package runs on the same
+driver, so a path's realization depends only on its name, the pair (master
+seed, path index), and the step policy, never on batch size, worker count,
+or which functional is being accumulated.
 
 Noise is numpy's own: each path's increments are
 ``default_rng((*master, index))`` normals, and each (path, barrier) bridge
@@ -352,11 +353,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     ``default_rng(path_entropy(master, indices[i]))`` whatever block it is
     swept in, and a blowup error names that path.
 
-    Paths stop at the horizon, on absorption into the zero set, on numerical
-    blowup, when the running grid-minimum of the level drops to
-    ``min_level_retire``, or on barrier crossings: with ``stop_mode='first'``
-    at the earliest crossing of any barrier, with ``'all'`` once every
-    barrier has been crossed.
+    Paths stop at the horizon, on absorption into the zero set, when the
+    running grid-minimum of the level drops to ``min_level_retire``, on
+    barrier crossings (with ``stop_mode='first'`` at the earliest crossing
+    of any barrier, with ``'all'`` once every barrier has been crossed) or
+    on numerical blowup, and retire at the end of the step they stop in.  A
+    blown-up path's is a zero step, so it keeps its time, state and minimum.
 
     Crossings are detected on the piecewise-linear interpolant of the level
     along each step; with ``bridge=True`` (1-d fields with a symmetric
@@ -542,20 +544,14 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
         # NaN and inf fail the comparison too
         ok = np.abs(X1) <= BLOWUP_LIMIT
-        if not ok.all():
-            bad = ~ok.all(axis=1)
+        bad = None if ok.all() else ~ok.all(axis=1)
+        if bad is not None:
             if on_blowup == "raise":
                 i = int(indices[idx[np.argmax(bad)]])
                 raise NumericalBlowupError(
                     f"state left trusted range at step {step} (path {i})",
                     step_index=step, path_index=i, seed=(*master, i))
-            blown_up[idx[bad]] = True
-            (idx, X, Sig, Bv, t, lev, lo, uncrossed, near,
-             dW_sum) = retire(bad, t, X, lo)
-            keep = ~bad
-            h, dW, X1 = h[keep], dW[keep], X1[keep]
-            if not idx.size:
-                break
+            X1[bad], h[bad], dW[bad] = X[bad], 0.0, 0.0
 
         Sig1, Bv1 = cf.sigma_batch(field, X1), cf.b_batch(field, X1)
         lev1 = cf._level_of(Sig1, Bv1)
@@ -642,9 +638,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         if stop is not None:
             gone |= stop
             lo1[stop] = lo[stop]
+        if bad is not None:
+            gone |= bad
+            blown_up[idx[bad]] = True
         if track_noise_sum:
             dW_sum += dW
-        if record:
+        if record and bad is None:
             rec_times.append(float(t1[0]))
             rec_states.append(X1[0].copy())
             rec_incs.append(dW[0].copy())

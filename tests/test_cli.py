@@ -370,11 +370,18 @@ def make_io_error_files(root):
 
 @pytest.mark.parametrize("argv", IO_ERRORS, ids="-".join)
 def test_file_errors_leave_one_error_line(tmp_path, monkeypatch, argv):
+    # an unwritable --out fails before the sweep, and an error names the
+    # file given, not the temporary file beside it
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("run_scenario reached")
     make_io_error_files(tmp_path)
     monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_scenario", no_sweep)
     code, err = _main(argv)
     assert code == 1 and len(err) == 1, err
-    assert err[0].startswith("error: "), err
+    assert err[0].startswith("error: ") and ".tmp" not in err[0], err
+    if "--out-file" in argv:
+        assert "'missing/path.csv'" in err[0], err
 
 
 @pytest.mark.parametrize("experiment, params", [

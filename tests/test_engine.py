@@ -192,6 +192,70 @@ def test_blowup_in_a_later_chunk_replays_from_its_seed():
     assert replay.value.seed == err.seed
 
 
+@pytest.mark.parametrize("mode, bridge", [("first", False), ("all", False),
+                                          ("all", True)])
+def test_blown_up_path_ends_at_the_step_before_its_blowup(mode, bridge):
+    # power-law-1d with alpha = 3 and h = 1/8 leaves the trusted range on
+    # 11-14 of 64 paths by t = 4.  The blowup step takes |x| past 1e12, so
+    # its interpolant crosses the up barrier at |x| = 1e11 too; the sweep
+    # must not see that crossing.  A blown-up row ends where its recorded
+    # grid ends, the step before the blowup, in every field of the row.
+    # (With the bridge, every path bridges the down barrier before it can
+    # blow up, so 'first' has no blowup to check.)
+    field = sl.make_field("power-law-1d", alpha=3.0)
+    h, horizon, master, caps = 2.0 ** -3, 4.0, 1, (0.5, 2.0, 4.0)
+    pol = StepPolicy.fixed(h)
+    barriers = (Barrier(1e-3, "down"), Barrier(1e66, "up"))
+    kw = dict(barriers=barriers, stop_mode=mode, capture_times=caps,
+              bridge=bridge, on_blowup="retire", track_noise_sum=True)
+    res = sweep_paths(field, [1.0], horizon, pol, master, np.arange(64), **kw)
+    blown = np.flatnonzero(res.blown_up)
+    crossed = ~np.isnan(res.cross_times).all(axis=1)
+    assert blown.size and crossed.any() and (res.end_times == horizon).any()
+    ends = res.end_times[blown]
+    assert any(c < ends.max() for c in caps) and any(c >= ends.min() for c in caps)
+    for i in blown:
+        rec = sweep_paths(field, [1.0], horizon, pol, master, [i], record=True, **kw)
+        path = rec.trajectory
+        for f in fields(SweepResult):
+            if f.name != "trajectory":
+                assert np.array_equal(getattr(res, f.name)[i],
+                                      getattr(rec, f.name)[0], equal_nan=True), f.name
+        # the grid holds no zero step, and the next step from its last
+        # point is the one that blew up
+        assert np.all(np.diff(path.times) > 0)
+        k = path.increments.shape[0]
+        normals = np.random.default_rng(path_entropy(master, i)).standard_normal(
+            (k + 1, field.m))
+        assert not abs(sl.em_step(field, path.states[-1], h,
+                                  normals[k] * np.sqrt(h))[0]) <= engine.BLOWUP_LIMIT
+        assert res.end_times[i] == path.times[-1]
+        assert np.array_equal(res.end_states[i], path.states[-1])
+        assert res.min_levels[i] == min(cf.level(field, x) for x in path.states)
+        for j, c in enumerate(caps):
+            if c >= path.times[-1]:
+                want = path.states[-1]
+            else:
+                s = np.searchsorted(path.times, c, side="right") - 1
+                x0, x1 = path.states[s], path.states[s + 1]
+                want = x0 + (x1 - x0) * ((c - path.times[s])
+                                         / (path.times[s + 1] - path.times[s]))
+            assert np.array_equal(res.capture_state[i, j], want), (i, c)
+        noise = np.zeros(field.m)
+        for dw in path.increments:
+            noise = noise + dw
+        assert np.array_equal(res.noise_sum[i], noise)
+        # crossings are those of the recorded grid alone
+        method = "bridge-corrected" if bridge else "interpolated"
+        for j, b in enumerate(barriers):
+            ref = first_hitting_time(path, field, b.level, method)
+            assert np.isnan(res.cross_times[i, j]) == ref.censored
+            if not ref.censored:
+                assert res.cross_times[i, j] == ref.time
+            assert res.cross_bridge[i, j] == (
+                not ref.censored and ref.method == "bridge-corrected")
+
+
 @pytest.mark.parametrize("seed, indices, match", [
     (-1, None, "seed"), (1.5, None, "seed"), (True, None, "seed"),
     ((1, -2), None, "seed"), ((3, 2.0), None, "seed"), ("7", None, "seed"),
