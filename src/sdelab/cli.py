@@ -35,6 +35,8 @@ from .engine import StepPolicy, _resolve_bridge, path_entropy, simulate_path
 from .errors import InvalidInputError, InvariantError, NumericalBlowupError
 
 SCHEMA_VERSION = 1
+# the fewest paths an experiment with confidence intervals accepts
+N_PATHS_FLOOR = 100
 
 
 def _fail(path: str, msg: str):
@@ -152,7 +154,6 @@ _ROOT_KEYS = (
     ("bridge", _rule(lambda val: val in ("auto", True, False),
                      "must be 'auto', true, or false, got {!r}"), "auto"),
     ("lipschitz", _object, {}),
-    ("n_paths_floor", _pos_int, 100),
 )
 _FIELD_KEYS = (
     ("name", _rule(lambda val: isinstance(val, str),
@@ -221,7 +222,6 @@ _PARAM_VALIDATORS = {
     "a": _positive,
     "eps_grid": lambda val: vf._eps_grid(_list(val)),
     "t_grid": lambda val: vf._unit_grid(_list(val)),
-    "ci_method": vf._ci_method,
     "h_exponents": _h_exponents,
 }
 
@@ -275,10 +275,9 @@ def parse_scenario(text: str) -> ScenarioConfig:
         _checked("lipschitz.", cf._sample_box, field,
                  _lipschitz_region(lip["region"], x0), lip["samples"])
 
-    floor = values["n_paths_floor"]
-    if exp.ci_floor and values["n_paths"] < floor:
+    if exp.ci_floor and values["n_paths"] < N_PATHS_FLOOR:
         _fail("n_paths", f"{values['experiment']!r} produces confidence "
-                         f"intervals and requires n_paths >= {floor}")
+                         f"intervals and requires n_paths >= {N_PATHS_FLOOR}")
 
     config = ScenarioConfig(values, field)
     config.run = exp.prepare(config, field, x0)
@@ -398,8 +397,7 @@ def _hitting(config, field, start):
     def run(workers):
         ests = vf.estimate_zero_hitting(
             field, start, config.horizon, p["eps_grid"], config.n_paths,
-            config.policy, config.master_seed, workers=workers,
-            method=p.get("ci_method", "wilson"))
+            config.policy, config.master_seed, workers=workers)
         payload = {"eps_grid": p["eps_grid"],
                    "estimates": [e.to_dict() for e in ests]}
         rows = [{"eps": e, **est.to_dict()}
@@ -557,13 +555,12 @@ class Experiment:
     required: tuple = ()
     optional: tuple = ()
     # the output is a Monte Carlo estimate with a CI, so n_paths must reach
-    # the configurable n_paths_floor
+    # N_PATHS_FLOOR
     ci_floor: bool = False
 
 
 EXPERIMENTS = {
-    "hitting": Experiment(_hitting, ("eps_grid",), ("ci_method",),
-                          ci_floor=True),
+    "hitting": Experiment(_hitting, ("eps_grid",), ci_floor=True),
     "sqrt-bound": Experiment(_sqrt_bound, ("A", "k"), ("t_grid",),
                              ci_floor=True),
     "displacement": Experiment(_displacement, ("A", "k", "t"), ci_floor=True),
@@ -616,17 +613,19 @@ def _write_csv(fh, rows):
 def _replacing(path: Path):
     """Text handle on a temporary file beside ``path``, renamed onto it on
     success and deleted on failure.  A temporary file that cannot be opened
-    is an OSError naming ``path``."""
+    or renamed is an OSError naming ``path`` alone."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         fh = open(tmp, "w", newline="")
     except OSError as exc:
-        exc.filename = str(path)
-        raise
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
     finally:
         tmp.unlink(missing_ok=True)
 
@@ -666,7 +665,11 @@ def write_report(report: RunReport, out_dir) -> list[str]:
 # ---------------------------------------------------------------------------
 
 def _read_scenario(path) -> ScenarioConfig:
-    return parse_scenario(Path(path).read_text(encoding="utf-8"))
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidInputError(f"{str(path)!r}: {exc}") from None
+    return parse_scenario(text)
 
 
 def _cmd_run(args) -> int:
@@ -746,7 +749,7 @@ def main(argv=None) -> int:
         # each value reported is checked where it is used, not by a warning
         with np.errstate(all="ignore"):
             return args.fn(args)
-    except (InvalidInputError, OSError, UnicodeDecodeError) as exc:
+    except (InvalidInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InvariantError as exc:

@@ -93,12 +93,6 @@ class StepPolicy:
     def fixed(h: float) -> "StepPolicy":
         return StepPolicy(kind="fixed", h_max=h, h_min=h)
 
-    @staticmethod
-    def adaptive(h_max: float = 1e-3, h_min: float = 1e-7,
-                 level_fraction: float = 0.01) -> "StepPolicy":
-        return StepPolicy(kind="level-adaptive", h_max=h_max, h_min=h_min,
-                          level_fraction=level_fraction)
-
     def to_dict(self) -> dict:
         return asdict(self)
 
@@ -119,7 +113,6 @@ class PathRealization:
     states: np.ndarray      # (n_steps + 1, d)
     increments: np.ndarray  # (n_steps, m), the Brownian increments consumed
     seed: tuple[int, ...]
-    step_policy: StepPolicy
     absorbed: bool = False
 
 
@@ -665,7 +658,6 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             increments=(np.asarray(rec_incs) if rec_incs
                         else np.zeros((0, m))),
             seed=(*master, int(indices[0])),
-            step_policy=policy,
             absorbed=bool(absorbed[0]),
         )
 

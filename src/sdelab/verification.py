@@ -6,8 +6,8 @@ sampling noise cannot produce spurious failures: upper bounds are violated
 only when the CI-lower of the estimate exceeds the bound, lower bounds only
 when the CI-upper falls short.  Every interval is two-sided at 95 %.
 
-scipy is imported only where it is used: by Clopper-Pearson intervals and by
-the accessibility integral.
+Proportions get Wilson intervals.  scipy is imported only where it is used:
+by the accessibility integral.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .errors import InvalidInputError
 # Fitted strong-convergence exponent the engine is expected to reproduce.
 STRONG_ORDER_WINDOW = (0.35, 0.65)
 
-# Two-sided 95 % normal quantile, bit-equal to scipy.stats.norm.ppf(0.5 +
+# Two-sided 95 % normal quantile, bit-equal to scipy's norm.ppf(0.5 +
 # 0.95 / 2.0); statistics.NormalDist().inv_cdf(0.975) is two ulps lower.
 Z_95 = 1.959963984540054
 
@@ -107,40 +107,20 @@ class EstimateWithCI:
                 "censored_n": self.censored_n, "method": self.method}
 
 
-def _ci_method(method: str) -> str:
-    if method not in ("wilson", "clopper-pearson"):
-        raise InvalidInputError(f"unknown CI method {method!r}; valid: "
-                                "'wilson', 'clopper-pearson'")
-    return method
-
-
-def estimate_with_ci(successes: int, n: int, method: str = "wilson", *,
+def estimate_with_ci(successes: int, n: int, *,
                      censored_n: int = 0) -> EstimateWithCI:
-    """Binomial proportion estimate with a two-sided 95 % confidence interval.
-
-    Wilson by default; Clopper-Pearson on request.
-    """
-    _ci_method(method)
+    """Binomial proportion estimate with a two-sided 95 % Wilson interval."""
     if n < 1 or successes < 0 or successes > n:
         raise InvalidInputError(f"invalid counts: {successes}/{n}")
     p_hat = successes / n
     z = Z_95
-    if method == "wilson":
-        denom = 1.0 + z * z / n
-        center = (p_hat + z * z / (2.0 * n)) / denom
-        half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n
-                                       + z * z / (4.0 * n * n))
-        low, high = center - half, center + half
-    else:
-        from scipy import stats
-        tail = (1.0 - 0.95) / 2.0   # six ulps above 0.025; payloads use this
-        low = 0.0 if successes == 0 else float(
-            stats.beta.ppf(tail, successes, n - successes + 1))
-        high = 1.0 if successes == n else float(
-            stats.beta.ppf(1.0 - tail, successes + 1, n - successes))
-    low = min(max(low, 0.0), p_hat)
-    high = max(min(high, 1.0), p_hat)
-    return EstimateWithCI(p_hat, low, high, n, method, censored_n)
+    denom = 1.0 + z * z / n
+    center = (p_hat + z * z / (2.0 * n)) / denom
+    half = (z / denom) * math.sqrt(p_hat * (1.0 - p_hat) / n
+                                   + z * z / (4.0 * n * n))
+    low = min(max(center - half, 0.0), p_hat)
+    high = max(min(center + half, 1.0), p_hat)
+    return EstimateWithCI(p_hat, low, high, n, "wilson", censored_n)
 
 
 def _mean_with_ci(total: float, total_sq: float, n: int,
@@ -466,8 +446,7 @@ def check_escape_probability_bound(field: CoefficientField, x,
         spec, workers))
     reports = []
     for t, successes in zip(t_grid, exits):
-        est = estimate_with_ci(int(successes), n, "wilson",
-                               censored_n=censored)
+        est = estimate_with_ci(int(successes), n, censored_n=censored)
         rhs = c * math.sqrt(t)
         params = {"A": band_level, "k": band_index, "t": t, "m": field.m,
                   "K": k_bound, "C": c, "informative": rhs < 1.0,
@@ -517,7 +496,7 @@ def check_halving_persistence(field: CoefficientField, start,
     _, survived, n = _sum_chunks(map_path_chunks(
         partial(_escape_exits, t_grid=[t0]), field, iter_chunks(n_paths),
         spec, workers))
-    est = estimate_with_ci(survived, n, "wilson", censored_n=survived)
+    est = estimate_with_ci(survived, n, censored_n=survived)
     params = {"A": band_level, "k": band_index, "t0": t0, "m": field.m,
               "field": field.name, "n_paths": n, "policy": policy.to_dict(),
               "bridge": spec["bridge"]}
@@ -530,8 +509,7 @@ def check_halving_persistence(field: CoefficientField, start,
 
 def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
                           eps_grid, n_paths: int, policy: StepPolicy, seed, *,
-                          workers: int = 1,
-                          method: str = "wilson") -> list[EstimateWithCI]:
+                          workers: int = 1) -> list[EstimateWithCI]:
     """P[grid-minimum of the level drops to eps within the horizon], per eps.
 
     eps_grid must be strictly decreasing and positive; the estimates are then
@@ -543,14 +521,13 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
     but not reported yet.
     """
     eps_grid = _eps_grid(eps_grid)
-    _ci_method(method)
     spec = {"start": _off_zero_set(field, start), "horizon": horizon,
             "policy": policy, "master": seed,
             "min_level_retire": eps_grid[-1], "on_blowup": "retire"}
     counts, _blown, n = _sum_chunks(map_path_chunks(
         partial(_hitting_counts, eps_grid=eps_grid), field,
         iter_chunks(n_paths), spec, workers))
-    return [estimate_with_ci(int(c), n, method, censored_n=int(n - c))
+    return [estimate_with_ci(int(c), n, censored_n=int(n - c))
             for c in counts]
 
 

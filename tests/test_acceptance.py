@@ -156,7 +156,7 @@ def test_criterion_7_wilson_coverage():
     covered = 0
     for _ in range(1000):
         s = int(rng.binomial(200, 0.3))
-        est = sl.estimate_with_ci(s, 200, "wilson")
+        est = sl.estimate_with_ci(s, 200)
         covered += est.ci_low <= 0.3 <= est.ci_high
     rate = covered / 1000.0
     ok = 0.93 <= rate <= 0.97

@@ -54,7 +54,7 @@ def test_minimal_config_gets_default_policy():
     assert parsed.policy.h_max == 1e-3
     echo = parsed.to_dict()
     assert echo["policy"]["kind"] == "level-adaptive"
-    assert echo["n_paths_floor"] == 100
+    assert "n_paths_floor" not in echo
     assert echo["bridge"] == "auto"
 
 
@@ -112,16 +112,39 @@ def test_unknown_field_lists_catalog():
 
 
 def test_n_paths_floor_enforced_for_ci_experiments():
-    with pytest.raises(InvalidInputError, match="n_paths"):
-        sl.parse_scenario(_hitting_config(n_paths=50))
-    # configurable floor
-    parsed = sl.parse_scenario(_hitting_config(n_paths=50, n_paths_floor=10))
-    assert parsed.n_paths == 50
+    floor = cli.N_PATHS_FLOOR
+    with pytest.raises(InvalidInputError, match=f"n_paths >= {floor}"):
+        sl.parse_scenario(_hitting_config(n_paths=floor - 1))
+    assert sl.parse_scenario(_hitting_config(n_paths=floor)).n_paths == floor
+    # the floor is a constant, not a scenario key
+    with pytest.raises(InvalidInputError, match="n_paths_floor"):
+        sl.parse_scenario(_hitting_config(n_paths=50, n_paths_floor=10))
     # non-CI experiments are exempt
     cfg = json.loads(_hitting_config(n_paths=1))
     cfg["experiment"] = "dyadic-escape"
     cfg["params"] = {"depth": 2, "t0": 0.01}
     sl.parse_scenario(json.dumps(cfg))
+
+
+def test_readme_experiment_table_matches_the_experiments():
+    # one row per experiment, whose backticked params outside parentheses
+    # are its required keys and then its optional keys marked "?"
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = readme.splitlines()
+    start = lines.index("| experiment | params | output tables |") + 2
+    rows = {}
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        name, params = (cell.strip() for cell in line.split(" | ")[:2])
+        while re.search(r"\([^()]*\)", params):
+            params = re.sub(r"\([^()]*\)", "", params)
+        rows.setdefault(name.strip("|` "), []).append(
+            re.findall(r"`([^`]+)`", params))
+    assert set(rows) == set(cli.EXPERIMENTS)
+    for name, exp in cli.EXPERIMENTS.items():
+        assert rows[name] == [[*exp.required,
+                               *(f"{key}?" for key in exp.optional)]], name
 
 
 def test_not_json_and_bad_seed():
@@ -292,6 +315,12 @@ VALIDATE_ERRORS = [
     ("start", {"experiment": "engine-validation", "start": [0.0],
                "params": {"h_exponents": [3, 4, 5]}}),
     ("field", _SIGMA_OVERFLOW),
+    # Wilson is the one interval and the n_paths floor a constant: neither
+    # is a key
+    ("params", {"experiment": "hitting",
+                "params": {"eps_grid": [0.1], "ci_method": "wilson"}}),
+    ("<root>", {"experiment": "hitting", "params": {"eps_grid": [0.1]},
+                "n_paths_floor": 10}),
 ]
 
 
@@ -349,7 +378,7 @@ def test_run_errors_leave_one_error_line(tmp_path, key, override):
 # Command lines whose files the operating system refuses, run in a directory
 # that make_io_error_files has filled: a missing config, a directory, a
 # config that is not UTF-8, --out naming a file or a path under one, and
-# --out-file in a missing directory
+# --out-file in a missing directory or naming a directory
 IO_ERRORS = [
     ["validate", "missing.json"],
     ["validate", "."],
@@ -357,15 +386,17 @@ IO_ERRORS = [
     ["run", "cfg.json", "--out", "cfg.json"],
     ["run", "cfg.json", "--out", "cfg.json/out"],
     ["replay", "cfg.json", "--path", "0", "--out-file", "missing/path.csv"],
+    ["replay", "cfg.json", "--path", "0", "--out-file", "adir"],
 ]
 
 
 def make_io_error_files(root):
-    """The files IO_ERRORS names, in ``root``: a scenario that runs, and a
-    config in Latin-1."""
+    """The files IO_ERRORS names, in ``root``: a scenario that runs, a
+    config in Latin-1 and a directory."""
     root = Path(root)
     (root / "cfg.json").write_text(_hitting_config(n_paths=100))
     (root / "latin-1.json").write_bytes('{"experiment": "\xe9"}'.encode("latin-1"))
+    (root / "adir").mkdir()
 
 
 @pytest.mark.parametrize("argv", IO_ERRORS, ids="-".join)
@@ -380,8 +411,10 @@ def test_file_errors_leave_one_error_line(tmp_path, monkeypatch, argv):
     code, err = _main(argv)
     assert code == 1 and len(err) == 1, err
     assert err[0].startswith("error: ") and ".tmp" not in err[0], err
-    if "--out-file" in argv:
-        assert "'missing/path.csv'" in err[0], err
+    # the error names the file the user gave, and no temporary file is left
+    if argv[-1] in ("latin-1.json", "missing/path.csv", "adir"):
+        assert f"'{argv[-1]}'" in err[0], err
+    assert not list(tmp_path.glob("**/*.tmp"))
 
 
 @pytest.mark.parametrize("experiment, params", [
@@ -634,9 +667,8 @@ def test_main_validate_and_catalog(tmp_path, capsys):
 
 
 def test_scipy_stays_unloaded(tmp_path):
-    # Only Clopper-Pearson intervals and integral-1d import scipy.  All steps
-    # run in one fresh interpreter, which records the scipy modules loaded
-    # after each.
+    # Only integral-1d imports scipy.  All steps run in one fresh
+    # interpreter, which records the scipy modules loaded after each.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_hitting_config(
         n_paths=100, horizon=0.1, policy={"kind": "fixed", "h_max": 1e-2}))

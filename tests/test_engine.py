@@ -45,7 +45,7 @@ def test_step_policy_validation_and_sizes():
         StepPolicy(kind="bogus")
     with pytest.raises(InvalidInputError):
         StepPolicy(kind="fixed", h_max=1e-4, h_min=1e-3)
-    pol = StepPolicy.adaptive(h_max=1e-2, h_min=1e-5, level_fraction=0.1)
+    pol = StepPolicy(h_max=1e-2, h_min=1e-5, level_fraction=0.1)
     levels = np.array([0.0, 1e-3, 1.0, 100.0])
     h = pol.step_sizes(levels)
     raw = 0.1 * levels / (1 + levels)
@@ -60,7 +60,7 @@ def test_adaptive_step_sizes_equal_np_clip_bit_for_bit():
     frac = 0.5
     at_min = 2.0 ** -20
     h_min = frac * at_min / (1.0 + at_min)
-    pol = StepPolicy.adaptive(h_max=0.25, h_min=h_min, level_fraction=frac)
+    pol = StepPolicy(h_max=0.25, h_min=h_min, level_fraction=frac)
     # raw steps exactly h_min (level 2^-20) and exactly h_max (level 1)
     levels = np.array([0.0, 5e-324, 1e-300, at_min, 1.0, 1e300, np.inf, np.nan])
     with np.errstate(invalid="ignore"):
@@ -91,7 +91,7 @@ def test_drift_only_matches_euler_ode():
 
 def test_reproducibility_bit_for_bit():
     field = sl.make_field("linear-1d")
-    pol = StepPolicy.adaptive(h_max=1e-2, h_min=1e-4, level_fraction=0.1)
+    pol = StepPolicy(h_max=1e-2, h_min=1e-4, level_fraction=0.1)
     a = sl.simulate_path(field, [1.0], 1.0, pol, 12345)
     b = sl.simulate_path(field, [1.0], 1.0, pol, 12345)
     assert np.array_equal(a.states, b.states)
@@ -300,8 +300,8 @@ _SWEEP_CASES = {
     "power-law-1d-bridge": (sl.make_field("power-law-1d", alpha=1.5), [1.0],
                             StepPolicy.fixed(1e-2), True),
     "diag-linear-adaptive": (sl.make_field("diag-linear"), [1.0, 1.0],
-                             StepPolicy.adaptive(h_max=1e-2, h_min=1e-4,
-                                                 level_fraction=0.05), False),
+                             StepPolicy(h_max=1e-2, h_min=1e-4,
+                                        level_fraction=0.05), False),
 }
 
 # barrier levels as multiples of the start level, each strictly on the side
@@ -476,7 +476,7 @@ def test_bridge_ignores_a_barrier_at_infinity():
 
 def test_single_path_matches_batch_row():
     field = sl.make_field("linear-1d")
-    pol = StepPolicy.adaptive(h_max=1e-2, h_min=1e-4, level_fraction=0.05)
+    pol = StepPolicy(h_max=1e-2, h_min=1e-4, level_fraction=0.05)
     res = sweep_paths(field, [1.0], 1.0, pol, 8, np.arange(6))
     for i in range(6):
         p = sl.simulate_path(field, [1.0], 1.0, pol, path_entropy(8, i))

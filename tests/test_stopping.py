@@ -21,7 +21,7 @@ def _synthetic_path(states, times):
     return PathRealization(times=np.asarray(times, dtype=float),
                            states=states,
                            increments=np.zeros((len(times) - 1, 1)),
-                           seed=(0,), step_policy=StepPolicy.fixed(1.0))
+                           seed=(0,))
 
 
 LEVEL_FIELD = sl.make_field("power-law-1d", alpha=0.5)

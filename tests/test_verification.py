@@ -86,15 +86,6 @@ def test_wilson_boundary_and_symmetry():
     assert e.point == 1.0 and e.ci_high == 1.0
 
 
-def test_clopper_pearson_matches_beta_quantiles():
-    e = sl.estimate_with_ci(5, 10, "clopper-pearson")
-    lo = stats.beta.ppf(0.025, 5, 6)
-    hi = stats.beta.ppf(0.975, 6, 5)
-    assert e.ci_low == pytest.approx(lo, rel=1e-12)
-    assert e.ci_high == pytest.approx(hi, rel=1e-12)
-    assert e.ci_low < 0.5 < e.ci_high
-
-
 def test_estimate_with_ci_validation():
     with pytest.raises(InvalidInputError):
         sl.estimate_with_ci(-1, 10)
@@ -102,18 +93,17 @@ def test_estimate_with_ci_validation():
         sl.estimate_with_ci(11, 10)
     with pytest.raises(InvalidInputError):
         sl.estimate_with_ci(1, 0)
-    for method in ("bogus", "normal"):
-        with pytest.raises(InvalidInputError, match="unknown CI method"):
-            sl.estimate_with_ci(50, 100, method)
+    # Wilson is the one interval: there is no method to choose
+    with pytest.raises(TypeError):
+        sl.estimate_with_ci(50, 100, "wilson")
 
 
 @settings(max_examples=80, deadline=None)
-@given(st.integers(0, 50), st.integers(1, 50),
-       st.sampled_from(["wilson", "clopper-pearson"]))
-def test_ci_bracket_and_range(successes, n, method):
+@given(st.integers(0, 50), st.integers(1, 50))
+def test_ci_bracket_and_range(successes, n):
     if successes > n:
         successes = n
-    e = sl.estimate_with_ci(successes, n, method)
+    e = sl.estimate_with_ci(successes, n)
     assert 0.0 <= e.ci_low <= e.point <= e.ci_high <= 1.0
 
 
@@ -421,7 +411,7 @@ def test_zero_hitting_never_increases_as_eps_shrinks(alpha, eps, seed):
     grid = sorted(eps, reverse=True)
     ests = sl.estimate_zero_hitting(
         field, [1.0], 1.0, grid, 40,
-        StepPolicy.adaptive(h_max=1e-2, h_min=1e-4, level_fraction=0.05), seed)
+        StepPolicy(h_max=1e-2, h_min=1e-4, level_fraction=0.05), seed)
     assert [e.n for e in ests] == [40] * len(grid)
     for wide, narrow in zip(ests, ests[1:]):
         assert narrow.point <= wide.point
