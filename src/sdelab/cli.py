@@ -168,17 +168,15 @@ _POLICY_KEYS = (
     ("h_min", _positive, OPTIONAL),
     ("level_fraction", _positive, _DEFAULT_POLICY.level_fraction),
 )
-# an estimated bound takes its sampling keys, a declared one none; a null
-# region is the default box around the start
+# an estimated bound takes the box it samples, a declared one no key; a
+# null region is the default box around the start
 _LIPSCHITZ_MODE = ("mode", _rule(
     lambda val: val in ("declared", "estimated"),
     "must be 'declared' or 'estimated', got {!r}"), "declared")
 _LIPSCHITZ_KEYS = {
     "declared": (_LIPSCHITZ_MODE,),
-    "estimated": (_LIPSCHITZ_MODE, ("samples", _pos_int, 4000),
-                  ("seed", _seed, 0), ("safety", _positive, 1.25),
-                  ("region", lambda val: val if val is None else _list(val),
-                   None)),
+    "estimated": (_LIPSCHITZ_MODE, ("region", lambda val: val if val is None
+                                    else _list(val), None)),
 }
 
 
@@ -203,12 +201,6 @@ class ScenarioConfig:
         return {**self.values, "policy": self.policy.to_dict()}
 
 
-def _h_exponents(val) -> list[int]:
-    if not isinstance(val, list) or len(val) < 2:
-        raise InvalidInputError("must be a list of >= 2 integers")
-    return [_pos_int(e) for e in val]
-
-
 # The rule of each experiment param; an error names the key as
 # params.<key>.  The CLI's helpers check JSON types, and a rule an estimator
 # applies to a value is that estimator's own; the rules that involve more
@@ -222,7 +214,7 @@ _PARAM_VALIDATORS = {
     "a": _positive,
     "eps_grid": lambda val: vf._eps_grid(_list(val)),
     "t_grid": lambda val: vf._unit_grid(_list(val)),
-    "h_exponents": _h_exponents,
+    "h_exponents": lambda val: [_pos_int(e) for e in _list(val)],
 }
 
 
@@ -273,7 +265,7 @@ def parse_scenario(text: str) -> ScenarioConfig:
         "estimated" if lip.get("mode") == "estimated" else "declared"])
     if lip["mode"] == "estimated":
         _checked("lipschitz.", cf._sample_box, field,
-                 _lipschitz_region(lip["region"], x0), lip["samples"])
+                 _lipschitz_region(lip["region"], x0))
 
     if exp.ci_floor and values["n_paths"] < N_PATHS_FLOOR:
         _fail("n_paths", f"{values['experiment']!r} produces confidence "
@@ -327,8 +319,7 @@ def _resolve_lipschitz(config: ScenarioConfig, field: CoefficientField,
         k_val = _checked("lipschitz.mode", vf._require_k, field, None)
         return k_val, {"mode": "declared", "value": k_val}
     region = _lipschitz_region(lip.get("region"), start)
-    value = _checked("lipschitz.", cf.estimate_lipschitz, field, region,
-                     lip["samples"], lip["seed"], lip["safety"])
+    value = _checked("lipschitz.", cf.estimate_lipschitz, field, region)
     # the config's block, with the value and the box it was estimated on
     return value, {**lip, "value": value,
                    "region": [np.asarray(r).tolist() for r in region]}
@@ -433,7 +424,6 @@ def _sqrt_bound(config, field, start):
 
 def _displacement(config, field, start):
     _checked("start", vf._band_start, field, start, _band_center(config, field))
-    _checked("n_paths", vf._enough_paths, config.n_paths)
     p = config.params
 
     def run(workers):
@@ -703,17 +693,18 @@ def _cmd_catalog(_args) -> int:
 
 def _cmd_replay(args) -> int:
     config = _read_scenario(args.config)
-    master = args.seed if args.seed is not None else config.master_seed
     path = simulate_path(config.field, config.start, config.horizon,
-                         config.policy, path_entropy(master, args.path))
+                         config.policy,
+                         path_entropy(config.master_seed, args.path))
     rows = _path_rows(config.field, path)
     if args.out_file is None:
         _write_csv(sys.stdout, rows)
     else:
         with _replacing(Path(args.out_file)) as fh:
             _write_csv(fh, rows)
-    print(f"# path {args.path} seed={master} steps={len(rows) - 1} "
-          f"absorbed={path.absorbed} final_level={rows[-1]['level']:g}",
+    print(f"# path {args.path} seed={config.master_seed} "
+          f"steps={len(rows) - 1} absorbed={path.absorbed} "
+          f"final_level={rows[-1]['level']:g}",
           file=sys.stderr)
     return 0
 
@@ -740,7 +731,6 @@ def main(argv=None) -> int:
     p_rep = sub.add_parser("replay", help="re-simulate one path for debugging")
     p_rep.add_argument("config")
     p_rep.add_argument("--path", type=int, required=True)
-    p_rep.add_argument("--seed", type=int, default=None)
     p_rep.add_argument("--out-file", default=None)
     p_rep.set_defaults(fn=_cmd_replay)
 

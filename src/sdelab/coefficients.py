@@ -1,8 +1,8 @@
 """Coefficient fields (sigma, b), their level function, and the built-in catalog.
 
 A field packages the diffusion map sigma: R^d -> R^(d x m) and the drift map
-b: R^d -> R^d together with the metadata the estimators need: a Lipschitz
-bound and a tolerance for membership in the common zero set of (sigma, b).
+b: R^d -> R^d together with the metadata the estimators need, such as a
+Lipschitz bound.
 Both maps are written once, on blocks of states: ``sigma`` takes an (n, d)
 array to (n, d, m) and ``b`` takes it to (n, d).  A single state is the
 block of one row, so the level function ``level`` of one state and
@@ -23,6 +23,10 @@ from .errors import InvalidInputError
 
 # Base relative tolerance for declaring the level function "zero".
 ZERO_TOL_BASE = 1e-12
+# estimate_lipschitz's pairs of each kind, and its factor on the largest
+# quotient, since a sampled maximum under-reads the constant
+_LIPSCHITZ_SAMPLES = 4000
+_LIPSCHITZ_SAFETY = 1.25
 
 
 @dataclass(frozen=True)
@@ -33,10 +37,8 @@ class CoefficientField:
     for any finite (n, d) block of states ``X``.  ``lipschitz_k`` is a
     declared bound for the Lipschitz constants of both maps, or None when no
     honest global bound exists (the estimators then fall back to an
-    empirical estimate).
-    ``zero_tol`` is the absolute tolerance on the level function below which
-    a state counts as being in the zero set; None means "resolve from the
-    scenario start point" (see :func:`resolved_zero_tol`).
+    empirical estimate).  A state is in the zero set where its level is
+    within :func:`resolved_zero_tol` of zero.
 
     ``abs_level_inverse`` is only set for 1-d fields whose level function is
     a symmetric increasing function of |x|; it maps a level value back to the
@@ -48,7 +50,6 @@ class CoefficientField:
     sigma: Callable[[np.ndarray], np.ndarray]
     b: Callable[[np.ndarray], np.ndarray]
     lipschitz_k: float | None = None
-    zero_tol: float | None = None
     name: str = "custom"
     abs_level_inverse: Callable[[float], float] | None = None
     catalog_ref: tuple[str, dict] | None = None
@@ -58,8 +59,6 @@ class CoefficientField:
             raise InvalidInputError("state and noise dimensions must be >= 1")
         if self.lipschitz_k is not None and self.lipschitz_k < 0:
             raise InvalidInputError("lipschitz_k must be nonnegative")
-        if self.zero_tol is not None and self.zero_tol < 0:
-            raise InvalidInputError("zero_tol must be nonnegative")
 
 
 def _check_state(field: CoefficientField, x) -> np.ndarray:
@@ -114,26 +113,24 @@ def level_batch(field: CoefficientField, states: np.ndarray) -> np.ndarray:
     return _level_of(sigma_batch(field, states), b_batch(field, states))
 
 
-def resolved_zero_tol(field: CoefficientField, start_level: float) -> float:
+def resolved_zero_tol(start_level: float) -> float:
     """Absolute zero-set tolerance for a run starting at the given level.
 
-    An explicit ``field.zero_tol`` wins; otherwise the tolerance scales with
-    the starting level so that large-level scenarios do not spuriously absorb.
+    The tolerance scales with the starting level so that large-level
+    scenarios do not spuriously absorb.
     """
-    if field.zero_tol is not None:
-        return field.zero_tol
     return ZERO_TOL_BASE * max(1.0, start_level)
 
 
 def in_zero_set(field: CoefficientField, x) -> bool:
-    """Whether the level at x is within the field's tolerance of zero."""
+    """Whether the level at x is within its zero-set tolerance of zero."""
     lev = level(field, x)
-    return lev <= resolved_zero_tol(field, lev)
+    return lev <= resolved_zero_tol(lev)
 
 
-def _sample_box(field: CoefficientField, region, samples: int) -> tuple:
-    """The corners (lo, hi) of ``estimate_lipschitz``'s box, checked with its
-    sample count; each message starts with the argument it names."""
+def _sample_box(field: CoefficientField, region) -> tuple:
+    """The corners (lo, hi) of ``estimate_lipschitz``'s box, checked; each
+    message starts with the argument it names."""
     try:
         lo, hi = (np.asarray(b, dtype=float).reshape(field.d) for b in region)
     except (TypeError, ValueError, OverflowError):
@@ -144,27 +141,24 @@ def _sample_box(field: CoefficientField, region, samples: int) -> tuple:
     if not np.all((hi > lo) & np.isfinite(hi - lo)):
         raise InvalidInputError(
             "region: must be finite with positive volume in every dimension")
-    # at most a sweep chunk of samples, so no block outgrows a chunk's sigma
-    from .engine import DEFAULT_CHUNK  # here, since engine imports this module
-    if not 2 <= samples <= DEFAULT_CHUNK:
-        raise InvalidInputError(f"samples: need 2 to {DEFAULT_CHUNK}, got {samples}")
     return lo, hi
 
 
-def estimate_lipschitz(field: CoefficientField, region, samples: int,
-                       rng_seed: int, safety: float = 1.25) -> float:
+def estimate_lipschitz(field: CoefficientField, region) -> float:
     """Empirical Lipschitz bound from sampled difference quotients.
 
-    Samples random pairs in the box ``region = (lo, hi)`` plus tightly spaced
-    pairs (which probe local steepness), takes the largest difference
-    quotient of sigma (Frobenius) and b (Euclidean), and inflates it by
-    ``safety``.  Fields are treated as black boxes; no derivatives are used.
+    One fixed procedure, with no tuning: ``_LIPSCHITZ_SAMPLES`` random pairs
+    in the box ``region = (lo, hi)`` plus as many tightly spaced pairs (which
+    probe local steepness), drawn from ``default_rng(0)``; the largest
+    difference quotient of sigma (Frobenius) and b (Euclidean), inflated by
+    ``_LIPSCHITZ_SAFETY``.  Fields are treated as black boxes; no
+    derivatives are used.
     """
-    lo, hi = _sample_box(field, region, samples)
-    rng = np.random.default_rng(rng_seed)
+    lo, hi = _sample_box(field, region)
+    rng = np.random.default_rng(0)
     span = hi - lo
-    xs = lo + span * rng.uniform(size=(samples, field.d))
-    ys = lo + span * rng.uniform(size=(samples, field.d))
+    xs = lo + span * rng.uniform(size=(_LIPSCHITZ_SAMPLES, field.d))
+    ys = lo + span * rng.uniform(size=(_LIPSCHITZ_SAMPLES, field.d))
     near = np.clip(xs + 1e-4 * span * rng.standard_normal(size=xs.shape), lo, hi)
 
     worst = 0.0
@@ -186,7 +180,7 @@ def estimate_lipschitz(field: CoefficientField, region, samples: int,
         sig_quot = np.sqrt(np.einsum("ijk,ijk->i", ds, ds)) / dx[keep]
         b_quot = np.linalg.norm(db, axis=1) / dx[keep]
         worst = max(worst, float(np.max(sig_quot)), float(np.max(b_quot)))
-    return safety * worst
+    return _LIPSCHITZ_SAFETY * worst
 
 
 # ---------------------------------------------------------------------------

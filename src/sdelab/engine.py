@@ -433,7 +433,7 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     side_levels = side * levels
 
     lev0 = cf.level(field, start)
-    tol = cf.resolved_zero_tol(field, lev0)
+    tol = cf.resolved_zero_tol(lev0)
     retire_level = -np.inf if min_level_retire is None else min_level_retire
     # a live path's running minimum lies above retire_level, so its level
     # retires it (absorption or the minimum) exactly at or below gone_level

@@ -462,7 +462,7 @@ def fitted_escape_exponent(reports: list[BoundCheckReport]) -> float | None:
 
     Diagnostic only: the bound gives a sqrt(t) upper envelope, so a fitted
     slope far below 1/2 would be suspicious.  Returns None with fewer than
-    two usable points.
+    two distinct usable t, through which no line is fitted.
     """
     ts, ps = [], []
     for rep in reports:
@@ -470,7 +470,7 @@ def fitted_escape_exponent(reports: list[BoundCheckReport]) -> float | None:
         if 0.0 < p < 1.0:
             ts.append(rep.parameters["t"])
             ps.append(p)
-    if len(ts) < 2:
+    if len(set(ts)) < 2:
         return None
     slope = np.polyfit(np.log(ts), np.log(ps), 1)[0]
     return float(slope)
@@ -637,7 +637,8 @@ MAX_STUDY_PATH_STEPS = 2 ** 36
 
 def _study_steps(n_paths: int, h_exponents, horizon: float) -> list[float]:
     """The study's steps 2^-e, if its path-steps are at most
-    MAX_STUDY_PATH_STEPS."""
+    MAX_STUDY_PATH_STEPS and two of them differ, so that an order can be
+    fitted."""
     hs = [_halved(1.0, e) for e in h_exponents]
     # horizon / h is exact, or inf; capping it keeps the count an exact int
     steps = n_paths * sum(math.ceil(min(horizon / h, 2.0 ** 64)) for h in hs)
@@ -645,6 +646,8 @@ def _study_steps(n_paths: int, h_exponents, horizon: float) -> list[float]:
         # steps is an exact int that may not fit a float, so it is not shown
         raise InvalidInputError(
             "n_paths x sum_e ceil(horizon 2^e) is more than 2^36 path-steps")
+    if len(set(hs)) < 2:
+        raise InvalidInputError("need at least two distinct exponents")
     return hs
 
 
@@ -656,9 +659,9 @@ def strong_order_study(n_paths: int = 2000, h_exponents=range(4, 11),
     For each h = 2^-e the Euler paths and the closed form
     x exp(B_T - T/2) are built from the same increments; the fitted slope of
     log error vs log h should land in STRONG_ORDER_WINDOW.  A study of more
-    than MAX_STUDY_PATH_STEPS path-steps is rejected before it starts, and
-    one with a strong error that is not positive, through which no order
-    can be fitted, when that error is found.
+    than MAX_STUDY_PATH_STEPS path-steps or of fewer than two distinct h is
+    rejected before it starts, and one with a strong error that is not
+    positive, through which no order can be fitted, when that error is found.
     """
     field = cf.make_field("linear-1d")
     master = entropy_tuple(master_seed)

@@ -160,9 +160,9 @@ def test_not_json_and_bad_seed():
 
 @pytest.mark.parametrize("key, override", [
     ("field.name", {"field": {"name": ["linear-1d"]}}),
-    ("lipschitz.seed", {"lipschitz": {"mode": "estimated", "seed": "abc"}}),
-    # null would seed from OS entropy, so reruns would differ
-    ("lipschitz.seed", {"lipschitz": {"mode": "estimated", "seed": None}}),
+    # the estimate's seed and safety factor are constants, not keys
+    ("lipschitz", {"lipschitz": {"mode": "estimated", "seed": 0}}),
+    ("lipschitz", {"lipschitz": {"mode": "estimated", "safety": 1.25}}),
     ("lipschitz.region", {"lipschitz": {"mode": "estimated",
                                         "region": ["a", "b"]}}),
     # a builder's ValueError, and a non-integer dimension
@@ -259,8 +259,9 @@ VALIDATE_ERRORS = [
                         "params": {"A": 2.0, "k": 1}}),
     ("lipschitz.region", {**_SQRT, "lipschitz": {
         "mode": "estimated", "region": [[1.0], [0.0]]}}),
-    ("lipschitz.samples", {**_SQRT, "lipschitz": {"mode": "estimated",
-                                                  "samples": 1}}),
+    # the estimate's sample count is a constant, not a key
+    ("lipschitz", {**_SQRT, "lipschitz": {"mode": "estimated",
+                                          "samples": 4000}}),
     ("bridge", {"field": {"name": "diag-linear", "params": {"d": 2}},
                 "start": [1.0, 1.0], "experiment": "dyadic-escape",
                 "params": {"depth": 2}, "bridge": True}),
@@ -283,11 +284,10 @@ VALIDATE_ERRORS = [
     ("field", {**_FAR_K, **_SQRT}),
     ("field", {**_FAR_K, "experiment": "dyadic-escape", "n_paths": 16,
                "params": {"depth": 2}}),
-    # the estimate's (samples, d, m) block would not fit in memory
-    ("lipschitz.samples", {**_SQRT, "params": {"A": 2.0, "k": 1,
-                                               "t_grid": [0.01]},
-                           "lipschitz": {"mode": "estimated",
-                                         "samples": 2 ** 62}}),
+    # the estimate's former defaults, spelled out
+    ("lipschitz", {**_SQRT, "params": {"A": 2.0, "k": 1, "t_grid": [0.01]},
+                   "lipschitz": {"mode": "estimated", "samples": 4000,
+                                 "seed": 0, "safety": 1.25}}),
     # sigma overflows to inf on the box, so every quotient would be NaN
     ("lipschitz.region", {**_ALPHA_12, **_SQRT,
                           "params": {"A": 2.0, "k": 1, "t_grid": [0.01]},
@@ -321,6 +321,10 @@ VALIDATE_ERRORS = [
                 "params": {"eps_grid": [0.1], "ci_method": "wilson"}}),
     ("<root>", {"experiment": "hitting", "params": {"eps_grid": [0.1]},
                 "n_paths_floor": 10}),
+    # one step size, through which no order is fitted
+    ("params.h_exponents", {"experiment": "engine-validation", "n_paths": 64,
+                            "master_seed": 11,
+                            "params": {"h_exponents": [4, 4]}}),
 ]
 
 
@@ -708,9 +712,13 @@ def test_main_replay(tmp_path, capsys):
     lines = out.strip().splitlines()
     assert lines[0] == "t,x_1,level"
     assert len(lines) > 10
-    # a seed numpy would reject is a typed error, not a traceback
-    assert main(["replay", str(cfg_path), "--path", "3", "--seed", "-1"]) == 1
-    assert "seed -1" in capsys.readouterr().err
+    # a path index numpy would reject is a typed error, not a traceback
+    assert main(["replay", str(cfg_path), "--path", "-1"]) == 1
+    assert "-1): entries must be non-negative" in capsys.readouterr().err
+    # a replay runs under the config's master seed
+    with pytest.raises(SystemExit) as usage:
+        main(["replay", str(cfg_path), "--path", "3", "--seed", "1"])
+    assert usage.value.code == 2
 
 
 def test_replay_out_file_is_written_only_on_success(tmp_path, capsys):
@@ -720,7 +728,7 @@ def test_replay_out_file_is_written_only_on_success(tmp_path, capsys):
     cfg_path.write_text(_hitting_config(n_paths=100))
     out = tmp_path / "path.csv"
     out.write_bytes(b"an earlier replay\n")
-    assert main(["replay", str(cfg_path), "--path", "3", "--seed", "-1",
+    assert main(["replay", str(cfg_path), "--path", "-1",
                  "--out-file", str(out)]) == 1
     assert out.read_bytes() == b"an earlier replay\n"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json", "path.csv"]
@@ -775,6 +783,22 @@ def test_sqrt_bound_scenario_end_to_end(tmp_path):
     assert len(payload["reports"]) == len(payload["t_grid"])
     write_report(report, tmp_path)
     assert (tmp_path / "table_sqrt_bound.csv").exists()
+
+
+def test_sqrt_bound_fits_no_exponent_through_one_t(tmp_path):
+    # a t grid of one distinct t has exits at it, but no line to fit
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({
+        **BASE, **_SQRT, "n_paths": 2000, "policy": {"kind": "fixed",
+                                                     "h_max": 1e-3},
+        "params": {"A": 2.0, "k": 1, "t_grid": [0.1, 0.1]}}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, err = _main(["run", str(cfg_path), "--out", str(tmp_path)])
+    assert code == 0 and err == [], err
+    payload = json.loads((tmp_path / "report.json").read_text())["payload"]
+    assert 0 < payload["reports"][0]["lhs"]["point"] < 1
+    assert payload["fitted_exponent"] is None
 
 
 def test_engine_validation_scenario():

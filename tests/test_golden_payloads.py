@@ -39,6 +39,11 @@ SCENARIOS = {
         **_LINEAR, "n_paths": 400, "policy": {"kind": "fixed", "h_max": 1e-2},
         "experiment": "sqrt-bound", "bridge": "auto",
         "params": {"A": 2.0, "k": 1, "t_grid": [0.01, 0.03, 0.1]}},
+    # K estimated on the default box around the start, recorded in k_source
+    "sqrt-bound-estimated": {
+        **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-2},
+        "experiment": "sqrt-bound", "lipschitz": {"mode": "estimated"},
+        "params": {"A": 2.0, "k": 1, "t_grid": [0.01, 0.03, 0.1]}},
     "displacement": {
         **_LINEAR, "n_paths": 200, "policy": {"kind": "fixed", "h_max": 1e-2},
         "experiment": "displacement", "params": {"A": 2.0, "k": 1, "t": 0.2}},
@@ -100,6 +105,8 @@ GOLDEN = {
         "bd634f854acf487e81461350c504ea533a335862e5d90d5cd8e2017995cbfbee",
     "sqrt-bound-default-grid":
         "0521e1873de8538db1638678e93e8e4e019ed1cc483cc957e36d0009aa284ee7",
+    "sqrt-bound-estimated":
+        "12b7e4993037f9357cb6ef56ad941d7a02b67f7664cac9f979da1b1b72bc7c30",
 }
 
 

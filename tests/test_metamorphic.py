@@ -8,11 +8,17 @@ same noise, reflecting the start reflects every state and leaves every time
 and level as it was, and doubling the start with the barrier levels times 4
 doubles every state, multiplies every level by 4 and leaves every time.
 The bridge's uniforms are seeded by the barrier level's bits, so the scaling
-relation holds with the bridge off.
+relation holds with the bridge off.  On power-law-1d with alpha = 2, where
+sigma(x) = x^2, doubling the start and quartering the step, the horizon and
+every time doubles every state and halves every increment.  The zero-set
+tolerance scales with a start level of at least 1, so from there the
+estimators' counts are unchanged by the scaling too.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import sdelab as sl
 from sdelab import StepPolicy
@@ -88,3 +94,115 @@ def test_doubling_doubles_states_and_quadruples_levels(case, stop_mode):
     assert _same(res.min_levels, 4 * ref.min_levels)
     assert _same(res.end_states, 2 * ref.end_states)
     assert _same(res.capture_state, 2 * ref.capture_state)
+
+
+# ---------------------------------------------------------------------------
+# The same relations on drawn sweeps
+# ---------------------------------------------------------------------------
+
+@st.composite
+def _drawn_sweeps(draw):
+    """(field, start, sweep keyword arguments): a start whose level is at
+    least 1, one to three barriers at drawn factors of that level, a stop
+    mode and capture times, which may repeat."""
+    field = CASES[draw(st.sampled_from(sorted(CASES)))][0]
+    start = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 4.0))
+             for _ in range(field.d)]
+    level = sl.level(field, start)
+    barriers = tuple(
+        Barrier(level / factor if direction == "down" else level * factor,
+                direction)
+        for direction, factor in draw(st.lists(
+            st.tuples(st.sampled_from(["down", "up"]), st.floats(1.1, 8.0)),
+            min_size=1, max_size=3)))
+    kwargs = {"barriers": barriers,
+              "stop_mode": draw(st.sampled_from(["first", "all"])),
+              "capture_times": draw(st.lists(st.sampled_from(
+                  [0.0, 0.05, 0.1, 0.3, 0.5]), max_size=3))}
+    return field, start, kwargs
+
+
+def _drawn_sweep(field, start, **kwargs):
+    return sweep_paths(field, start, 0.5, StepPolicy.fixed(1e-2), 7,
+                       np.arange(256), track_noise_sum=True, **kwargs)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep=_drawn_sweeps(), bridge=st.booleans())
+def test_reflection_on_drawn_sweeps(sweep, bridge):
+    field, start, kwargs = sweep
+    bridge = bridge and field.d == 1
+    ref = _drawn_sweep(field, start, bridge=bridge, **kwargs)
+    res = _drawn_sweep(field, [-x for x in start], bridge=bridge, **kwargs)
+    _assert_same_times(res, ref)
+    assert _same(res.min_levels, ref.min_levels)
+    assert _same(res.end_states, -ref.end_states)
+    assert _same(res.capture_state, -ref.capture_state)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sweep=_drawn_sweeps(), j=st.integers(1, 3))
+def test_scaling_by_a_power_of_two_on_drawn_sweeps(sweep, j):
+    field, start, kwargs = sweep
+    ref = _drawn_sweep(field, start, **kwargs)
+    scaled = tuple(Barrier(4.0 ** j * b.level, b.direction)
+                   for b in kwargs["barriers"])
+    res = _drawn_sweep(field, [2.0 ** j * x for x in start],
+                       **{**kwargs, "barriers": scaled})
+    _assert_same_times(res, ref)
+    assert _same(res.min_levels, 4.0 ** j * ref.min_levels)
+    assert _same(res.end_states, 2.0 ** j * ref.end_states)
+    assert _same(res.capture_state, 2.0 ** j * ref.capture_state)
+
+
+# ---------------------------------------------------------------------------
+# Space and time: x -> 2x with t -> t/4 when sigma(x) = x^2
+# ---------------------------------------------------------------------------
+
+def test_space_time_scaling_of_the_square_law():
+    field = sl.make_field("power-law-1d", alpha=2.0)
+    level = sl.level(field, [0.5])
+
+    def sweep(start, h, horizon, level_scale, time_scale):
+        barriers = (Barrier(level_scale * level / 2, "down"),
+                    Barrier(level_scale * level * 2, "up"))
+        return sweep_paths(field, [start], horizon, StepPolicy.fixed(h), 11,
+                           np.arange(N_PATHS), barriers=barriers,
+                           capture_times=[time_scale * t
+                                          for t in CAPTURE_TIMES],
+                           track_noise_sum=True)
+
+    ref = sweep(0.5, 4e-2, 1.0, 1.0, 1.0)
+    res = sweep(1.0, 1e-2, 0.25, 16.0, 0.25)
+    _assert_nontrivial(ref, False)
+    for name in ("first_barrier", "absorbed", "blown_up", "cross_bridge"):
+        assert _same(getattr(res, name), getattr(ref, name)), name
+    assert _same(res.end_times, ref.end_times / 4)
+    assert _same(res.cross_times, ref.cross_times / 4)
+    assert _same(res.noise_sum, ref.noise_sum / 2)
+    assert _same(res.min_levels, 16 * ref.min_levels)
+    assert _same(res.end_states, 2 * ref.end_states)
+    assert _same(res.capture_state, 2 * ref.capture_state)
+
+
+# ---------------------------------------------------------------------------
+# One layer up: the estimators' counts
+# ---------------------------------------------------------------------------
+
+def test_doubling_keeps_the_estimators_counts():
+    # start level 4, so the zero-set tolerance scales with the level
+    field = sl.make_field("linear-1d")
+    policy = StepPolicy.fixed(1e-2)
+    t_grid = [0.03, 0.1, 0.3]
+    ref = sl.check_escape_probability_bound(field, [2.0], 8.0, 1, t_grid,
+                                            N_PATHS, policy, 5, bridge=False)
+    res = sl.check_escape_probability_bound(field, [4.0], 32.0, 1, t_grid,
+                                            N_PATHS, policy, 5, bridge=False)
+    assert [r.lhs_estimate for r in res] == [r.lhs_estimate for r in ref]
+    assert 0 < ref[0].lhs_estimate.point < ref[-1].lhs_estimate.point < 1
+    ref = sl.estimate_zero_hitting(field, [2.0], 1.0, [2.0, 1.0, 0.5],
+                                   N_PATHS, policy, 5)
+    res = sl.estimate_zero_hitting(field, [4.0], 1.0, [8.0, 4.0, 2.0],
+                                   N_PATHS, policy, 5)
+    assert res == ref
+    assert 0 < ref[-1].point < ref[0].point < 1

@@ -476,9 +476,10 @@ def test_accessibility_integral_rejects_vanishing_sigma():
 
 
 def test_strong_order_study_caps_its_path_steps():
-    # n_paths x sum_e ceil(horizon 2^e) may reach 2^36 and not pass it; the
-    # cap is checked before any path is swept
-    assert verification._study_steps(1, [36], 1.0) == [2.0 ** -36]
+    # n_paths x sum_e ceil(horizon 2^e) may reach 2^36, here (2^36 - 1) + 1,
+    # and not pass it; the cap is checked before any path is swept
+    assert verification._study_steps(1, [37, 1], 0.5 - 2.0 ** -37) == [
+        2.0 ** -37, 0.5]
     assert verification._study_steps(1, [34, 35], 0.75) == [2.0 ** -34,
                                                             2.0 ** -35]
     for n_paths, h_exponents, horizon in [(2, [36], 1.0), (16, [3, 70], 1.0),
@@ -486,6 +487,10 @@ def test_strong_order_study_caps_its_path_steps():
                                           (10 ** 400, [4], 1.0)]:
         with pytest.raises(InvalidInputError, match="more than 2"):
             sl.strong_order_study(n_paths, h_exponents, horizon)
+    # a line needs two distinct steps
+    for h_exponents in ([4], [4, 4]):
+        with pytest.raises(InvalidInputError, match="two distinct"):
+            sl.strong_order_study(1, h_exponents)
 
 
 # ---------------------------------------------------------------------------
