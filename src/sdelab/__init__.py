@@ -5,8 +5,8 @@ __version__ = "0.1.0"
 from .coefficients import (CoefficientField, FieldCatalogEntry, catalog,
                            estimate_lipschitz, in_zero_set, level,
                            make_field)
-from .engine import (Barrier, PathRealization, StepPolicy, em_step,
-                     path_entropy, simulate_path, sweep_paths)
+from .engine import (PathRealization, StepPolicy, em_step, path_entropy,
+                     simulate_path, sweep_paths)
 from .errors import InvalidInputError, InvariantError, NumericalBlowupError
 from .stopping import dyadic_escape_batch
 from .verification import (BoundCheckReport, EstimateWithCI, IntegralVerdict,
@@ -22,7 +22,7 @@ from .verification import (BoundCheckReport, EstimateWithCI, IntegralVerdict,
 from .cli import ScenarioConfig, RunReport, parse_scenario, run_scenario
 
 __all__ = [
-    "Barrier", "BoundCheckReport", "CoefficientField", "EstimateWithCI",
+    "BoundCheckReport", "CoefficientField", "EstimateWithCI",
     "FieldCatalogEntry", "IntegralVerdict", "InvalidInputError",
     "InvariantError", "NumericalBlowupError", "PathRealization", "RunReport",
     "ScenarioConfig", "StepPolicy", "accessibility_integral_1d", "catalog",

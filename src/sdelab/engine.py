@@ -3,15 +3,15 @@
 The module has two layers.  ``em_step``/``simulate_path`` are the scalar API:
 one explicit Euler-Maruyama update and one fully recorded trajectory.  Under
 both sits ``sweep_paths``, a vectorized driver that advances a block of paths
-simultaneously, detects level-threshold crossings incrementally, and retires
-paths at the end of the step they stop in, a zero step for a path that blows
-up.  Its ``SweepResult`` records each fact once: a path that a crossing stops
-ends there, so that crossing's time and state are the path's end time and
-end state, and the capture at a time t is the stopped state X(t ^ end time),
-for any number of times.  Every estimator in the package runs on the same
-driver, so a path's realization depends only on its name, the pair (master
-seed, path index), and the step policy, never on batch size, worker count,
-or which functional is being accumulated.
+simultaneously, detects crossings of levels, each from the side of the start
+level, incrementally, and retires paths at the end of the step they stop in,
+a zero step for a path that blows up.  Its ``SweepResult`` records each fact
+once: a path that a crossing stops ends there, so that crossing's time and
+state are the path's end time and end state, and the capture at a time t is
+the stopped state X(t ^ end time), for any number of times.  Every estimator
+in the package runs on the same driver, so a path's realization depends only
+on its name, the pair (master seed, path index), and the step policy, never
+on batch size, worker count, or which functional is being accumulated.
 
 Noise is numpy's own: each path's increments are
 ``default_rng((*master, index))`` normals, and each (path, barrier) bridge
@@ -116,20 +116,6 @@ class PathRealization:
     absorbed: bool = False
 
 
-@dataclass(frozen=True)
-class Barrier:
-    """A positive level threshold approached from above (down) or below (up)."""
-
-    level: float
-    direction: str
-
-    def __post_init__(self):
-        if self.level <= 0:
-            raise InvalidInputError("barrier level must be positive")
-        if self.direction not in ("down", "up"):
-            raise InvalidInputError(f"barrier direction {self.direction!r}")
-
-
 @dataclass
 class SweepResult:
     """Per-path functionals accumulated by :func:`sweep_paths`.
@@ -144,7 +130,6 @@ class SweepResult:
     min_levels: np.ndarray     # (n,)
     cross_times: np.ndarray    # (n, n_barriers), nan where uncrossed
     cross_bridge: np.ndarray   # (n, n_barriers) bool
-    first_barrier: np.ndarray  # (n,) int: earliest crossing, -1 where none
     capture_state: np.ndarray  # (n, n_times, d): X(min(capture_times[j], end))
     absorbed: np.ndarray       # (n,) bool
     blown_up: np.ndarray       # (n,) bool
@@ -346,6 +331,11 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     ``default_rng(path_entropy(master, indices[i]))`` whatever block it is
     swept in, and a blowup error names that path.
 
+    ``barriers`` are positive levels, each crossed from the side the start
+    lies on: a level at or below the start level from above (down), one
+    above it from below (up), so one equal to it is crossed at time 0.
+    ``cross_times`` has a column per level, in the order given.
+
     Paths stop at the horizon, on absorption into the zero set, when the
     running grid-minimum of the level drops to ``min_level_retire``, on
     barrier crossings (with ``stop_mode='first'`` at the earliest crossing
@@ -364,11 +354,11 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     pathwise and the increments are the same with the bridge on or off.
 
     Simultaneous crossings within one step resolve to the earliest
-    interpolated time; exact ties resolve to the lower threshold.  That
-    earliest barrier is ``first_barrier``.  A crossing stop (the earliest
-    crossing with ``'first'``, with ``'all'`` the latest of the step that
-    leaves no barrier uncrossed) ends the path at that time, in the step's
-    interpolated state, or a bridge trigger's barrier position.
+    interpolated time; exact ties resolve to the lower threshold.  A
+    crossing stop (the earliest crossing with ``'first'``, with ``'all'``
+    the latest of the step that leaves no barrier uncrossed) ends the path
+    at that time, in the step's interpolated state, or a bridge trigger's
+    barrier position.
 
     ``capture_state[:, j]`` is the stopped state X(min(capture_times[j], end
     time)): the state interpolated at that time on the step that contains
@@ -406,6 +396,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     start = cf._check_state(field, start)
     if not np.all(np.isfinite(start)):
         raise InvalidInputError("start point has non-finite entries")
+    levels = np.asarray(barriers, dtype=float)
+    if levels.ndim != 1 or not np.all(levels > 0):
+        raise InvalidInputError("barriers must be positive levels")
     cap = np.asarray(capture_times, dtype=float)
     if cap.ndim != 1 or not np.all((0 <= cap) & (cap <= horizon)):
         raise InvalidInputError("capture_times must lie in [0, horizon]")
@@ -422,17 +415,16 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         raise InvalidInputError("trajectory recording supports one path at a time")
 
     m = field.m
-    # Barrier columns in ascending level order; column j is barriers[order[j]].
-    # A down barrier is crossed when side * level <= side * barrier level.
-    order = np.argsort([b.level for b in barriers], kind="stable")
+    lev0 = cf.level(field, start)
+    # Columns in ascending level order; column j is barriers[order[j]].  A
+    # level at or below the start's is crossed from above (down), when
+    # side * level <= side * barrier level, and one above it from below.
+    order = np.argsort(levels, kind="stable")
     nb = order.size
-    ladder = [barriers[j] for j in order]
-    side = np.array([1.0 if b.direction == "down" else -1.0
-                     for b in ladder]).reshape(nb, 1)
-    levels = np.array([b.level for b in ladder]).reshape(nb, 1)
+    levels = levels[order].reshape(nb, 1)
+    side = np.where(levels <= lev0, 1.0, -1.0)
     side_levels = side * levels
 
-    lev0 = cf.level(field, start)
     tol = cf.resolved_zero_tol(lev0)
     retire_level = -np.inf if min_level_retire is None else min_level_retire
     # a live path's running minimum lies above retire_level, so its level
@@ -449,11 +441,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     ladder_values = levels[None]
     bridge_seeds = None
     if bridge and nb:
+        # Python floats: a numpy scalar warns where the inverse overflows
         bridge_seeds = np.stack([_pcg64.seeded_state(_pcg64.hash_words(
-            master, indices, (BRIDGE_STREAM_TAG, _float_bits(b.level))))
-            for b in ladder])
-        barrier_x = np.array([field.abs_level_inverse(b.level)
-                              for b in ladder]).reshape(nb, 1)
+            master, indices, (BRIDGE_STREAM_TAG, _float_bits(level))))
+            for level in levels[:, 0].tolist()])
+        barrier_x = np.array([field.abs_level_inverse(level)
+                              for level in levels[:, 0].tolist()]).reshape(nb, 1)
         ladder_values = np.stack([levels, barrier_x])
 
     end_times = np.zeros(n)
@@ -469,9 +462,9 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     rec_times, rec_states, rec_incs = [0.0], [start.copy()], []
 
     # Degenerate starts stop every path at time 0: already absorbed, already
-    # at or through a barrier, already below the min-level retirement
-    # threshold, or a horizon too short to step.
-    crossed0 = (side * lev0 <= side_levels)[:, 0]
+    # at a barrier, already below the min-level retirement threshold, or a
+    # horizon too short to step.
+    crossed0 = levels[:, 0] == lev0
     if lev0 <= tol:
         absorbed[:] = True
         stop0 = True
@@ -661,19 +654,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
             absorbed=bool(absorbed[0]),
         )
 
-    # the earliest crossing; ladder order sends ties to the lower threshold
-    first_barrier = np.full(n, -1, dtype=np.int64)
-    if nb:
-        crossed = ~np.isnan(cross_times)
-        jb = np.where(crossed, cross_times, np.inf).argmin(axis=1)
-        first_barrier = np.where(crossed.any(axis=1), order[jb], -1)
     # back to the caller's barrier order
     unsort = np.argsort(order)
     return SweepResult(
         end_times=end_times, end_states=end_states, min_levels=min_levels,
         cross_times=cross_times[:, unsort],
-        cross_bridge=cross_bridge[:, unsort], first_barrier=first_barrier,
-        capture_state=capture_state,
+        cross_bridge=cross_bridge[:, unsort], capture_state=capture_state,
         absorbed=absorbed, blown_up=blown_up,
         noise_sum=noise_sum, trajectory=trajectory)
 

@@ -18,8 +18,7 @@ from . import coefficients as cf
 from . import verification as vf
 from .coefficients import CoefficientField
 # perfbench's tracer patches sweep_paths and map_path_chunks here by name
-from .engine import (Barrier, StepPolicy, iter_chunks, map_path_chunks,
-                     sweep_paths)
+from .engine import StepPolicy, iter_chunks, map_path_chunks, sweep_paths
 from .errors import InvalidInputError
 
 
@@ -64,8 +63,7 @@ def dyadic_escape_batch(field: CoefficientField, start, depth: int,
     lev0 = cf.level(field, start)
     spec = {"start": start, "horizon": horizon, "policy": policy,
             "master": master_seed, "stop_mode": "all", "bridge": bridge,
-            "barriers": tuple(Barrier(vf._halved(lev0, j + 1), "down")
-                              for j in range(depth))}
+            "barriers": tuple(vf._halved(lev0, j + 1) for j in range(depth))}
     return np.concatenate(map_path_chunks(
         _dyadic_increments, field, iter_chunks(n_paths), spec, workers))
 

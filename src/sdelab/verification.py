@@ -22,8 +22,8 @@ import numpy as np
 from . import coefficients as cf
 from .coefficients import CoefficientField
 # perfbench's tracer patches sweep_paths and map_path_chunks here by name
-from .engine import (Barrier, StepPolicy, _resolve_bridge, entropy_tuple,
-                     iter_chunks, map_path_chunks, sweep_paths)
+from .engine import (StepPolicy, _resolve_bridge, entropy_tuple, iter_chunks,
+                     map_path_chunks, sweep_paths)
 from .errors import InvalidInputError
 
 # Fitted strong-convergence exponent the engine is expected to reproduce.
@@ -262,7 +262,7 @@ def _band_spec(field: CoefficientField, x, band_level: float,
     within 5 %, stopped by the band's lower and upper barriers."""
     lower, target, upper = _band_levels(band_level, band_index)
     return {"start": _band_start(field, x, target),
-            "barriers": (Barrier(lower, "down"), Barrier(upper, "up")),
+            "barriers": (lower, upper),
             "bridge": _resolve_bridge(field, bridge)}
 
 
@@ -310,7 +310,7 @@ def _sum_chunks(partials) -> list:
 
 def _escape_exits(field, spec, res, *, t_grid):
     # per t, the paths that left the band by t; the paths still in it; n
-    exited = res.first_barrier >= 0
+    exited = ~np.isnan(res.cross_times).all(axis=1)
     exits = np.count_nonzero(
         exited & (res.end_times <= np.asarray(t_grid)[:, None]), axis=1)
     return exits, int(np.count_nonzero(~exited)), exited.size
@@ -320,7 +320,7 @@ def _band_functionals(field, spec, res):
     # one sweep to time 1 captures the stopped state at every t of the grid;
     # row j of the moments holds the four sums of capture_times[j]
     x = spec["start"]
-    exited = res.first_barrier >= 0
+    exited = ~np.isnan(res.cross_times).all(axis=1)
     lev_x = cf.level(field, x)
     n = exited.size
     moments = np.zeros((len(spec["capture_times"]), 4))
@@ -461,19 +461,18 @@ def fitted_escape_exponent(reports: list[BoundCheckReport]) -> float | None:
     """Slope of log estimate vs log t over reports with nondegenerate estimates.
 
     Diagnostic only: the bound gives a sqrt(t) upper envelope, so a fitted
-    slope far below 1/2 would be suspicious.  Returns None with fewer than
-    two distinct usable t, through which no line is fitted.
+    slope far below 1/2 would be suspicious.  Each distinct usable t is
+    fitted once, and with fewer than two no line is fitted: it returns None.
     """
-    ts, ps = [], []
+    usable = {}
     for rep in reports:
         p = rep.lhs_estimate.point
         if 0.0 < p < 1.0:
-            ts.append(rep.parameters["t"])
-            ps.append(p)
-    if len(set(ts)) < 2:
+            usable[rep.parameters["t"]] = p
+    if len(usable) < 2:
         return None
-    slope = np.polyfit(np.log(ts), np.log(ps), 1)[0]
-    return float(slope)
+    ts, ps = np.log(list(usable)), np.log(list(usable.values()))
+    return float(np.polyfit(ts, ps, 1)[0])
 
 
 def check_halving_persistence(field: CoefficientField, start,
@@ -491,7 +490,7 @@ def check_halving_persistence(field: CoefficientField, start,
     barrier, floor_level, _ = _band_levels(band_level, band_index)
     spec = {"start": _persistence_start(field, start, floor_level),
             "horizon": _window_t0(t0), "policy": policy, "master": seed,
-            "barriers": (Barrier(barrier, "down"),),
+            "barriers": (barrier,),
             "bridge": _resolve_bridge(field, bridge)}
     _, survived, n = _sum_chunks(map_path_chunks(
         partial(_escape_exits, t_grid=[t0]), field, iter_chunks(n_paths),
@@ -637,8 +636,8 @@ MAX_STUDY_PATH_STEPS = 2 ** 36
 
 def _study_steps(n_paths: int, h_exponents, horizon: float) -> list[float]:
     """The study's steps 2^-e, if its path-steps are at most
-    MAX_STUDY_PATH_STEPS and two of them differ, so that an order can be
-    fitted."""
+    MAX_STUDY_PATH_STEPS and there are two or more, none repeated, so that an
+    order can be fitted with each step counted once."""
     hs = [_halved(1.0, e) for e in h_exponents]
     # horizon / h is exact, or inf; capping it keeps the count an exact int
     steps = n_paths * sum(math.ceil(min(horizon / h, 2.0 ** 64)) for h in hs)
@@ -646,8 +645,9 @@ def _study_steps(n_paths: int, h_exponents, horizon: float) -> list[float]:
         # steps is an exact int that may not fit a float, so it is not shown
         raise InvalidInputError(
             "n_paths x sum_e ceil(horizon 2^e) is more than 2^36 path-steps")
-    if len(set(hs)) < 2:
-        raise InvalidInputError("need at least two distinct exponents")
+    if len(hs) < 2 or len(set(hs)) < len(hs):
+        raise InvalidInputError("need at least two distinct exponents, "
+                                "none repeated")
     return hs
 
 

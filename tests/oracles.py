@@ -126,8 +126,8 @@ def sandwich_time(path: PathRealization, field: CoefficientField,
     to the lower threshold.  The path must start at the band's center level
     within 5% relative tolerance.
     """
-    lower, upper = (b.level for b in vf._band_spec(
-        field, path.states[0], base_level, band_index, False)["barriers"])
+    lower, upper = vf._band_spec(
+        field, path.states[0], base_level, band_index, False)["barriers"]
     down = first_hitting_time(path, field, lower, method)
     up = first_hitting_time(path, field, upper, method)
     if down.censored and up.censored:

@@ -325,6 +325,10 @@ VALIDATE_ERRORS = [
     ("params.h_exponents", {"experiment": "engine-validation", "n_paths": 64,
                             "master_seed": 11,
                             "params": {"h_exponents": [4, 4]}}),
+    # a repeated step size, which the fit would count twice
+    ("params.h_exponents", {"experiment": "engine-validation", "n_paths": 64,
+                            "master_seed": 11,
+                            "params": {"h_exponents": [3, 4, 4]}}),
 ]
 
 

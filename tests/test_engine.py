@@ -13,9 +13,8 @@ from sdelab import (InvalidInputError, InvariantError, NumericalBlowupError,
                     StepPolicy)
 from sdelab import _pcg64, engine
 from sdelab import coefficients as cf
-from sdelab.engine import (Barrier, SweepResult, _BlockStreams,
-                           bridge_candidates, bridge_cross_probability,
-                           path_entropy, sweep_paths)
+from sdelab.engine import (SweepResult, _BlockStreams, bridge_candidates,
+                           bridge_cross_probability, path_entropy, sweep_paths)
 
 
 def test_em_step_examples():
@@ -205,7 +204,7 @@ def test_blown_up_path_ends_at_the_step_before_its_blowup(mode, bridge):
     field = sl.make_field("power-law-1d", alpha=3.0)
     h, horizon, master, caps = 2.0 ** -3, 4.0, 1, (0.5, 2.0, 4.0)
     pol = StepPolicy.fixed(h)
-    barriers = (Barrier(1e-3, "down"), Barrier(1e66, "up"))
+    barriers = (1e-3, 1e66)
     kw = dict(barriers=barriers, stop_mode=mode, capture_times=caps,
               bridge=bridge, on_blowup="retire", track_noise_sum=True)
     res = sweep_paths(field, [1.0], horizon, pol, master, np.arange(64), **kw)
@@ -247,8 +246,8 @@ def test_blown_up_path_ends_at_the_step_before_its_blowup(mode, bridge):
         assert np.array_equal(res.noise_sum[i], noise)
         # crossings are those of the recorded grid alone
         method = "bridge-corrected" if bridge else "interpolated"
-        for j, b in enumerate(barriers):
-            ref = first_hitting_time(path, field, b.level, method)
+        for j, level in enumerate(barriers):
+            ref = first_hitting_time(path, field, level, method)
             assert np.isnan(res.cross_times[i, j]) == ref.censored
             if not ref.censored:
                 assert res.cross_times[i, j] == ref.time
@@ -304,8 +303,8 @@ _SWEEP_CASES = {
                                         level_fraction=0.05), False),
 }
 
-# barrier levels as multiples of the start level, each strictly on the side
-# its direction needs: below the start for down, above it for up
+# barrier levels as multiples of the start level, each strictly below or
+# above it
 _barrier_multiples = st.lists(
     st.floats(0.1, 3.0).filter(lambda f: abs(f - 1.0) > 0.02),
     min_size=1, max_size=8, unique=True)
@@ -314,8 +313,7 @@ _barrier_multiples = st.lists(
 def _sweep_case(case, multiples):
     field, start, pol, bridge = _SWEEP_CASES[case]
     lev0 = cf.level(field, np.asarray(start, dtype=float))
-    barriers = tuple(Barrier(lev0 * f, "down" if f < 1 else "up")
-                     for f in multiples)
+    barriers = tuple(lev0 * f for f in multiples)
     return field, start, pol, bridge, barriers
 
 
@@ -324,8 +322,9 @@ def _sweep_case(case, multiples):
        mode=st.sampled_from(["first", "all"]), master=st.integers(0, 2**32 - 1))
 def test_sweep_equals_path_scan_property(case, multiples, mode, master):
     # every barrier's sweep crossing is the post-hoc scan of the recorded
-    # path, bit for bit; the first crossing is the earliest, ties to the
-    # lower threshold, and with 'first' the path ends there.  power-law-1d
+    # path, bit for bit, and with 'first' the path ends at the earliest
+    # one; a barrier the sweep leaves uncrossed is censored in the scan, or
+    # with 'first' crossed after the path stopped.  power-law-1d
     # (alpha 3/2) leaves the trusted range on about 0.07 % of paths by
     # t = 1, before or after the sweep stops them, so both sides retire a
     # blown-up path and the path is recorded up to the step before its
@@ -341,23 +340,17 @@ def test_sweep_equals_path_scan_property(case, multiples, mode, master):
         if res.blown_up[i]:
             assert rec.blown_up[0] and res.end_times[i] == rec.end_times[0]
         path = rec.trajectory
-        ref = [first_hitting_time(path, field, b.level, method)
-               for b in barriers]
-        if mode == "all":
-            for j, r in enumerate(ref):
-                assert np.isnan(res.cross_times[i, j]) == r.censored
-                if not r.censored:
-                    assert res.cross_times[i, j] == r.time
-        hits = sorted((r.time, b.level, j) for j, (r, b)
+        ref = [first_hitting_time(path, field, level, method)
+               for level in barriers]
+        hits = sorted((r.time, level, j) for j, (r, level)
                       in enumerate(zip(ref, barriers)) if not r.censored)
-        if hits:
-            assert res.first_barrier[i] == hits[0][2]
-            if mode == "first":
-                assert res.end_times[i] == hits[0][0]
-                assert res.cross_times[i, hits[0][2]] == hits[0][0]
-        else:
-            assert res.first_barrier[i] == -1
-            assert np.isnan(res.cross_times[i]).all()
+        for j, r in enumerate(ref):
+            if np.isnan(res.cross_times[i, j]):
+                assert r.censored or mode == "first" and r.time > hits[0][0]
+            else:
+                assert not r.censored and res.cross_times[i, j] == r.time
+        if mode == "first" and hits:
+            assert res.end_times[i] == hits[0][0]
         if mode == "all" and len(hits) == len(barriers):
             # the path stops at its last crossing (a tie goes to the lower
             # threshold), in that state: the recorded step interpolated at
@@ -371,7 +364,7 @@ def test_sweep_equals_path_scan_property(case, multiples, mode, master):
             want = x0 + (x1 - x0) * frac
             if ref[last].method == "bridge-corrected":
                 sgn = np.sign(x0[0]) or 1.0
-                want = [sgn * field.abs_level_inverse(barriers[last].level)]
+                want = [sgn * field.abs_level_inverse(barriers[last])]
             assert np.array_equal(res.end_states[i], want)
 
 
@@ -648,11 +641,11 @@ def test_sweep_buffer_holds_at_most_128_normals_per_path(monkeypatch, name,
 @pytest.mark.parametrize("h, barriers, first, all_", [
     # x -> -2x, the level 1, 4, 16, 64, 256 at times 0, 3, 6, 9, 12; up
     # barriers on grid levels, passed out of order
-    (3.0, (Barrier(256.0, "up"), Barrier(16.0, "up")),
-     # first barrier, first time, end state, min level
+    (3.0, (256.0, 16.0),
+     # first barrier crossed, its time, end state, min level
      (1, 6.0, 4.0, 1.0), (12.0, 16.0, 1.0)),
     # x -> x/2, the level 1, 1/4, 1/16, 1/64, 1/256 at times 0, 1/2, 1, 3/2, 2
-    (0.5, (Barrier(0.0625, "down"), Barrier(0.00390625, "down")),
+    (0.5, (0.0625, 0.00390625),
      (0, 1.0, 0.25, 0.25), (2.0, 0.0625, 0.015625)),
 ])
 def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
@@ -664,13 +657,13 @@ def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
     res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0], barriers=barriers,
                       stop_mode=mode)
     path = sl.simulate_path(field, [1.0], 10 * h, pol, path_entropy(1, 0))
-    ref = [first_hitting_time(path, field, b.level) for b in barriers]
+    ref = [first_hitting_time(path, field, level) for level in barriers]
     assert not any(r.censored for r in ref)
     jb, t_first = first[:2]
-    assert res.first_barrier[0] == jb
     assert res.cross_times[0, jb] == ref[jb].time == t_first
     if mode == "first":
         x_end, lo = first[2:]
+        assert np.isnan(res.cross_times[0, 1 - jb])
         assert res.end_times[0] == t_first
     else:
         t_last, x_end, lo = all_
@@ -683,25 +676,31 @@ def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
 def test_sweep_barrier_at_start_and_validation():
     field = sl.make_field("linear-1d")
     pol = StepPolicy.fixed(1e-3)
-    res = sweep_paths(field, [1.0], 1.0, pol, 1, [0],
-                      barriers=(Barrier(1.0, "down"),), stop_mode="first")
-    assert res.first_barrier[0] == 0
-    assert res.end_times[0] == res.cross_times[0, 0] == 0.0
-    # a start at or through two down barriers, passed in descending level
-    # order: the time-0 tie resolves to the lower threshold
-    for start in ([1.0], [0.5]):
-        res = sweep_paths(field, start, 1.0, pol, 1, [0],
-                          barriers=(Barrier(2.0, "down"), Barrier(1.0, "down")),
+    # a level equal to the start level is crossed at time 0 and one above it
+    # is not, whatever order the levels come in
+    for barriers in ((1.0,), (2.0, 1.0)):
+        res = sweep_paths(field, [1.0], 1.0, pol, 1, [0], barriers=barriers,
                           stop_mode="first")
-        assert res.first_barrier[0] == 1
-        assert res.end_times[0] == 0.0
-        assert (res.cross_times[0] == 0.0).all()
+        assert res.end_times[0] == res.cross_times[0, -1] == 0.0
+        assert np.isnan(res.cross_times[0, :-1]).all()
+    # from a start below both levels, each is crossed upward, where the
+    # scan of the recorded path crosses it
+    res = sweep_paths(field, [0.5], 1.0, pol, 1, np.arange(16),
+                      barriers=(2.0, 1.0), stop_mode="all")
+    assert 0 < np.count_nonzero(~np.isnan(res.cross_times).any(axis=1)) < 16
+    for i in range(16):
+        path = sl.simulate_path(field, [0.5], 1.0, pol, path_entropy(1, i))
+        for j, level in enumerate((2.0, 1.0)):
+            ref = first_hitting_time(path, field, level)
+            assert ref.direction == "up"
+            assert np.array_equal(res.cross_times[i, j],
+                                  np.nan if ref.censored else ref.time,
+                                  equal_nan=True)
     with pytest.raises(InvalidInputError):
         sweep_paths(field, [1.0], -1.0, pol, 1, [0])
-    with pytest.raises(InvalidInputError):
-        Barrier(-1.0, "down")
-    with pytest.raises(InvalidInputError):
-        Barrier(1.0, "sideways")
+    for barriers in ((-1.0,), (float("nan"),)):
+        with pytest.raises(InvalidInputError, match="barriers"):
+            sweep_paths(field, [1.0], 1.0, pol, 1, [0], barriers=barriers)
     with pytest.raises(InvalidInputError):
         # bridge needs 1-d with a level inverse
         sweep_paths(sl.make_field("diag-linear"), [1.0, 1.0], 1.0, pol,
@@ -715,7 +714,7 @@ def test_capture_is_the_state_at_capture_time_or_end():
     # the step holding the capture time and keeps going
     field = sl.make_field("linear-1d")
     pol = StepPolicy.fixed(1e-2)
-    bars = tuple(Barrier(2.0 ** -j, "down") for j in range(1, 7))
+    bars = tuple(2.0 ** -j for j in range(1, 7))
     indices = np.arange(4000)
     free = sweep_paths(field, [1.0], 1.0, pol, 5, indices, capture_times=(0.3,))
     assert free.capture_state.shape == (4000, 1, 1)
@@ -743,7 +742,7 @@ def test_capture_times_in_any_order_give_their_columns(case):
         field, start, bridge = sl.make_field("linear-1d"), [1.0], True
     pol = StepPolicy.fixed(1e-2)
     lev0 = cf.level(field, np.asarray(start))
-    kw = dict(barriers=(Barrier(lev0 / 2, "down"), Barrier(2 * lev0, "up")),
+    kw = dict(barriers=(lev0 / 2, 2 * lev0),
               bridge=bridge, track_noise_sum=True)
     times = (0.3, 0.0, 1.0, 2.5e-3, 0.3, 0.05, 1.0 - 1e-13)
     indices = np.arange(400)
@@ -786,7 +785,7 @@ def test_all_stop_state_is_the_state_at_the_last_crossing():
     # ends there, and a capture time after it takes that state.
     field = sl.make_field("decay-1d")
     res = sweep_paths(field, [1.0], 2.0, StepPolicy.fixed(0.5), 1, [0],
-                      barriers=(Barrier(0.5, "down"),), stop_mode="all",
+                      barriers=(0.5,), stop_mode="all",
                       capture_times=(0.4,))
     assert res.end_times[0] == pytest.approx(1 / 3, abs=1e-15)
     assert res.end_states[0, 0] == pytest.approx(2 / 3, abs=1e-15)
@@ -794,9 +793,9 @@ def test_all_stop_state_is_the_state_at_the_last_crossing():
 
 
 @pytest.mark.parametrize("case, barrier", [
-    ("decay-1d", Barrier(0.5, "down")),
-    ("linear-1d-bridge", Barrier(0.5, "down")),
-    ("linear-1d-bridge", Barrier(2.0, "up")),
+    ("decay-1d", 0.5),
+    ("linear-1d-bridge", 0.5),
+    ("linear-1d-bridge", 2.0),
 ])
 def test_one_barrier_all_equals_first(case, barrier):
     # with one barrier the last crossing is the first, so both stop modes

@@ -22,7 +22,7 @@ from hypothesis import strategies as st
 
 import sdelab as sl
 from sdelab import StepPolicy
-from sdelab.engine import Barrier, sweep_paths
+from sdelab.engine import sweep_paths
 
 N_PATHS = 2000
 CAPTURE_TIMES = (0.1, 0.5)
@@ -38,8 +38,7 @@ def _sweep(field, start, level, *, scale=1.0, stop_mode="first",
            bridge=False):
     # one down barrier at half the start's level and one up barrier at twice
     # it, both times `scale`
-    barriers = (Barrier(scale * level / 2, "down"),
-                Barrier(scale * level * 2, "up"))
+    barriers = (scale * level / 2, scale * level * 2)
     return sweep_paths(field, start, 1.0, StepPolicy.fixed(1e-2), 11,
                        np.arange(N_PATHS), barriers=barriers,
                        stop_mode=stop_mode, capture_times=CAPTURE_TIMES,
@@ -51,8 +50,8 @@ def _same(a, b):
 
 
 def _assert_same_times(res, ref):
-    for name in ("end_times", "cross_times", "cross_bridge", "first_barrier",
-                 "absorbed", "blown_up", "noise_sum"):
+    for name in ("end_times", "cross_times", "cross_bridge", "absorbed",
+                 "blown_up", "noise_sum"):
         assert _same(getattr(res, name), getattr(ref, name)), name
 
 
@@ -110,10 +109,9 @@ def _drawn_sweeps(draw):
              for _ in range(field.d)]
     level = sl.level(field, start)
     barriers = tuple(
-        Barrier(level / factor if direction == "down" else level * factor,
-                direction)
-        for direction, factor in draw(st.lists(
-            st.tuples(st.sampled_from(["down", "up"]), st.floats(1.1, 8.0)),
+        level / factor if below else level * factor
+        for below, factor in draw(st.lists(
+            st.tuples(st.booleans(), st.floats(1.1, 8.0)),
             min_size=1, max_size=3)))
     kwargs = {"barriers": barriers,
               "stop_mode": draw(st.sampled_from(["first", "all"])),
@@ -145,8 +143,7 @@ def test_reflection_on_drawn_sweeps(sweep, bridge):
 def test_scaling_by_a_power_of_two_on_drawn_sweeps(sweep, j):
     field, start, kwargs = sweep
     ref = _drawn_sweep(field, start, **kwargs)
-    scaled = tuple(Barrier(4.0 ** j * b.level, b.direction)
-                   for b in kwargs["barriers"])
+    scaled = tuple(4.0 ** j * level for level in kwargs["barriers"])
     res = _drawn_sweep(field, [2.0 ** j * x for x in start],
                        **{**kwargs, "barriers": scaled})
     _assert_same_times(res, ref)
@@ -164,8 +161,7 @@ def test_space_time_scaling_of_the_square_law():
     level = sl.level(field, [0.5])
 
     def sweep(start, h, horizon, level_scale, time_scale):
-        barriers = (Barrier(level_scale * level / 2, "down"),
-                    Barrier(level_scale * level * 2, "up"))
+        barriers = (level_scale * level / 2, level_scale * level * 2)
         return sweep_paths(field, [start], horizon, StepPolicy.fixed(h), 11,
                            np.arange(N_PATHS), barriers=barriers,
                            capture_times=[time_scale * t
@@ -175,7 +171,7 @@ def test_space_time_scaling_of_the_square_law():
     ref = sweep(0.5, 4e-2, 1.0, 1.0, 1.0)
     res = sweep(1.0, 1e-2, 0.25, 16.0, 0.25)
     _assert_nontrivial(ref, False)
-    for name in ("first_barrier", "absorbed", "blown_up", "cross_bridge"):
+    for name in ("absorbed", "blown_up", "cross_bridge"):
         assert _same(getattr(res, name), getattr(ref, name)), name
     assert _same(res.end_times, ref.end_times / 4)
     assert _same(res.cross_times, ref.cross_times / 4)

@@ -5,7 +5,7 @@ import pytest
 
 import sdelab as sl
 from sdelab import _pcg64
-from sdelab.engine import (BRIDGE_STREAM_TAG, Barrier, StepPolicy, _float_bits,
+from sdelab.engine import (BRIDGE_STREAM_TAG, StepPolicy, _float_bits,
                            sweep_paths)
 
 
@@ -150,7 +150,7 @@ def test_bridge_sweep_builds_one_generator_per_path(monkeypatch):
 
     monkeypatch.setattr(np.random, "default_rng", counting)
     field = sl.make_field("linear-1d")
-    bars = (Barrier(0.5, "down"), Barrier(2.0, "up"))
+    bars = (0.5, 2.0)
     res = sweep_paths(field, [1.0], 1.0, StepPolicy.fixed(1e-2), 3, np.arange(64),
                       barriers=bars, bridge=True)
     assert len(built) == 64

@@ -9,7 +9,7 @@ from scipy import stats
 import oracles
 import sdelab as sl
 from sdelab import InvalidInputError, StepPolicy
-from sdelab.engine import Barrier, PathRealization, path_entropy, sweep_paths
+from sdelab.engine import PathRealization, path_entropy, sweep_paths
 from sdelab.cli import _write_csv
 from sdelab.stopping import _escape_increments, escape_csv_rows
 
@@ -80,9 +80,8 @@ def test_gbm_mean_crossing_time_matches_inverse_gaussian():
     thr = float(np.exp(-2.0))
     res = sweep_paths(field, [1.0], 50.0, StepPolicy.fixed(1e-3),
                       17, np.arange(3000),
-                      barriers=(Barrier(thr, "down"),), stop_mode="first",
-                      bridge=True)
-    crossed = res.first_barrier >= 0
+                      barriers=(thr,), stop_mode="first", bridge=True)
+    crossed = ~np.isnan(res.cross_times[:, 0])
     assert crossed.mean() > 0.995
     assert np.mean(res.end_times[crossed]) == pytest.approx(2.0, abs=0.15)
 
@@ -126,7 +125,7 @@ def test_sweep_band_exit_equals_path_scan():
     # computation, bit for bit, with and without the bridge correction
     field = sl.make_field("linear-1d")
     pol = StepPolicy.fixed(1e-3)
-    bars = (Barrier(0.5, "down"), Barrier(2.0, "up"))
+    bars = (0.5, 2.0)
     for bridge, method in ((False, "interpolated"), (True, "bridge-corrected")):
         res = sweep_paths(field, [1.0], 2.0, pol, 7, np.arange(40),
                           barriers=bars, stop_mode="first", bridge=bridge)
@@ -134,9 +133,10 @@ def test_sweep_band_exit_equals_path_scan():
             p = sl.simulate_path(field, [1.0], 2.0, pol, path_entropy(7, i))
             sw = oracles.sandwich_time(p, field, 2.0, 1, method=method)
             if sw.censored:
-                assert res.first_barrier[i] == -1
+                assert np.isnan(res.cross_times[i]).all()
             else:
                 assert res.end_times[i] == sw.time
+                assert res.cross_times[i, bars.index(sw.threshold)] == sw.time
 
 
 def test_pathwise_threshold_ordering():
@@ -160,8 +160,8 @@ def test_crossing_distribution_converges_under_refinement():
     def sample(h):
         res = sweep_paths(field, [1.0], 4.0, StepPolicy.fixed(h),
                           (11, int(1 / h)), np.arange(4000),
-                          barriers=(Barrier(thr, "down"),), stop_mode="first")
-        return res.end_times[res.first_barrier >= 0]
+                          barriers=(thr,), stop_mode="first")
+        return res.end_times[~np.isnan(res.cross_times[:, 0])]
 
     ref = sample(2.0 ** -10)
     ks = [stats.ks_2samp(sample(2.0 ** -e), ref).statistic for e in (4, 6, 8)]

@@ -1,5 +1,6 @@
 import math
 import sys
+import warnings
 from functools import partial
 
 import numpy as np
@@ -349,6 +350,30 @@ def test_fitted_escape_exponent_on_observable_grid():
     assert sl.fitted_escape_exponent(vac) is None
 
 
+def test_fitted_escape_exponent_fits_each_t_once():
+    # a repeated t is one point of the fit, not two
+    pol = StepPolicy.fixed(1e-3)
+    once, twice = (sl.check_escape_probability_bound(
+        LINEAR, [1.0], 2.0, 1, grid, 2000, pol, 3)
+        for grid in ([0.03, 0.05, 0.1], [0.03, 0.05, 0.1, 0.1]))
+    assert all(0 < r.lhs_estimate.point < 1 for r in once)
+    assert twice[2].to_json_dict() == twice[3].to_json_dict()
+    assert sl.fitted_escape_exponent(twice) == sl.fitted_escape_exponent(once)
+
+
+def test_escape_bound_with_tiny_alpha_warns_nothing():
+    # alpha < 1/2048 puts the |x| of the upper band level 2 past the largest
+    # float: the bridge finds a barrier at inf, which no step crosses, and
+    # finding it warns nothing.  One path of 200 leaves by the lower level
+    field = sl.make_field("power-law-1d", alpha=4e-4, lipschitz_k=1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        reps = sl.check_escape_probability_bound(
+            field, [1.0], 2.0, 1, [0.01, 0.1], 200, StepPolicy.fixed(1e-2), 1,
+            bridge=True)
+    assert [r.lhs_estimate.point for r in reps] == [0.0, 0.005]
+
+
 def test_halving_persistence_constant_field():
     rep = sl.check_halving_persistence(CONST_FIELD, [3.0], 2.0, 1, 300,
                                        StepPolicy.fixed(1e-3), 2, t0=0.01)
@@ -487,8 +512,8 @@ def test_strong_order_study_caps_its_path_steps():
                                           (10 ** 400, [4], 1.0)]:
         with pytest.raises(InvalidInputError, match="more than 2"):
             sl.strong_order_study(n_paths, h_exponents, horizon)
-    # a line needs two distinct steps
-    for h_exponents in ([4], [4, 4]):
+    # a line needs two distinct steps, each counted once
+    for h_exponents in ([4], [4, 4], [3, 4, 4]):
         with pytest.raises(InvalidInputError, match="two distinct"):
             sl.strong_order_study(1, h_exponents)
 
@@ -578,7 +603,7 @@ def test_halving_persistence_is_one_escape_sweep(monkeypatch):
     ((reduce, _, spec, partials),) = calls
     assert reduce.func is _escape_exits and reduce.keywords == {"t_grid": [0.1]}
     assert spec["horizon"] == 0.1
-    assert spec["barriers"] == (sl.Barrier(0.5, "down"),)
+    assert spec["barriers"] == (0.5,)
     assert len(partials) == 3
     survived = sum(never for _, never, _ in partials)
     assert rep.lhs_estimate.censored_n == survived == round(
