@@ -4,14 +4,16 @@ The module has two layers.  ``em_step``/``simulate_path`` are the scalar API:
 one explicit Euler-Maruyama update and one fully recorded trajectory.  Under
 both sits ``sweep_paths``, a vectorized driver that advances a block of paths
 simultaneously, detects crossings of levels, each from the side of the start
-level, incrementally, and retires paths at the end of the step they stop in,
-a zero step for a path that blows up.  Its ``SweepResult`` records each fact
-once: a path that a crossing stops ends there, so that crossing's time and
-state are the path's end time and end state, and the capture at a time t is
-the stopped state X(t ^ end time), for any number of times.  Every estimator
-in the package runs on the same driver, so a path's realization depends only
-on its name, the pair (master seed, path index), and the step policy, never
-on batch size, worker count, or which functional is being accumulated.
+level, incrementally, stops a path at its earliest crossing of an outer level
+(the lowest at or below the start level, the highest above it), and retires
+paths at the end of the step they stop in, a zero step for a path that blows
+up.  Its ``SweepResult`` records each fact once: a path that a crossing stops
+ends there, so that crossing's time and state are the path's end time and end
+state, and the capture at a time t is the stopped state X(t ^ end time), for
+any number of times.  Every estimator in the package runs on the same driver,
+so a path's realization depends only on its name, the pair (master seed, path
+index), and the step policy, never on batch size, worker count, or which
+functional is being accumulated.
 
 Noise is numpy's own: each path's increments are
 ``default_rng((*master, index))`` normals, and each (path, barrier) bridge
@@ -120,9 +122,9 @@ class PathRealization:
 class SweepResult:
     """Per-path functionals accumulated by :func:`sweep_paths`.
 
-    A path stopped by a crossing (its first with ``stop_mode='first'``, its
-    last with ``'all'``) ends there: that crossing's time and state are its
-    ``end_times`` and ``end_states``.
+    A path stopped by a crossing (its earliest of an outer barrier) ends
+    there: that crossing's time and state are its ``end_times`` and
+    ``end_states``.
     """
 
     end_times: np.ndarray      # (n,)
@@ -316,7 +318,6 @@ def em_step(field: CoefficientField, x, h: float, dW) -> np.ndarray:
 def sweep_paths(field: CoefficientField, start, horizon: float,
                 policy: StepPolicy, master, indices, *,
                 barriers: tuple = (),
-                stop_mode: str = "first",
                 capture_times=(),
                 min_level_retire: float | None = None,
                 bridge: bool = False,
@@ -337,11 +338,12 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     ``cross_times`` has a column per level, in the order given.
 
     Paths stop at the horizon, on absorption into the zero set, when the
-    running grid-minimum of the level drops to ``min_level_retire``, on
-    barrier crossings (with ``stop_mode='first'`` at the earliest crossing
-    of any barrier, with ``'all'`` once every barrier has been crossed) or
-    on numerical blowup, and retire at the end of the step they stop in.  A
-    blown-up path's is a zero step, so it keeps its time, state and minimum.
+    running grid-minimum of the level drops to ``min_level_retire``, at
+    their earliest crossing of an outer barrier (the lowest level at or
+    below the start level and the highest above it; crossing an inner one
+    only records its time) or on numerical blowup, and retire at the end
+    of the step they stop in.  A blown-up path's is a zero step, so it
+    keeps its time, state and minimum.
 
     Crossings are detected on the piecewise-linear interpolant of the level
     along each step; with ``bridge=True`` (1-d fields with a symmetric
@@ -353,12 +355,11 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     computed directly from the step index, so results remain reproducible
     pathwise and the increments are the same with the bridge on or off.
 
-    Simultaneous crossings within one step resolve to the earliest
-    interpolated time; exact ties resolve to the lower threshold.  A
-    crossing stop (the earliest crossing with ``'first'``, with ``'all'``
-    the latest of the step that leaves no barrier uncrossed) ends the path
-    at that time, in the step's interpolated state, or a bridge trigger's
-    barrier position.
+    A crossing stop, the earliest outer crossing of the step with exact
+    ties to the lower threshold, ends the path at that time, in the step's
+    interpolated state, or a bridge trigger's barrier position.  On the
+    interpolant a path passes every inner level before the outer one
+    beyond it; a bridge trigger of an outer level can stop a path first.
 
     ``capture_state[:, j]`` is the stopped state X(min(capture_times[j], end
     time)): the state interpolated at that time on the step that contains
@@ -389,8 +390,6 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     """
     if horizon <= 0:
         raise InvalidInputError("horizon must be positive")
-    if stop_mode not in ("first", "all"):
-        raise InvalidInputError(f"unknown stop_mode {stop_mode!r}")
     if on_blowup not in ("raise", "retire"):
         raise InvalidInputError(f"unknown on_blowup {on_blowup!r}")
     start = cf._check_state(field, start)
@@ -424,6 +423,10 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
     levels = levels[order].reshape(nb, 1)
     side = np.where(levels <= lev0, 1.0, -1.0)
     side_levels = side * levels
+    is_down = side > 0
+    # a crossing of an outer barrier, the lowest down or the highest up
+    # level, stops its path; one of an inner barrier only records its time
+    outer = (np.where(is_down, levels[:1], levels[-1:]) == levels)[:, 0]
 
     tol = cf.resolved_zero_tol(lev0)
     retire_level = -np.inf if min_level_retire is None else min_level_retire
@@ -470,10 +473,8 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
         stop0 = True
     else:
         cross_times[:, crossed0] = 0.0
-        stop0 = crossed0.any() if stop_mode == "first" else nb and crossed0.all()
-        stop0 = stop0 or lev0 <= retire_level or horizon <= horizon_eps
-
-    is_down = side > 0
+        stop0 = ((crossed0 & outer).any() or lev0 <= retire_level
+                 or horizon <= horizon_eps)
 
     def nearest(unc):
         # rows dn, up (and with the bridge x_dn, x_up) for each column of the
@@ -485,13 +486,13 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
 
     # live state, one entry per live path: Sig and Bv are sigma and b at X,
     # and dW_sum is None unless noise sums are tracked.  ``uncrossed`` and
-    # ``near`` have one column per live path with stop_mode 'all'; with
-    # 'first' a crossing stops its path, so every live path keeps the
-    # start's and they are one column broadcast against the paths.  An
+    # ``near`` have one column per live path when an inner barrier exists;
+    # without one every crossing stops its path, so every live path keeps
+    # the start's and they are one column broadcast against the paths.  An
     # uncrossed down barrier always lies strictly below the current level
     # and an uncrossed up barrier strictly above it, so a path crosses on
     # the interpolant exactly when lev1 <= dn or lev1 >= up.
-    per_path = stop_mode == "all"
+    per_path = not outer.all()
     idx = np.arange(0 if stop0 else n)
     X = np.tile(start, (idx.size, 1))
     Sig, Bv = field.sigma(X), field.b(X)
@@ -586,17 +587,15 @@ def sweep_paths(field: CoefficientField, start, horizon: float,
                 jn, cn = np.nonzero(new[:, cc])
                 cross_times[rows[cn], jn] = tcc[jn, cn]
                 if per_path:
-                    # only the paths with no barrier left stop, at their
-                    # latest crossing of this step
+                    # only the paths that crossed an outer barrier stop
                     left = uncrossed[:, c] & ~new[:, cc]
                     uncrossed[:, c] = left
                     near[:, c] = nearest(left)
-                    done = ~left.any(axis=0)
+                    tcc = np.where(outer[:, None], tcc, np.inf)
+                    done = tcc.min(axis=0) < np.inf
                     c, rows, tcc = c[done], rows[done], tcc[:, done]
-                    jb = np.where(new[:, cc[done]], tcc, -np.inf).argmax(axis=0)
-                else:
-                    # the path stops at its earliest crossing
-                    jb = tcc.argmin(axis=0)
+                # the path stops at its earliest outer crossing
+                jb = tcc.argmin(axis=0)
             if c.size:
                 stop_time = tcc[jb, np.arange(c.size)]
                 stop_state = _state_at(X[c], X1[c], t[c], dt[c], stop_time)

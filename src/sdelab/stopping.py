@@ -62,7 +62,7 @@ def dyadic_escape_batch(field: CoefficientField, start, depth: int,
     start = vf._off_zero_set(field, start)
     lev0 = cf.level(field, start)
     spec = {"start": start, "horizon": horizon, "policy": policy,
-            "master": master_seed, "stop_mode": "all", "bridge": bridge,
+            "master": master_seed, "bridge": bridge,
             "barriers": tuple(vf._halved(lev0, j + 1) for j in range(depth))}
     return np.concatenate(map_path_chunks(
         _dyadic_increments, field, iter_chunks(n_paths), spec, workers))

@@ -191,21 +191,23 @@ def test_blowup_in_a_later_chunk_replays_from_its_seed():
     assert replay.value.seed == err.seed
 
 
-@pytest.mark.parametrize("mode, bridge", [("first", False), ("all", False),
-                                          ("all", True)])
-def test_blown_up_path_ends_at_the_step_before_its_blowup(mode, bridge):
+@pytest.mark.parametrize("barriers, bridge", [
+    ((1e-3, 1e66), False), ((1e6, 1e66, 1e300), False),
+    ((1e6, 1e66, 1e300), True)], ids=["band", "ladder", "ladder-bridge"])
+def test_blown_up_path_ends_at_the_step_before_its_blowup(barriers, bridge):
     # power-law-1d with alpha = 3 and h = 1/8 leaves the trusted range on
     # 11-14 of 64 paths by t = 4.  The blowup step takes |x| past 1e12, so
     # its interpolant crosses the up barrier at |x| = 1e11 too; the sweep
     # must not see that crossing.  A blown-up row ends where its recorded
     # grid ends, the step before the blowup, in every field of the row.
-    # (With the bridge, every path bridges the down barrier before it can
-    # blow up, so 'first' has no blowup to check.)
+    # With the bridge, every path bridges an outer down barrier before it
+    # can blow up, so that case has up barriers only: the inner ones at
+    # |x| = 10 and 1e11, crossed by blown-up paths, and an outer one at
+    # |x| = 1e50, which no path reaches.
     field = sl.make_field("power-law-1d", alpha=3.0)
     h, horizon, master, caps = 2.0 ** -3, 4.0, 1, (0.5, 2.0, 4.0)
     pol = StepPolicy.fixed(h)
-    barriers = (1e-3, 1e66)
-    kw = dict(barriers=barriers, stop_mode=mode, capture_times=caps,
+    kw = dict(barriers=barriers, capture_times=caps,
               bridge=bridge, on_blowup="retire", track_noise_sum=True)
     res = sweep_paths(field, [1.0], horizon, pol, master, np.arange(64), **kw)
     blown = np.flatnonzero(res.blown_up)
@@ -319,21 +321,23 @@ def _sweep_case(case, multiples):
 
 @settings(max_examples=100, deadline=None)
 @given(case=st.sampled_from(sorted(_SWEEP_CASES)), multiples=_barrier_multiples,
-       mode=st.sampled_from(["first", "all"]), master=st.integers(0, 2**32 - 1))
-def test_sweep_equals_path_scan_property(case, multiples, mode, master):
+       master=st.integers(0, 2**32 - 1))
+def test_sweep_equals_path_scan_property(case, multiples, master):
     # every barrier's sweep crossing is the post-hoc scan of the recorded
-    # path, bit for bit, and with 'first' the path ends at the earliest
-    # one; a barrier the sweep leaves uncrossed is censored in the scan, or
-    # with 'first' crossed after the path stopped.  power-law-1d
-    # (alpha 3/2) leaves the trusted range on about 0.07 % of paths by
-    # t = 1, before or after the sweep stops them, so both sides retire a
-    # blown-up path and the path is recorded up to the step before its
-    # blowup
+    # path, bit for bit, and the path ends at the earliest crossing of an
+    # outer barrier, the lowest level below the start or the highest above
+    # it; a barrier the sweep leaves uncrossed is censored in the scan, or
+    # crossed after the path stopped.  power-law-1d (alpha 3/2) leaves the
+    # trusted range on about 0.07 % of paths by t = 1, before or after the
+    # sweep stops them, so both sides retire a blown-up path and the path
+    # is recorded up to the step before its blowup
     field, start, pol, bridge, barriers = _sweep_case(case, multiples)
+    lev0 = cf.level(field, np.asarray(start, dtype=float))
+    outer = {min((lv for lv in barriers if lv <= lev0), default=None),
+             max((lv for lv in barriers if lv > lev0), default=None)}
     method = "bridge-corrected" if bridge else "interpolated"
     res = sweep_paths(field, start, 1.0, pol, master, np.arange(3),
-                      barriers=barriers, stop_mode=mode, bridge=bridge,
-                      on_blowup="retire")
+                      barriers=barriers, bridge=bridge, on_blowup="retire")
     for i in range(3):
         rec = sweep_paths(field, start, 1.0, pol, master, [i], record=True,
                           on_blowup="retire")
@@ -344,37 +348,36 @@ def test_sweep_equals_path_scan_property(case, multiples, mode, master):
                for level in barriers]
         hits = sorted((r.time, level, j) for j, (r, level)
                       in enumerate(zip(ref, barriers)) if not r.censored)
+        stops = [hit for hit in hits if hit[1] in outer]
+        t_end = stops[0][0] if stops else np.inf
         for j, r in enumerate(ref):
             if np.isnan(res.cross_times[i, j]):
-                assert r.censored or mode == "first" and r.time > hits[0][0]
+                assert r.censored or r.time > t_end
             else:
                 assert not r.censored and res.cross_times[i, j] == r.time
-        if mode == "first" and hits:
-            assert res.end_times[i] == hits[0][0]
-        if mode == "all" and len(hits) == len(barriers):
-            # the path stops at its last crossing (a tie goes to the lower
-            # threshold), in that state: the recorded step interpolated at
-            # the end time, or the barrier's position for a bridge trigger
-            t_end = hits[-1][0]
-            last = min((lv, j) for t, lv, j in hits if t == t_end)[1]
+        if stops:
+            # the path stops at its earliest outer crossing (a tie goes to
+            # the lower threshold), in that state: the recorded step
+            # interpolated at the end time, or the barrier's position for a
+            # bridge trigger
+            jb = stops[0][2]
             assert res.end_times[i] == t_end
             k = np.searchsorted(path.times, t_end) - 1
             x0, x1 = path.states[k], path.states[k + 1]
             frac = (t_end - path.times[k]) / (path.times[k + 1] - path.times[k])
             want = x0 + (x1 - x0) * frac
-            if ref[last].method == "bridge-corrected":
+            if ref[jb].method == "bridge-corrected":
                 sgn = np.sign(x0[0]) or 1.0
-                want = [sgn * field.abs_level_inverse(barriers[last])]
+                want = [sgn * field.abs_level_inverse(barriers[jb])]
             assert np.array_equal(res.end_states[i], want)
 
 
 @settings(max_examples=60, deadline=None)
 @given(case=st.sampled_from(sorted(_SWEEP_CASES)), multiples=_barrier_multiples,
-       mode=st.sampled_from(["first", "all"]), master=st.integers(0, 2**32 - 1),
-       split=st.integers(0, 6),
+       master=st.integers(0, 2**32 - 1), split=st.integers(0, 6),
        retire=st.none() | st.floats(0.05, 0.5))
-def test_sweep_rows_do_not_depend_on_path_order(case, multiples, mode, master,
-                                                split, retire):
+def test_sweep_rows_do_not_depend_on_path_order(case, multiples, master, split,
+                                                retire):
     # a path's row is the same whatever batch it is swept in and wherever
     # it sits in that batch
     field, start, pol, bridge, barriers = _sweep_case(case, multiples)
@@ -383,8 +386,7 @@ def test_sweep_rows_do_not_depend_on_path_order(case, multiples, mode, master,
 
     def sweep(rows):
         return sweep_paths(field, start, 1.0, pol, master, rows, barriers=barriers,
-                           stop_mode=mode, bridge=bridge,
-                           capture_times=(0.3, 1.0, 0.05),
+                           bridge=bridge, capture_times=(0.3, 1.0, 0.05),
                            min_level_retire=None if retire is None else retire * lev0,
                            on_blowup="retire", track_noise_sum=True)
 
@@ -637,38 +639,38 @@ def test_sweep_buffer_holds_at_most_128_normals_per_path(monkeypatch, name,
     assert shapes == [shape]
 
 
-@pytest.mark.parametrize("mode", ["first", "all"])
-@pytest.mark.parametrize("h, barriers, first, all_", [
+@pytest.mark.parametrize("h, barriers, inner, pair", [
     # x -> -2x, the level 1, 4, 16, 64, 256 at times 0, 3, 6, 9, 12; up
     # barriers on grid levels, passed out of order
     (3.0, (256.0, 16.0),
-     # first barrier crossed, its time, end state, min level
+     # the inner barrier: its index, time, end state and min level when it
+     # is swept alone; the pair's end time, end state and min level
      (1, 6.0, 4.0, 1.0), (12.0, 16.0, 1.0)),
     # x -> x/2, the level 1, 1/4, 1/16, 1/64, 1/256 at times 0, 1/2, 1, 3/2, 2
     (0.5, (0.0625, 0.00390625),
      (0, 1.0, 0.25, 0.25), (2.0, 0.0625, 0.015625)),
 ])
-def test_sweep_crosses_barriers_on_grid_levels(mode, h, barriers, first, all_):
+def test_sweep_crosses_barriers_on_grid_levels(h, barriers, inner, pair):
     # a barrier equal to a grid level is crossed at that grid point, by the
     # sweep as by the scan of the recorded path (<=, not <), and the path
-    # stops at that step, not at the next
+    # stops at that step, not at the next: the inner barrier's step when it
+    # is swept alone, the outer barrier's when the pair is
     field = sl.make_field("decay-1d")
     pol = StepPolicy.fixed(h)
-    res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0], barriers=barriers,
-                      stop_mode=mode)
     path = sl.simulate_path(field, [1.0], 10 * h, pol, path_entropy(1, 0))
     ref = [first_hitting_time(path, field, level) for level in barriers]
     assert not any(r.censored for r in ref)
-    jb, t_first = first[:2]
-    assert res.cross_times[0, jb] == ref[jb].time == t_first
-    if mode == "first":
-        x_end, lo = first[2:]
-        assert np.isnan(res.cross_times[0, 1 - jb])
-        assert res.end_times[0] == t_first
-    else:
-        t_last, x_end, lo = all_
-        assert res.cross_times[0].tolist() == [r.time for r in ref]
-        assert res.end_times[0] == t_last
+    jb, t_first, x_end, lo = inner
+    res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0],
+                      barriers=barriers[jb:jb + 1])
+    assert res.cross_times[0, 0] == ref[jb].time == t_first
+    assert res.end_times[0] == t_first
+    assert res.end_states[0, 0] == x_end
+    assert res.min_levels[0] == lo
+    t_last, x_end, lo = pair
+    res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0], barriers=barriers)
+    assert res.cross_times[0].tolist() == [r.time for r in ref]
+    assert res.end_times[0] == t_last
     assert res.end_states[0, 0] == x_end
     assert res.min_levels[0] == lo
 
@@ -679,14 +681,13 @@ def test_sweep_barrier_at_start_and_validation():
     # a level equal to the start level is crossed at time 0 and one above it
     # is not, whatever order the levels come in
     for barriers in ((1.0,), (2.0, 1.0)):
-        res = sweep_paths(field, [1.0], 1.0, pol, 1, [0], barriers=barriers,
-                          stop_mode="first")
+        res = sweep_paths(field, [1.0], 1.0, pol, 1, [0], barriers=barriers)
         assert res.end_times[0] == res.cross_times[0, -1] == 0.0
         assert np.isnan(res.cross_times[0, :-1]).all()
     # from a start below both levels, each is crossed upward, where the
     # scan of the recorded path crosses it
     res = sweep_paths(field, [0.5], 1.0, pol, 1, np.arange(16),
-                      barriers=(2.0, 1.0), stop_mode="all")
+                      barriers=(2.0, 1.0))
     assert 0 < np.count_nonzero(~np.isnan(res.cross_times).any(axis=1)) < 16
     for i in range(16):
         path = sl.simulate_path(field, [0.5], 1.0, pol, path_entropy(1, i))
@@ -710,24 +711,24 @@ def test_sweep_barrier_at_start_and_validation():
 def test_capture_is_the_state_at_capture_time_or_end():
     # capture_state is X(min(capture time, end time)): a path still running
     # at the capture time is captured as the same path swept without
-    # barriers is, also when with stop_mode 'all' it crosses a barrier in
-    # the step holding the capture time and keeps going
+    # barriers is, also when it crosses an inner barrier in the step
+    # holding the capture time and keeps going
     field = sl.make_field("linear-1d")
     pol = StepPolicy.fixed(1e-2)
-    bars = tuple(2.0 ** -j for j in range(1, 7))
+    nested = tuple(2.0 ** -j for j in range(1, 7))
     indices = np.arange(4000)
     free = sweep_paths(field, [1.0], 1.0, pol, 5, indices, capture_times=(0.3,))
     assert free.capture_state.shape == (4000, 1, 1)
-    for mode in ("first", "all"):
+    for bars in (nested, nested[:1]):
         res = sweep_paths(field, [1.0], 1.0, pol, 5, indices, barriers=bars,
-                          stop_mode=mode, capture_times=(0.3,))
+                          capture_times=(0.3,))
         live = res.end_times > 0.3
         near = (np.abs(res.cross_times - 0.3) < 1e-2).any(axis=1)
         assert np.count_nonzero(live & near) > 20 and not live.all()
         assert np.array_equal(res.capture_state[live], free.capture_state[live])
         assert np.array_equal(res.capture_state[~live, 0], res.end_states[~live])
         res = sweep_paths(field, [1.0], 1.0, pol, 5, indices[:500],
-                          barriers=bars, stop_mode=mode, capture_times=(1.0,))
+                          barriers=bars, capture_times=(1.0,))
         assert np.array_equal(res.capture_state[:, 0], res.end_states)
 
 
@@ -781,41 +782,15 @@ def test_capture_time_out_of_range_is_invalid(times):
 
 def test_all_stop_state_is_the_state_at_the_last_crossing():
     # decay-1d from 1 with h = 1/2: the level 1 -> 1/4 over the first step
-    # meets 1/2 at t = 1/3, where the interpolated state is 2/3.  The path
-    # ends there, and a capture time after it takes that state.
+    # meets the inner barrier 3/4 at t = 1/6 and the outer 1/2 at t = 1/3,
+    # where the interpolated state is 2/3.  The path ends there, and a
+    # capture time after it takes that state.
     field = sl.make_field("decay-1d")
     res = sweep_paths(field, [1.0], 2.0, StepPolicy.fixed(0.5), 1, [0],
-                      barriers=(0.5,), stop_mode="all",
-                      capture_times=(0.4,))
+                      barriers=(0.75, 0.5), capture_times=(0.4,))
     assert res.end_times[0] == pytest.approx(1 / 3, abs=1e-15)
     assert res.end_states[0, 0] == pytest.approx(2 / 3, abs=1e-15)
     assert res.capture_state[0, 0, 0] == pytest.approx(2 / 3, abs=1e-15)
-
-
-@pytest.mark.parametrize("case, barrier", [
-    ("decay-1d", 0.5),
-    ("linear-1d-bridge", 0.5),
-    ("linear-1d-bridge", 2.0),
-])
-def test_one_barrier_all_equals_first(case, barrier):
-    # with one barrier the last crossing is the first, so both stop modes
-    # give the same sweep, bridge-triggered stops included
-    if case == "decay-1d":
-        field, pol, n = sl.make_field("decay-1d"), StepPolicy.fixed(0.5), 4
-    else:
-        field, pol, n = sl.make_field("linear-1d"), StepPolicy.fixed(1e-2), 3000
-    bridge = case.endswith("bridge")
-    res = {mode: sweep_paths(field, [1.0], 1.0, pol, 7, np.arange(n),
-                             barriers=(barrier,), stop_mode=mode, bridge=bridge,
-                             capture_times=(0.3,), track_noise_sum=True)
-           for mode in ("first", "all")}
-    if bridge:
-        assert np.count_nonzero(res["all"].cross_bridge) > 500
-    for f in fields(SweepResult):
-        if f.name != "trajectory":
-            assert np.array_equal(getattr(res["first"], f.name),
-                                  getattr(res["all"], f.name),
-                                  equal_nan=True), f.name
 
 
 def test_strong_convergence_to_closed_form():

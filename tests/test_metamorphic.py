@@ -34,15 +34,14 @@ CASES = {
 }
 
 
-def _sweep(field, start, level, *, scale=1.0, stop_mode="first",
-           bridge=False):
+def _sweep(field, start, level, *, scale=1.0, bridge=False):
     # one down barrier at half the start's level and one up barrier at twice
     # it, both times `scale`
     barriers = (scale * level / 2, scale * level * 2)
     return sweep_paths(field, start, 1.0, StepPolicy.fixed(1e-2), 11,
                        np.arange(N_PATHS), barriers=barriers,
-                       stop_mode=stop_mode, capture_times=CAPTURE_TIMES,
-                       bridge=bridge, track_noise_sum=True)
+                       capture_times=CAPTURE_TIMES, bridge=bridge,
+                       track_noise_sum=True)
 
 
 def _same(a, b):
@@ -63,16 +62,14 @@ def _assert_nontrivial(res, bridge):
     assert res.cross_bridge.any() == bridge
 
 
-@pytest.mark.parametrize("stop_mode", ["first", "all"])
 @pytest.mark.parametrize("case, bridge", [("linear-1d", False),
                                           ("linear-1d", True),
                                           ("diag-linear-3", False)])
-def test_reflection_reflects_states_and_keeps_times(case, bridge, stop_mode):
+def test_reflection_reflects_states_and_keeps_times(case, bridge):
     field, start = CASES[case]
     level = sl.level(field, start)
-    ref = _sweep(field, start, level, stop_mode=stop_mode, bridge=bridge)
-    res = _sweep(field, [-x for x in start], level, stop_mode=stop_mode,
-                 bridge=bridge)
+    ref = _sweep(field, start, level, bridge=bridge)
+    res = _sweep(field, [-x for x in start], level, bridge=bridge)
     _assert_nontrivial(ref, bridge)
     _assert_same_times(res, ref)
     assert _same(res.min_levels, ref.min_levels)
@@ -80,14 +77,12 @@ def test_reflection_reflects_states_and_keeps_times(case, bridge, stop_mode):
     assert _same(res.capture_state, -ref.capture_state)
 
 
-@pytest.mark.parametrize("stop_mode", ["first", "all"])
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_doubling_doubles_states_and_quadruples_levels(case, stop_mode):
+def test_doubling_doubles_states_and_quadruples_levels(case):
     field, start = CASES[case]
     level = sl.level(field, start)
-    ref = _sweep(field, start, level, stop_mode=stop_mode)
-    res = _sweep(field, [2 * x for x in start], level, scale=4.0,
-                 stop_mode=stop_mode)
+    ref = _sweep(field, start, level)
+    res = _sweep(field, [2 * x for x in start], level, scale=4.0)
     _assert_nontrivial(ref, False)
     _assert_same_times(res, ref)
     assert _same(res.min_levels, 4 * ref.min_levels)
@@ -102,8 +97,8 @@ def test_doubling_doubles_states_and_quadruples_levels(case, stop_mode):
 @st.composite
 def _drawn_sweeps(draw):
     """(field, start, sweep keyword arguments): a start whose level is at
-    least 1, one to three barriers at drawn factors of that level, a stop
-    mode and capture times, which may repeat."""
+    least 1, one to three barriers at drawn factors of that level and
+    capture times, which may repeat."""
     field = CASES[draw(st.sampled_from(sorted(CASES)))][0]
     start = [draw(st.sampled_from([-1.0, 1.0])) * draw(st.floats(1.0, 4.0))
              for _ in range(field.d)]
@@ -114,7 +109,6 @@ def _drawn_sweeps(draw):
             st.tuples(st.booleans(), st.floats(1.1, 8.0)),
             min_size=1, max_size=3)))
     kwargs = {"barriers": barriers,
-              "stop_mode": draw(st.sampled_from(["first", "all"])),
               "capture_times": draw(st.lists(st.sampled_from(
                   [0.0, 0.05, 0.1, 0.3, 0.5]), max_size=3))}
     return field, start, kwargs

@@ -80,7 +80,7 @@ def test_gbm_mean_crossing_time_matches_inverse_gaussian():
     thr = float(np.exp(-2.0))
     res = sweep_paths(field, [1.0], 50.0, StepPolicy.fixed(1e-3),
                       17, np.arange(3000),
-                      barriers=(thr,), stop_mode="first", bridge=True)
+                      barriers=(thr,), bridge=True)
     crossed = ~np.isnan(res.cross_times[:, 0])
     assert crossed.mean() > 0.995
     assert np.mean(res.end_times[crossed]) == pytest.approx(2.0, abs=0.15)
@@ -128,7 +128,7 @@ def test_sweep_band_exit_equals_path_scan():
     bars = (0.5, 2.0)
     for bridge, method in ((False, "interpolated"), (True, "bridge-corrected")):
         res = sweep_paths(field, [1.0], 2.0, pol, 7, np.arange(40),
-                          barriers=bars, stop_mode="first", bridge=bridge)
+                          barriers=bars, bridge=bridge)
         for i in range(40):
             p = sl.simulate_path(field, [1.0], 2.0, pol, path_entropy(7, i))
             sw = oracles.sandwich_time(p, field, 2.0, 1, method=method)
@@ -160,7 +160,7 @@ def test_crossing_distribution_converges_under_refinement():
     def sample(h):
         res = sweep_paths(field, [1.0], 4.0, StepPolicy.fixed(h),
                           (11, int(1 / h)), np.arange(4000),
-                          barriers=(thr,), stop_mode="first")
+                          barriers=(thr,))
         return res.end_times[~np.isnan(res.cross_times[:, 0])]
 
     ref = sample(2.0 ** -10)
@@ -216,6 +216,25 @@ def test_dyadic_escape_gbm_increments():
     for k in range(4):
         live = ~cen[:, k]
         assert np.mean(inc[live, k]) == pytest.approx(np.log(2.0), abs=0.2)
+
+
+def test_dyadic_escape_stops_at_a_bridge_trigger_of_the_deepest_level():
+    # path 160 bridges the deepest level 1/256 at t = 1.0875 before its
+    # level passes 1/128 on the interpolant.  The ladder's outer level stops
+    # it there, so the shallower passage is backfilled from that trigger,
+    # not taken from a crossing after it (the continuity rule of
+    # _escape_increments)
+    field = sl.make_field("power-law-1d", alpha=0.5)
+    pol = StepPolicy.fixed(1e-3)
+    inc = sl.dyadic_escape_batch(field, [1.0], 8, 2.0, pol, 0, 161, bridge=True)
+    assert inc[160].tolist() == [
+        0.5277525829450789, 0.02613530869926728, 0.18061210835565444,
+        0.026000000000000023, 0.31099999999999217, 0.006999999999999229,
+        0.008999999999999009, 0.0]
+    res = sweep_paths(field, [1.0], 2.0, pol, 0, [160], bridge=True,
+                      barriers=tuple(2.0 ** -(j + 1) for j in range(8)))
+    assert np.isnan(res.cross_times[0, 6]) and res.cross_bridge[0, 7]
+    assert res.end_times[0] == res.cross_times[0, 7]
 
 
 def test_escape_increments_cleaning_rule():
