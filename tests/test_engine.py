@@ -639,18 +639,20 @@ def test_sweep_buffer_holds_at_most_128_normals_per_path(monkeypatch, name,
     assert shapes == [shape]
 
 
-@pytest.mark.parametrize("h, barriers, inner, pair", [
+@pytest.mark.parametrize("sweep", ["first", "all"])
+@pytest.mark.parametrize("h, barriers, first, all_", [
     # x -> -2x, the level 1, 4, 16, 64, 256 at times 0, 3, 6, 9, 12; up
     # barriers on grid levels, passed out of order
     (3.0, (256.0, 16.0),
      # the inner barrier: its index, time, end state and min level when it
-     # is swept alone; the pair's end time, end state and min level
+     # is swept alone ('first'); the pair's end time, end state and min
+     # level ('all')
      (1, 6.0, 4.0, 1.0), (12.0, 16.0, 1.0)),
     # x -> x/2, the level 1, 1/4, 1/16, 1/64, 1/256 at times 0, 1/2, 1, 3/2, 2
     (0.5, (0.0625, 0.00390625),
      (0, 1.0, 0.25, 0.25), (2.0, 0.0625, 0.015625)),
 ])
-def test_sweep_crosses_barriers_on_grid_levels(h, barriers, inner, pair):
+def test_sweep_crosses_barriers_on_grid_levels(sweep, h, barriers, first, all_):
     # a barrier equal to a grid level is crossed at that grid point, by the
     # sweep as by the scan of the recorded path (<=, not <), and the path
     # stops at that step, not at the next: the inner barrier's step when it
@@ -660,17 +662,17 @@ def test_sweep_crosses_barriers_on_grid_levels(h, barriers, inner, pair):
     path = sl.simulate_path(field, [1.0], 10 * h, pol, path_entropy(1, 0))
     ref = [first_hitting_time(path, field, level) for level in barriers]
     assert not any(r.censored for r in ref)
-    jb, t_first, x_end, lo = inner
-    res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0],
-                      barriers=barriers[jb:jb + 1])
-    assert res.cross_times[0, 0] == ref[jb].time == t_first
-    assert res.end_times[0] == t_first
-    assert res.end_states[0, 0] == x_end
-    assert res.min_levels[0] == lo
-    t_last, x_end, lo = pair
-    res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0], barriers=barriers)
-    assert res.cross_times[0].tolist() == [r.time for r in ref]
-    assert res.end_times[0] == t_last
+    if sweep == "first":
+        jb, t_first, x_end, lo = first
+        res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0],
+                          barriers=barriers[jb:jb + 1])
+        assert res.cross_times[0, 0] == ref[jb].time == t_first
+        assert res.end_times[0] == t_first
+    else:
+        t_last, x_end, lo = all_
+        res = sweep_paths(field, [1.0], 10 * h, pol, 1, [0], barriers=barriers)
+        assert res.cross_times[0].tolist() == [r.time for r in ref]
+        assert res.end_times[0] == t_last
     assert res.end_states[0, 0] == x_end
     assert res.min_levels[0] == lo
 

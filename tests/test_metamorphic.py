@@ -34,10 +34,14 @@ CASES = {
 }
 
 
-def _sweep(field, start, level, *, scale=1.0, bridge=False):
+def _sweep(field, start, level, *, scale=1.0, bridge=False, inner=False):
     # one down barrier at half the start's level and one up barrier at twice
-    # it, both times `scale`
+    # it, both times `scale`; with `inner`, also an inner down barrier at
+    # three quarters of it, whose crossing is recorded and does not stop
+    # the path
     barriers = (scale * level / 2, scale * level * 2)
+    if inner:
+        barriers += (scale * level * 0.75,)
     return sweep_paths(field, start, 1.0, StepPolicy.fixed(1e-2), 11,
                        np.arange(N_PATHS), barriers=barriers,
                        capture_times=CAPTURE_TIMES, bridge=bridge,
@@ -55,21 +59,27 @@ def _assert_same_times(res, ref):
 
 
 def _assert_nontrivial(res, bridge):
-    # both barriers are crossed, and with the bridge some crossing is its
+    # every barrier is crossed, and with the bridge some crossing is its
     crossed = ~np.isnan(res.cross_times)
     assert crossed.any(axis=0).all()
     assert crossed.sum() >= N_PATHS // 4
     assert res.cross_bridge.any() == bridge
 
 
+# 'first': both barriers are outer, so a path stops at the first one it
+# crosses; 'all': an inner barrier is crossed on the way to the outer ones
+STOPS = pytest.mark.parametrize("inner", [False, True], ids=["first", "all"])
+
+
+@STOPS
 @pytest.mark.parametrize("case, bridge", [("linear-1d", False),
                                           ("linear-1d", True),
                                           ("diag-linear-3", False)])
-def test_reflection_reflects_states_and_keeps_times(case, bridge):
+def test_reflection_reflects_states_and_keeps_times(case, bridge, inner):
     field, start = CASES[case]
     level = sl.level(field, start)
-    ref = _sweep(field, start, level, bridge=bridge)
-    res = _sweep(field, [-x for x in start], level, bridge=bridge)
+    ref = _sweep(field, start, level, bridge=bridge, inner=inner)
+    res = _sweep(field, [-x for x in start], level, bridge=bridge, inner=inner)
     _assert_nontrivial(ref, bridge)
     _assert_same_times(res, ref)
     assert _same(res.min_levels, ref.min_levels)
@@ -77,12 +87,13 @@ def test_reflection_reflects_states_and_keeps_times(case, bridge):
     assert _same(res.capture_state, -ref.capture_state)
 
 
+@STOPS
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_doubling_doubles_states_and_quadruples_levels(case):
+def test_doubling_doubles_states_and_quadruples_levels(case, inner):
     field, start = CASES[case]
     level = sl.level(field, start)
-    ref = _sweep(field, start, level)
-    res = _sweep(field, [2 * x for x in start], level, scale=4.0)
+    ref = _sweep(field, start, level, inner=inner)
+    res = _sweep(field, [2 * x for x in start], level, scale=4.0, inner=inner)
     _assert_nontrivial(ref, False)
     _assert_same_times(res, ref)
     assert _same(res.min_levels, 4 * ref.min_levels)
