@@ -6,8 +6,8 @@ sampling noise cannot produce spurious failures: upper bounds are violated
 only when the CI-lower of the estimate exceeds the bound, lower bounds only
 when the CI-upper falls short.  Every interval is two-sided at 95 %.
 
-Proportions get Wilson intervals.  scipy is imported only where it is used:
-by the accessibility integral.
+Proportions get Wilson intervals, and the accessibility integral is summed
+by adaptive Gauss-Legendre, so numpy is the only dependency.
 """
 
 from __future__ import annotations
@@ -537,6 +537,9 @@ def estimate_zero_hitting(field: CoefficientField, start, horizon: float,
 _TAIL_REL_TOL = 1e-9
 _TREND_WINDOWS = 12
 _MAX_WINDOWS = 400
+_GAUSS_REL_TOL = 1e-10
+_GAUSS_DEPTH = 30
+_GAUSS_NODES: dict = {}  # n -> (nodes, weights) of the n-node rule
 
 
 @dataclass(frozen=True)
@@ -564,10 +567,35 @@ def _window_sigma(sigma_1d, lo: float, hi: float):
             raise InvalidInputError(f"sigma non-finite at y={y:g}")
 
 
+def _window_integral(f, lo: float, hi: float) -> list:
+    """The integral of f over [lo, hi] and its error.  A piece, at first
+    [lo, hi], is bisected while its 20-node Gauss-Legendre sum G20 and its
+    G10 or its halves' G20 differ by over _GAUSS_REL_TOL of the latter, at
+    most _GAUSS_DEPTH times.  Each final piece adds its halves' G20 to the
+    value and |G20 - its halves' G20| to the error."""
+    def gauss(lo, hi, n):
+        if n not in _GAUSS_NODES:  # numpy 2 imports numpy.polynomial here
+            _GAUSS_NODES[n] = np.polynomial.legendre.leggauss(n)
+        mid, half = 0.5 * (lo + hi), 0.5 * (hi - lo)
+        return half * math.fsum(w * f(mid + half * x)
+                                for x, w in zip(*_GAUSS_NODES[n]))
+
+    def piece(lo, hi, whole, depth):
+        mid = 0.5 * (lo + hi)
+        left, right = gauss(lo, mid, 20), gauss(mid, hi, 20)
+        error = abs(whole - left - right)
+        if (depth < _GAUSS_DEPTH and _GAUSS_REL_TOL * (left + right)
+                < max(error, abs(whole - gauss(lo, hi, 10)))):
+            return [u + v for u, v in zip(piece(lo, mid, left, depth + 1),
+                                          piece(mid, hi, right, depth + 1))]
+        return [left + right, error]
+    return piece(lo, hi, gauss(lo, hi, 20), 0)
+
+
 def accessibility_integral_1d(sigma_1d, a: float) -> IntegralVerdict:
     """Classify the integral of y / sigma(y)^2 over (0, a] near the origin.
 
-    Integrates over dyadic windows [a/2^(j+1), a/2^j] by adaptive quadrature.
+    Sums each dyadic window [a/2^(j+1), a/2^j] by adaptive Gauss-Legendre.
     If the window sums keep geometric decay, the tail is summed from the
     decay ratio and the integral is declared finite; if the last
     ``_TREND_WINDOWS`` windows show no geometric decay, the partial sums grow
@@ -576,26 +604,23 @@ def accessibility_integral_1d(sigma_1d, a: float) -> IntegralVerdict:
     """
     if a <= 0:
         raise InvalidInputError("a must be positive")
-    from scipy import integrate
 
     def integrand(y):
         s = sigma_1d(y)
         s2 = s * s
         # below the normal floats (0 too) y / s2 divides by 0 or by a value
-        # of few bits, where quad warns of roundoff
+        # of few bits
         if s2 < sys.float_info.min:
             raise InvalidInputError(f"sigma^2 underflows at y={y:g}")
         return y / s2
 
     winsums: list[float] = []
-    quad_err = 0.0
-    total = 0.0
+    quad_err = total = 0.0
     decay_threshold = 1.0 - 1e-3
     for j in range(_MAX_WINDOWS):
-        hi = a / 2.0 ** j
-        lo = a / 2.0 ** (j + 1)
+        lo, hi = a / 2.0 ** (j + 1), a / 2.0 ** j
         _window_sigma(sigma_1d, lo, hi)
-        val, err = integrate.quad(integrand, lo, hi, limit=200)
+        val, err = _window_integral(integrand, lo, hi)
         winsums.append(val)
         quad_err += err
         total += val

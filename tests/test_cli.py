@@ -675,14 +675,24 @@ def test_main_validate_and_catalog(tmp_path, capsys):
 
 
 def test_scipy_stays_unloaded(tmp_path):
-    # Only integral-1d imports scipy.  All steps run in one fresh
-    # interpreter, which records the scipy modules loaded after each.
+    # No step loads scipy, and only integral-1d loads numpy.polynomial, for
+    # its Gauss-Legendre nodes.  All steps run in one fresh interpreter,
+    # which records the scipy and numpy.polynomial modules loaded after each
+    # that numpy's own import did not load.
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(_hitting_config(
         n_paths=100, horizon=0.1, policy={"kind": "fixed", "h_max": 1e-2}))
+    integral_path = tmp_path / "integral.json"
+    integral_path.write_text(_hitting_config(
+        field={"name": "power-law-1d", "params": {"alpha": 0.75}},
+        n_paths=1, experiment="integral-1d", params={"a": 1.0}))
     script = f"""
 import json, sys
-loaded = lambda: sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+import numpy
+base = set(sys.modules)
+loaded = lambda: sorted(m for m in set(sys.modules) - base
+                        if m.split(".")[0] == "scipy"
+                        or m.startswith("numpy.polynomial"))
 steps = {{}}
 import sdelab
 from sdelab import cli
@@ -695,6 +705,10 @@ with open({str(cfg_path)!r}) as fh:
     report = cli.run_scenario(cli.parse_scenario(fh.read()))
 assert report.payload["estimates"][0]["method"] == "wilson"
 steps["hitting"] = loaded()
+with open({str(integral_path)!r}) as fh:
+    report = cli.run_scenario(cli.parse_scenario(fh.read()))
+assert report.payload["verdict"] == "finite"
+steps["integral-1d"] = loaded()
 print(json.dumps(steps))
 """
     src = str(Path(sl.__file__).resolve().parent.parent)
@@ -704,8 +718,10 @@ print(json.dumps(steps))
                           text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     steps = json.loads(proc.stdout.strip().splitlines()[-1])
+    integral = steps.pop("integral-1d")
     assert steps == {"import": [], "catalog": [], "validate": [],
                      "hitting": []}
+    assert not [m for m in integral if m.split(".")[0] == "scipy"]
 
 
 def test_main_replay(tmp_path, capsys):

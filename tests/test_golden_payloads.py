@@ -74,6 +74,11 @@ SCENARIOS = {
     "integral-1d": {
         **_LINEAR, "n_paths": 1, "experiment": "integral-1d",
         "params": {"a": 1.0}},
+    # a finite verdict: its value and error come from the Gauss-Legendre rule
+    "integral-1d-finite": {
+        **_LINEAR, "n_paths": 1, "experiment": "integral-1d",
+        "field": {"name": "power-law-1d", "params": {"alpha": 0.75}},
+        "params": {"a": 1.0}},
     "engine-validation": {
         **_LINEAR, "n_paths": 64, "experiment": "engine-validation",
         "params": {"h_exponents": [3, 4, 5]}},
@@ -95,6 +100,8 @@ GOLDEN = {
         "c8ff9e905173f4a67cdde25bd8920d97639a10f7fe05c77b6eb7bccb468b778e",
     "integral-1d":
         "ffad3ecbd51ac325cf200d5b90f99a7d5798d65f31e7c152e4dcaf1ce00d633e",
+    "integral-1d-finite":
+        "fb1f557c2a38d8a2f78c117c81805f9ef40ed90e0d3fdebea7806dd5505ca52f",
     "level-change":
         "e3cf704065c2036918cc7ae8362109ac16b42f3bc7c018f486b89ff92a29b221",
     "level-change-2d":

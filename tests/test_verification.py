@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
+from scipy import integrate, stats
 
 import oracles
 import sdelab as sl
@@ -498,6 +498,73 @@ def test_accessibility_integral_rejects_vanishing_sigma():
         sl.accessibility_integral_1d(lambda y: y - 0.5, 1.0)
     with pytest.raises(InvalidInputError):
         sl.accessibility_integral_1d(lambda y: y, 0.0)
+
+
+# The Gauss-Legendre rule against scipy's quad on each window as the
+# reference: every smooth sigma gives quad's verdict and window count, and
+# its windows are one piece each
+_SMOOTH_SIGMAS = [pytest.param(lambda y, p=p: y ** p, 1.0, id=f"y^{p}")
+                  for p in (0.5, 0.6, 0.75, 0.9, 0.95, 0.99, 1.0, 1.01, 1.5)]
+_SMOOTH_SIGMAS += [
+    pytest.param(lambda y: y ** 0.5 * (1.0 + y), 1.0, id="y^0.5(1+y)"),
+    pytest.param(lambda y: math.sqrt(y) + y, 1.0, id="sqrt(y)+y"),
+    pytest.param(lambda y: y ** 0.7 * (1.0 + abs(math.log(y))), 1.0,
+                 id="y^0.7(1+|log y|)"),
+    pytest.param(lambda y: 2.0, 1.0, id="2"),
+    pytest.param(lambda y: y ** 0.6, 1000.0, id="y^0.6-a1000")]
+
+
+def _jump(y):
+    # the integral over (0, 1] is 0.37 + 0.63 / 9 = 0.44
+    return math.sqrt(y) * (1.0 if y < 0.37 else 3.0)
+
+
+_HARD_SIGMAS = [
+    pytest.param(lambda y: math.sqrt(y) + abs(y - 0.3), id="kink"),
+    pytest.param(_jump, id="jump"),
+    pytest.param(lambda y: math.sqrt(y) * (1.0 + 5.0 * abs(math.sin(40 * y))),
+                 id="oscillation")]
+
+
+def _by_quad(monkeypatch, sigma, a):
+    with monkeypatch.context() as patch:
+        patch.setattr(verification, "_window_integral",
+                      lambda f, lo, hi: integrate.quad(f, lo, hi, limit=200))
+        return sl.accessibility_integral_1d(sigma, a)
+
+
+@pytest.mark.parametrize("sigma, a", _SMOOTH_SIGMAS)
+def test_accessibility_integral_agrees_with_quad(monkeypatch, sigma, a):
+    ref = _by_quad(monkeypatch, sigma, a)
+    calls = []
+
+    def counted(y):
+        calls.append(y)
+        return sigma(y)
+    v = sl.accessibility_integral_1d(counted, a)
+    assert (v.kind, v.windows) == (ref.kind, ref.windows)
+    if v.is_finite:
+        assert v.value == pytest.approx(ref.value, rel=1e-12, abs=0)
+    # no window is bisected: each is one piece, whose sigma is checked at 3
+    # points and summed by G20 on it and on its halves and by G10 on it
+    assert len(calls) == (3 + 20 + 2 * 20 + 10) * v.windows
+
+
+@pytest.mark.parametrize("sigma", _HARD_SIGMAS)
+def test_accessibility_integral_hard_sigma(monkeypatch, sigma):
+    # a kink, a jump or an oscillation inside a window is bisected until
+    # the value lies within both methods' errors of quad's, and its own
+    # error is no larger than quad's
+    ref = _by_quad(monkeypatch, sigma, 1.0)
+    v = sl.accessibility_integral_1d(sigma, 1.0)
+    assert v.is_finite and v.windows == ref.windows
+    assert abs(v.value - ref.value) <= v.error + ref.error
+    assert v.error <= ref.error
+
+
+def test_accessibility_integral_jump_within_its_error():
+    v = sl.accessibility_integral_1d(_jump, 1.0)
+    assert abs(v.value - 0.44) <= v.error
 
 
 def test_strong_order_study_caps_its_path_steps():
